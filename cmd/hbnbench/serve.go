@@ -54,26 +54,26 @@ type jsonEpoch struct {
 
 // jsonServe is one scenario's serving-benchmark outcome in -json mode.
 type jsonServe struct {
-	Scenario        string      `json:"scenario"`
-	Requests        int         `json:"requests"`
-	Shards          int         `json:"shards"`
-	EpochRequests   int64       `json:"epoch_requests"`
-	ThroughputRps   float64     `json:"throughput_rps"`
-	MaxEdgeLoad     int64       `json:"max_edge_load"`
-	BaselineMaxEdge int64       `json:"baseline_max_edge_load"`
-	StaticMaxEdge   int64       `json:"static_max_edge_load"`
-	TotalLoad       int64       `json:"total_load"`
-	BaselineTotal   int64       `json:"baseline_total_load"`
-	StaticTotal     int64       `json:"static_total_load"`
-	Epochs          int64       `json:"epochs"`
-	Drifted         int64       `json:"drifted"`
-	AdoptMoved      int64       `json:"adopt_moved"`
-	ResolveMS       float64     `json:"resolve_ms"`
+	Scenario        string  `json:"scenario"`
+	Requests        int     `json:"requests"`
+	Shards          int     `json:"shards"`
+	EpochRequests   int64   `json:"epoch_requests"`
+	ThroughputRps   float64 `json:"throughput_rps"`
+	MaxEdgeLoad     int64   `json:"max_edge_load"`
+	BaselineMaxEdge int64   `json:"baseline_max_edge_load"`
+	StaticMaxEdge   int64   `json:"static_max_edge_load"`
+	TotalLoad       int64   `json:"total_load"`
+	BaselineTotal   int64   `json:"baseline_total_load"`
+	StaticTotal     int64   `json:"static_total_load"`
+	Epochs          int64   `json:"epochs"`
+	Drifted         int64   `json:"drifted"`
+	AdoptMoved      int64   `json:"adopt_moved"`
+	ResolveMS       float64 `json:"resolve_ms"`
 	// Latency percentiles come straight off the cluster's own obs
 	// registry — the benchmark keeps no timing state of its own.
-	IngestP50US float64 `json:"ingest_p50_us"`
-	IngestP99US float64 `json:"ingest_p99_us"`
-	EpochP99MS  float64 `json:"epoch_p99_ms"`
+	IngestP50US     float64     `json:"ingest_p50_us"`
+	IngestP99US     float64     `json:"ingest_p99_us"`
+	EpochP99MS      float64     `json:"epoch_p99_ms"`
 	VsBaselineRatio float64     `json:"vs_baseline_ratio"`
 	VsStaticRatio   float64     `json:"vs_static_ratio"`
 	EpochLog        []jsonEpoch `json:"epoch_log,omitempty"`

@@ -44,13 +44,15 @@
 // purely a throughput knob. Step 3 (mapping) shares load budgets across
 // objects and always runs sequentially.
 //
-// Workloads that solve repeatedly hold a Solver, the reusable,
-// arena-backed form of Solve. A Solver owns all per-stage scratch — nibble
-// state, deletion buffers, the mapping runner, merge/validation tallies,
-// tracked evaluators and the bump arenas the placement records come from —
-// so a warm Solve allocates almost nothing (tens of allocations instead of
-// the >11k of a cold run), and Resolve re-solves after a few objects'
-// frequencies changed at cost proportional to the change:
+// Workloads that solve repeatedly hold a Solver, the reusable form of
+// Solve. A Solver owns all per-stage scratch — nibble state, deletion
+// buffers, the mapping runner, merge/validation tallies, tracked
+// evaluators — and a record store that gives every object its own
+// exact-size slabs for its placement records, so a warm Solve, and a warm
+// Resolve whose objects keep their sizes, allocate a small constant (tens
+// of allocations instead of the >11k of a cold run), and Resolve
+// re-solves after a few objects' frequencies changed at cost proportional
+// to the change:
 //
 //	s, _ := hbn.NewSolver(t)
 //	res, _ := s.Solve(w)        // full pipeline, scratch retained
@@ -67,8 +69,9 @@
 // the load contributions of objects whose final copies actually moved.
 // Resolve's Result is bit-identical to a fresh Solve on the mutated
 // workload, at every Parallelism setting. Results returned by a Solver are
-// backed by its arenas and are invalidated by its next Solve/Resolve call;
-// the one-shot hbn.Solve has no such aliasing (its solver is discarded).
+// backed by its record store and are invalidated by its next Solve/Resolve
+// call; the one-shot hbn.Solve has no such aliasing (its solver is
+// discarded).
 //
 // Evaluation is allocation-free on the steady path: callers that score
 // many placements hold an Evaluator, whose rooted orientation (with its
@@ -214,8 +217,8 @@ type (
 	// Options tunes the solver (ablations, mapping root, invariant
 	// checking).
 	Options = core.Options
-	// Solver is the reusable, arena-backed solver with incremental
-	// Resolve; see the package comment's Performance section.
+	// Solver is the reusable solver with incremental Resolve; see the
+	// package comment's Performance section.
 	Solver = core.Solver
 	// RingNetwork is a concrete SCI-style hierarchical ring network
 	// (Figure 1 of the paper).

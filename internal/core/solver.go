@@ -12,14 +12,17 @@ import (
 	"hbn/internal/workload"
 )
 
-// Solver is a reusable, arena-backed instance of the extended-nibble
-// pipeline bound to one network. It owns every piece of per-stage scratch —
-// nibble state, deletion buffers, nearest-assignment tallies, the mapping
-// runner (orientation, level order, dense copy state, free-edge heap),
-// per-object merge/validation scratch, two tracked evaluators and the
-// bump arenas the placement records come from — so a warm Solve approaches
-// zero steady-state allocations, and Resolve recomputes only the objects a
-// caller declares changed.
+// Solver is a reusable instance of the extended-nibble pipeline bound to
+// one network. It owns every piece of per-stage scratch — nibble state,
+// deletion buffers, nearest-assignment tallies, the mapping runner
+// (orientation, level order, dense copy state, free-edge heap), per-object
+// merge/validation scratch, two tracked evaluators, per-worker scratch
+// arenas for per-object intermediates — and the record store: per-object
+// exact-size slabs holding the live placement records (see objRecords).
+// Solve and Resolve fill the store the same way, so a warm Solve, and a
+// warm Resolve whose objects keep their sizes, allocate only a small
+// constant, and Resolve recomputes only the objects a caller declares
+// changed.
 //
 // Ownership contract: the *Result returned by Solve/Resolve (including
 // every placement, report and trace hanging off it) is backed by solver
@@ -45,6 +48,9 @@ type Solver struct {
 	opts Options
 
 	// Per-worker scratch, grown to the resolved worker count on demand.
+	// arenas hold one object's intermediates at a time: each per-object
+	// step resets its worker's arena and compacts its outputs into the
+	// record store.
 	nibScr      []*nibble.Scratch
 	delRun      []*deletion.Runner
 	asgScr      []*placement.AssignScratch
@@ -68,10 +74,15 @@ type Solver struct {
 	nibRep placement.Report
 	finRep placement.Report
 
-	leafOnly []bool
-	kappa    []int64 // per-object write contention, maintained by stageA
-	perObj   []deletion.Stats
-	errs     []error
+	// The record store: per object, the slab of its Steps 1–2 records
+	// (nibP and modP point into it) and the slab of its final records
+	// (finalP points into it).
+	stepRecs  []objRecords
+	finalRecs []objRecords
+	leafOnly  []bool
+	kappa     []int64 // per-object write contention, maintained by stageA
+	perObj    []deletion.Stats
+	errs      []error
 
 	// Resolve bookkeeping. The mapping output alternates between two
 	// arenas: Resolve compares the fresh Step-3 output against the
@@ -125,6 +136,8 @@ func (s *Solver) ensure(workers, numObjects int) {
 		s.nodeScr = append(s.nodeScr, nil)
 	}
 	if cap(s.leafOnly) < numObjects {
+		s.stepRecs = make([]objRecords, numObjects)
+		s.finalRecs = make([]objRecords, numObjects)
 		s.leafOnly = make([]bool, numObjects)
 		s.kappa = make([]int64, numObjects)
 		s.perObj = make([]deletion.Stats, numObjects)
@@ -136,6 +149,8 @@ func (s *Solver) ensure(workers, numObjects int) {
 		s.modP.Copies = make([][]*placement.Copy, numObjects)
 		s.finalP.Copies = make([][]*placement.Copy, numObjects)
 	}
+	s.stepRecs = s.stepRecs[:numObjects]
+	s.finalRecs = s.finalRecs[:numObjects]
 	s.leafOnly = s.leafOnly[:numObjects]
 	s.kappa = s.kappa[:numObjects]
 	s.perObj = s.perObj[:numObjects]
@@ -173,9 +188,6 @@ func (s *Solver) solve(w *workload.W, nib *nibble.Result) (*Result, error) {
 	// (stageA never writes external data into s.nibRes, so no clearing is
 	// needed when switching back to internal solves.)
 	s.external = nib != nil
-	for _, a := range s.arenas {
-		a.Reset()
-	}
 	s.mapArena[0].Reset()
 	s.mapArena[1].Reset()
 	s.mapFlip = 1
@@ -183,7 +195,7 @@ func (s *Solver) solve(w *workload.W, nib *nibble.Result) (*Result, error) {
 	// Steps 1+2, fused per object: nibble placement, nearest-copy
 	// assignment, deletion, leaf/inner partition.
 	par.ForEach(workers, numObjects, func(wk, x int) {
-		s.errs[x] = s.stageA(wk, x, nib, s.arenas[wk])
+		s.errs[x] = s.stageA(wk, x, nib)
 	})
 	for _, err := range s.errs {
 		if err != nil {
@@ -226,7 +238,7 @@ func (s *Solver) solve(w *workload.W, nib *nibble.Result) (*Result, error) {
 	// Per-object finish: merge (and optional nearest reassignment),
 	// leaf-only check, validation.
 	par.ForEach(workers, numObjects, func(wk, x int) {
-		s.errs[x] = s.finishObject(wk, x, s.arenas[wk])
+		s.errs[x] = s.finishObject(wk, x)
 	})
 	for _, err := range s.errs {
 		if err != nil {
@@ -287,10 +299,10 @@ func (s *Solver) Resolve(changed []int) (*Result, error) {
 	s.ready = false
 	prevMapped := s.mapped
 
-	// Steps 1+2 for the changed objects only. Allocations go to the heap:
-	// the arenas still back every unchanged object's records.
+	// Steps 1+2 for the changed objects only; every other object's
+	// records stay untouched in its slab.
 	par.ForEach(workers, len(list), func(wk, i int) {
-		s.errs[i] = s.stageA(wk, list[i], nil, nil)
+		s.errs[i] = s.stageA(wk, list[i], nil)
 	})
 	for _, err := range s.errs[:len(list)] {
 		if err != nil {
@@ -298,7 +310,7 @@ func (s *Solver) Resolve(changed []int) (*Result, error) {
 		}
 	}
 
-	res.NibbleReport = s.nibEval.ReevaluateInto(&s.nibRep, &s.nibP, list)
+	res.NibbleReport = s.nibEval.ReevaluateInto(&s.nibRep, &s.nibP, list, workers)
 	res.DeletionStats = deletion.Stats{}
 	if !s.opts.SkipDeletion {
 		res.DeletionStats = s.sumDeletionStats()
@@ -347,14 +359,14 @@ func (s *Solver) Resolve(changed []int) (*Result, error) {
 	}
 
 	par.ForEach(workers, len(cf), func(wk, i int) {
-		s.errs[i] = s.finishObject(wk, cf[i], nil)
+		s.errs[i] = s.finishObject(wk, cf[i])
 	})
 	for _, err := range s.errs[:len(cf)] {
 		if err != nil {
 			return nil, err
 		}
 	}
-	res.Report = s.finEval.ReevaluateInto(&s.finRep, &s.finalP, cf)
+	res.Report = s.finEval.ReevaluateInto(&s.finRep, &s.finalP, cf, workers)
 	res.LowerBound = LowerBound(s.t, s.w, res.Nibble, res.NibbleReport)
 	s.ready = true
 	return res, nil
@@ -362,8 +374,12 @@ func (s *Solver) Resolve(changed []int) (*Result, error) {
 
 // stageA runs Steps 1+2 for one object: nibble placement (unless an
 // external result was provided), nearest-copy assignment, deletion, and
-// the leaf/inner partition flag.
-func (s *Solver) stageA(wk, x int, nib *nibble.Result, a *placement.Arena) error {
+// the leaf/inner partition flag. The intermediates live in the worker's
+// arena; the assigned and modified copies are compacted into the object's
+// slab.
+func (s *Solver) stageA(wk, x int, nib *nibble.Result) error {
+	a := s.arenas[wk]
+	a.Reset()
 	var op nibble.ObjectPlacement
 	if nib != nil {
 		op = nib.Objects[x]
@@ -376,17 +392,21 @@ func (s *Solver) stageA(wk, x int, nib *nibble.Result, a *placement.Arena) error
 	if err != nil {
 		return fmt.Errorf("core: nibble placement: %w", err)
 	}
-	s.nibP.Copies[x] = copies
 
 	mod := copies
-	if !s.opts.SkipDeletion {
+	r := &s.stepRecs[x]
+	if s.opts.SkipDeletion {
+		r.store(copies)
+	} else {
 		s.perObj[x] = deletion.Stats{}
 		mod, err = s.delRun[wk].RunObject(s.w, x, op, copies, s.opts.SkipSplitting, a, &s.perObj[x])
 		if err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
-		s.modP.Copies[x] = mod
+		r.store(copies, mod)
 	}
+	s.nibP.Copies[x] = r.section(0)
+	s.modP.Copies[x] = r.section(1)
 	leafOnly := true
 	for _, c := range mod {
 		if !s.t.IsLeaf(c.Node) {
@@ -413,8 +433,11 @@ func (s *Solver) runMapping(a *placement.Arena) (*placement.P, *mapping.Trace, e
 
 // finishObject produces one object's final leaf placement: per-node merge
 // of its (modified or mapped) copies, optional nearest reassignment, the
-// leaf-only safety check and demand-coverage validation.
-func (s *Solver) finishObject(wk, x int, a *placement.Arena) error {
+// leaf-only safety check and demand-coverage validation. The merged copies
+// are built in the worker's arena and compacted into the object's slab.
+func (s *Solver) finishObject(wk, x int) error {
+	a := s.arenas[wk]
+	a.Reset()
 	cs := s.res.Modified.Copies[x]
 	if !s.leafOnly[x] {
 		cs = s.mapped.Copies[x]
@@ -437,7 +460,9 @@ func (s *Solver) finishObject(wk, x int, a *placement.Arena) error {
 			return fmt.Errorf("core: internal error: final placement uses inner nodes")
 		}
 	}
-	s.finalP.Copies[x] = merged
+	r := &s.finalRecs[x]
+	r.store(merged)
+	s.finalP.Copies[x] = r.section(0)
 	if err := s.finalP.ValidateObject(s.t, s.w, x, s.valReads[wk], s.valWrites[wk]); err != nil {
 		return fmt.Errorf("core: internal error: %w", err)
 	}

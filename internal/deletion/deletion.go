@@ -62,6 +62,9 @@ type scratch struct {
 	kidHead []int32
 	kidTail []int32
 	kidNext []int32
+
+	// parts is splitAll's reusable chunk-list buffer.
+	parts [][]placement.Share
 }
 
 func newScratch(n int) *scratch {
@@ -116,7 +119,7 @@ func (r *Runner) runOwned(w *workload.W, x int, op nibble.ObjectPlacement, copie
 		return nil, fmt.Errorf("deletion: object %d: %w", x, err)
 	}
 	if !skipSplitting {
-		out = splitAll(out, kappa, stats, a)
+		out = splitAll(out, kappa, stats, a, r.s)
 	}
 	stats.Kept += len(out)
 	return out, nil
@@ -395,8 +398,9 @@ func nearestAlive(t *tree.Tree, from tree.NodeID, s *scratch) *placement.Copy {
 // m = ⌈s/(2κ_x)⌉ copies on the same node, each serving between κ_x and
 // 2κ_x requests (Observation 3.2). Copy records and the output list come
 // from a; the split share slices are rebuilt fresh (they re-partition the
-// original shares, so their sizes are not knowable up front).
-func splitAll(copies []*placement.Copy, kappa int64, stats *Stats, a *placement.Arena) []*placement.Copy {
+// original shares, so their sizes are not knowable up front). The chunk
+// list of each split reuses s.parts.
+func splitAll(copies []*placement.Copy, kappa int64, stats *Stats, a *placement.Arena, s *scratch) []*placement.Copy {
 	if kappa == 0 || len(copies) == 0 {
 		return copies
 	}
@@ -412,13 +416,14 @@ func splitAll(copies []*placement.Copy, kappa int64, stats *Stats, a *placement.
 	}
 	out := a.NewCopyList(total)
 	for _, c := range copies {
-		s := c.Served()
-		if s <= 2*kappa {
+		served := c.Served()
+		if served <= 2*kappa {
 			out = append(out, c)
 			continue
 		}
-		m := (s + 2*kappa - 1) / (2 * kappa)
-		parts := splitShares(c.Shares, s, m, a)
+		m := (served + 2*kappa - 1) / (2 * kappa)
+		parts := splitShares(s.parts[:0], c.Shares, served, m, a)
+		s.parts = parts
 		for i, p := range parts {
 			out = append(out, a.NewCopy(c.Object, c.Node, p))
 			if i > 0 {
@@ -437,11 +442,10 @@ func splitAll(copies []*placement.Copy, kappa int64, stats *Stats, a *placement.
 //
 // All chunks are emitted into one shared buffer (at most m−1 cuts can add
 // entries, so its exact capacity is known up front) and handed out as
-// capacity-capped subslices, so the split costs one arena allocation for
-// the entries plus the chunk-list header.
-func splitShares(shares []placement.Share, s, m int64, a *placement.Arena) [][]placement.Share {
+// capacity-capped subslices appended to parts (callers pass a reused
+// buffer), so the split costs one arena allocation for the entries.
+func splitShares(parts [][]placement.Share, shares []placement.Share, s, m int64, a *placement.Arena) [][]placement.Share {
 	buf := a.NewShares(len(shares) + int(m) - 1)
-	parts := make([][]placement.Share, 0, m)
 	base := s / m
 	rem := s % m
 	target := base

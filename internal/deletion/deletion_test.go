@@ -170,7 +170,7 @@ func TestSplitSharesChunkSizes(t *testing.T) {
 		{Node: 2, Reads: 5},
 		{Node: 3, Writes: 5},
 	}
-	parts := splitShares(shares, 20, 3, nil)
+	parts := splitShares(nil, shares, 20, 3, nil)
 	if len(parts) != 3 {
 		t.Fatalf("parts = %d", len(parts))
 	}

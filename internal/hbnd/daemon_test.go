@@ -35,18 +35,18 @@ const (
 func testConfig(t *testing.T) Config {
 	dir := t.TempDir()
 	return Config{
-		Addr:         "127.0.0.1:0",
-		SnapshotPath: filepath.Join(dir, "state.snap"),
-		Switches:     tSwitches,
-		ProcsPerRing: tProcs,
-		RingBW:       tRingBW,
-		SwitchBW:     tSwitchBW,
-		NumObjects:   tObjects,
+		Addr:          "127.0.0.1:0",
+		SnapshotPath:  filepath.Join(dir, "state.snap"),
+		Switches:      tSwitches,
+		ProcsPerRing:  tProcs,
+		RingBW:        tRingBW,
+		SwitchBW:      tSwitchBW,
+		NumObjects:    tObjects,
 		EpochRequests: tEpoch,
-		Threshold:    tThresh,
-		Shards:       tShards,
-		QueueCap:     16,
-		Logf:         t.Logf,
+		Threshold:     tThresh,
+		Shards:        tShards,
+		QueueCap:      16,
+		Logf:          t.Logf,
 	}
 }
 

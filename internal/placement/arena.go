@@ -32,12 +32,14 @@ func (a *Arena) Reset() {
 	if a == nil {
 		return
 	}
+	// Zero the used part of the list slab: NewCopyList hands out
+	// zero-length slices that are grown with append, and stale pointers
+	// from the previous run must not keep dead placements reachable (nor be
+	// observable through re-sliced spare capacity). Only the first nl
+	// entries of the current slab were handed out since the last Reset, so
+	// a per-object reset costs the object's size, not the slab's.
+	clear(a.lists[:a.nl])
 	a.nc, a.ns, a.nl = 0, 0, 0
-	// Zero the list slab: NewCopyList hands out zero-length slices that are
-	// grown with append, and stale pointers from the previous run must not
-	// keep dead placements reachable (nor be observable through re-sliced
-	// spare capacity).
-	clear(a.lists)
 }
 
 // NewCopy returns a Copy initialized to the given fields.

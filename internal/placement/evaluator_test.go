@@ -3,6 +3,7 @@ package placement
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"hbn/internal/tree"
@@ -107,6 +108,56 @@ func TestReevaluateMatchesFull(t *testing.T) {
 				t.Fatalf("trial %d round %d: incremental re-evaluation differs (changed %v)", trial, round, changed)
 			}
 			other = randomPlacement(rng, tr, w)
+		}
+	}
+}
+
+// Parallel re-evaluation must equal the sequential one field for field —
+// the report (bottleneck string included), the tracked total and every
+// per-object row — at every worker count, over rounds of changed lists
+// with duplicates.
+func TestReevaluateParallelMatchesSequential(t *testing.T) {
+	// Four real workers even on a smaller machine: par.Workers caps the
+	// requested count at GOMAXPROCS.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
+	rng := rand.New(rand.NewSource(57))
+	for trial := 0; trial < 6; trial++ {
+		tr := tree.Random(rng, 20+rng.Intn(80), 5, 0.4, 8)
+		w := workload.Uniform(rng, tr, 24, workload.DefaultGen)
+		p := randomPlacement(rng, tr, w)
+		workers := []int{1, 2, 4}
+		evs := make([]*Evaluator, len(workers))
+		reps := make([]*Report, len(workers))
+		for i, n := range workers {
+			evs[i] = NewEvaluator(tr)
+			reps[i] = evs[i].EvaluateTrackedInto(&Report{}, p, n)
+		}
+		for round := 0; round < 6; round++ {
+			other := randomPlacement(rng, tr, w)
+			var changed []int
+			for x := 0; x < p.NumObjects; x++ {
+				if rng.Intn(3) == 0 {
+					p.Copies[x] = other.Copies[x]
+					changed = append(changed, x)
+				}
+			}
+			if len(changed) > 0 {
+				changed = append(changed, changed[rng.Intn(len(changed))]) // duplicates must be fine
+			}
+			for i, n := range workers {
+				evs[i].ReevaluateInto(reps[i], p, changed, n)
+			}
+			for i := 1; i < len(workers); i++ {
+				if !reflect.DeepEqual(reps[i], reps[0]) {
+					t.Fatalf("trial %d round %d: %d-worker report differs from sequential:\n  %+v\n  %+v", trial, round, workers[i], reps[i], reps[0])
+				}
+				if !reflect.DeepEqual(evs[i].tracked, evs[0].tracked) || !reflect.DeepEqual(evs[i].perObj, evs[0].perObj) {
+					t.Fatalf("trial %d round %d: %d-worker tracked rows differ from sequential", trial, round, workers[i])
+				}
+			}
+			if fresh := Evaluate(tr, p); !reportsEqual(reps[0], fresh) {
+				t.Fatalf("trial %d round %d: re-evaluation differs from a full evaluation", trial, round)
+			}
 		}
 	}
 }

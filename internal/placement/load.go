@@ -78,6 +78,7 @@ type Evaluator struct {
 	flat    []int64
 	tracked []int64
 	dirty   []bool
+	uniq    []int // ReevaluateInto's deduplicated changed list
 
 	// pool holds the per-worker evaluators and partial edge-load arrays of
 	// EvaluateParallel, grown on demand and reused across calls.
@@ -168,10 +169,7 @@ func (ev *Evaluator) EvaluateTrackedInto(rep *Report, p *P, workers int) *Report
 			ev.accumulateObject(p, x, ev.perObj[x])
 		}
 	} else {
-		for len(ev.pool) < workers {
-			ev.pool = append(ev.pool, newEvaluatorShared(ev.t, ev.r))
-			ev.partial = append(ev.partial, make([]int64, ne))
-		}
+		ev.growPool(workers)
 		par.ForEach(workers, p.NumObjects, func(w, x int) {
 			ev.pool[w].accumulateObject(p, x, ev.perObj[x])
 		})
@@ -189,33 +187,65 @@ func (ev *Evaluator) EvaluateTrackedInto(rep *Report, p *P, workers int) *Report
 // O(changed · |V|) instead of O(|X| · |V|). EvaluateTracked must have run
 // first with the same object count.
 func (ev *Evaluator) Reevaluate(p *P, changed []int) *Report {
-	return ev.ReevaluateInto(&Report{}, p, changed)
+	return ev.ReevaluateInto(&Report{}, p, changed, 1)
 }
 
-// ReevaluateInto is Reevaluate writing into rep (reusing its slices); the
-// allocation-free steady path of incremental re-evaluation.
-func (ev *Evaluator) ReevaluateInto(rep *Report, p *P, changed []int) *Report {
+// ReevaluateInto is Reevaluate writing into rep (reusing its slices) and
+// sharding the per-object accumulation over workers (<= 0 means
+// GOMAXPROCS), like EvaluateTrackedInto: the changed list is deduplicated
+// and each object's old contribution subtracted sequentially, the objects
+// are re-accumulated in parallel into their own per-object slots, and the
+// new contributions are added back sequentially. Integer sums are exact,
+// so the result is bit-identical for any worker count. The steady path
+// allocates nothing but the bottleneck string and, with several workers,
+// the goroutine plumbing.
+func (ev *Evaluator) ReevaluateInto(rep *Report, p *P, changed []int, workers int) *Report {
 	if ev.perObj == nil || len(ev.perObj) != p.NumObjects {
 		panic("placement: Reevaluate without matching EvaluateTracked")
 	}
+	uniq := ev.uniq[:0]
 	for _, x := range changed {
 		if ev.dirty[x] {
 			continue
 		}
 		ev.dirty[x] = true
-		for e, l := range ev.perObj[x] {
+		uniq = append(uniq, x)
+		row := ev.perObj[x]
+		for e, l := range row {
 			ev.tracked[e] -= l
-			ev.perObj[x][e] = 0
 		}
-		ev.accumulateObject(p, x, ev.perObj[x])
+		clear(row)
+	}
+	for _, x := range uniq {
+		ev.dirty[x] = false
+	}
+	ev.uniq = uniq[:0]
+	workers = par.Workers(workers)
+	if workers <= 1 || len(uniq) <= 1 {
+		for _, x := range uniq {
+			ev.accumulateObject(p, x, ev.perObj[x])
+		}
+	} else {
+		ev.growPool(workers)
+		par.ForEach(workers, len(uniq), func(w, i int) {
+			ev.pool[w].accumulateObject(p, uniq[i], ev.perObj[uniq[i]])
+		})
+	}
+	for _, x := range uniq {
 		for e, l := range ev.perObj[x] {
 			ev.tracked[e] += l
 		}
 	}
-	for _, x := range changed {
-		ev.dirty[x] = false
-	}
 	return ev.trackedReportInto(rep)
+}
+
+// growPool grows the per-worker evaluators and partial edge-load arrays
+// of the parallel paths to workers.
+func (ev *Evaluator) growPool(workers int) {
+	for len(ev.pool) < workers {
+		ev.pool = append(ev.pool, newEvaluatorShared(ev.t, ev.r))
+		ev.partial = append(ev.partial, make([]int64, ev.t.NumEdges()))
+	}
 }
 
 func (ev *Evaluator) trackedReportInto(rep *Report) *Report {
@@ -377,10 +407,7 @@ func (ev *Evaluator) EvaluateParallel(p *P, workers int) *Report {
 		return ev.Evaluate(p)
 	}
 	t := ev.t
-	for len(ev.pool) < workers {
-		ev.pool = append(ev.pool, newEvaluatorShared(t, ev.r))
-		ev.partial = append(ev.partial, make([]int64, t.NumEdges()))
-	}
+	ev.growPool(workers)
 	for _, part := range ev.partial[:workers] {
 		clear(part)
 	}

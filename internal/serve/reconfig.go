@@ -274,7 +274,7 @@ func (c *Cluster) ReconfigureRolling(d topo.Diff) (ReconfigStats, error) {
 // solver is disarmed so the next epoch pass runs a full Solve, which is
 // always valid.
 func (c *Cluster) planLocked(d topo.Diff) (mig *topo.Migration, drifted int, err error) {
-	changed := c.collectDriftLocked()
+	changed, _ := c.collectDriftLocked()
 	sets := make([][]tree.NodeID, c.numObjects)
 	for si, sh := range c.shards {
 		sh.mu.Lock()

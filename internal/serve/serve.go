@@ -189,7 +189,9 @@ type EpochStat struct {
 	StaticCongestion float64
 	// MaxEdgeLoad is the cluster's served max edge load after adoption.
 	MaxEdgeLoad int64
-	// ResolveNs is the wall time of the solver call.
+	// ResolveNs is the wall time of the whole pass: the drift fold, the
+	// Solve/Resolve call, adoption and the max-edge-load fold (despite the
+	// name, not the solver call alone).
 	ResolveNs int64
 	// Trigger records what fired the pass: "cadence" (EpochRequests),
 	// "drift" (the drift-magnitude trigger), or "manual" (ResolveNow and
@@ -211,14 +213,17 @@ const (
 
 // Stats is a point-in-time summary of a Cluster.
 type Stats struct {
-	Requests    int64         // requests served
-	ServiceCost int64         // total service cost (sum of Serve costs)
-	Epochs      int64         // epoch passes completed (reconfigures included)
-	DriftEpochs int64         // epoch passes fired by the drift-magnitude trigger
-	Reconfigs   int64         // topology reconfigurations completed
-	Drifted     int64         // objects re-solved, summed over passes
-	AdoptMoved  int64         // adoption movement distance, summed (incl. migration)
-	ResolveTime time.Duration // total solver wall time (incl. migration solves)
+	Requests    int64 // requests served
+	ServiceCost int64 // total service cost (sum of Serve costs)
+	Epochs      int64 // epoch passes completed (reconfigures included)
+	DriftEpochs int64 // epoch passes fired by the drift-magnitude trigger
+	Reconfigs   int64 // topology reconfigurations completed
+	Drifted     int64 // objects re-solved, summed over passes
+	AdoptMoved  int64 // adoption movement distance, summed (incl. migration)
+	// ResolveTime sums the wall time of every epoch pass — drift fold,
+	// solve, adoption and max-edge fold, not the solver call alone (see
+	// EpochStat.ResolveNs) — plus each reconfiguration's elapsed time.
+	ResolveTime time.Duration
 	// DroppedLoad / DroppedServiceLoad accumulate the per-reconfigure
 	// ReconfigStats ledger across the cluster's lifetime, closing the
 	// conservation equality Σ ServiceLoad + DroppedServiceLoad ==
@@ -395,7 +400,7 @@ type Cluster struct {
 	prev       *workload.W // per-object tracker rows as of the last fold
 	solved     bool
 	changedBuf []int
-	nodesBuf   []tree.NodeID
+	fold       []shardFold // per-shard scratch of the epoch pass
 	stats      Stats
 	epochLog   []EpochStat
 	lastErr    error  // most recent background pass failure
@@ -658,6 +663,24 @@ func (c *Cluster) maybeDriftEpoch() error {
 	return c.resolveEpochLocked(TriggerDrift)
 }
 
+// shardFold is one shard's scratch of the epoch pass: the objects drained
+// from its tracker, their measured drift (parallel to changed), and its
+// adoption node buffer and movement total. Each shard's entry is written
+// only by the worker handling that shard.
+type shardFold struct {
+	changed []int
+	drift   []objDrift
+	nodes   []tree.NodeID
+	moved   int64
+}
+
+// objDrift is one drifted object's new request mass and noise-floored L1
+// distance, as measured by objectDriftLocked.
+type objDrift struct {
+	dTot int64
+	d    float64
+}
+
 // driftMagnitudeLocked measures how far the observed traffic has moved
 // since the last adoption (caller holds epochMu): for each object with new
 // traffic, the L1 distance between its normalized new-traffic frequency
@@ -679,14 +702,26 @@ func (c *Cluster) driftMagnitudeLocked() float64 {
 		shw := sh.tracker.Workload()
 		sh.tracker.DriftedFunc(func(x int) {
 			dTot, d := c.objectDriftLocked(shw.Row(x), x, leaves)
-			if dTot <= 0 {
-				return // queued by a reconfigure re-warm, no new traffic
-			}
-			num += float64(dTot) * d
-			den += float64(dTot)
+			num, den = addDrift(num, den, dTot, d)
 		})
 		sh.mu.Unlock()
 	}
+	return driftMean(num, den)
+}
+
+// addDrift folds one object's drift into the request-weighted sums of the
+// drift magnitude. Objects with no new traffic (queued by a reconfigure
+// re-warm) do not count.
+func addDrift(num, den float64, dTot int64, d float64) (float64, float64) {
+	if dTot <= 0 {
+		return num, den
+	}
+	return num + float64(dTot)*d, den + float64(dTot)
+}
+
+// driftMean is the drift magnitude of the weighted sums, 0 with no new
+// traffic.
+func driftMean(num, den float64) float64 {
 	if den == 0 {
 		return 0
 	}
@@ -698,9 +733,10 @@ func (c *Cluster) driftMagnitudeLocked() float64 {
 // last fold, and the noise-floored L1 distance between the normalized
 // new-traffic vector and the normalized vector as of the last fold.
 func (c *Cluster) objectDriftLocked(row []workload.Access, x int, leaves []tree.NodeID) (dTot int64, d float64) {
+	prev := c.prev.Row(x)
 	var pTot int64
 	for _, v := range leaves {
-		cur, old := row[v], c.prev.At(x, v)
+		cur, old := row[v], prev[v]
 		dTot += (cur.Reads - old.Reads) + (cur.Writes - old.Writes)
 		pTot += old.Reads + old.Writes
 	}
@@ -712,7 +748,7 @@ func (c *Cluster) objectDriftLocked(row []workload.Access, x int, leaves []tree.
 		d = 0
 		var support int
 		for _, v := range leaves {
-			cur, old := row[v], c.prev.At(x, v)
+			cur, old := row[v], prev[v]
 			dl := (cur.Reads - old.Reads) + (cur.Writes - old.Writes)
 			pl := old.Reads + old.Writes
 			if dl > 0 || pl > 0 {
@@ -738,70 +774,95 @@ func (c *Cluster) objectDriftLocked(row []workload.Access, x int, leaves []tree.
 }
 
 // collectDriftLocked drains every shard tracker's drift into the solver
-// workload (caller holds epochMu) and returns the drifted object list,
-// which aliases c.changedBuf's backing array and is valid until the next
-// collection. Object rows are partitioned (object x only ever recorded by
-// shard x % Shards), so reading row x from its owner's tracker under the
-// owner's lock is exact and race-free. Each drifted object's solver row
-// ages by DecayShift halvings, then absorbs the delta observed since the
-// last fold (with DecayShift 0 this reduces to the plain cumulative
-// frequencies).
-func (c *Cluster) collectDriftLocked() []int {
+// workload (caller holds epochMu) and returns the drifted object list —
+// concatenated in shard order, aliasing c.changedBuf's backing array and
+// valid until the next collection — together with the drift magnitude of
+// the drained traffic (see driftMagnitudeLocked), measured in the same
+// pass before the fold overwrites c.prev.
+//
+// Shards fold in parallel, each under its own lock. Object rows are
+// partitioned (object x only ever recorded by shard x % Shards), so a
+// shard's worker reads only its own tracker and writes only its own
+// objects' rows of c.w and c.prev: the workers touch disjoint memory. The
+// per-object drift is computed once and kept per shard, and the magnitude
+// sums it afterwards in shard order and queue order — the order
+// driftMagnitudeLocked uses — so the float result is the same bit for bit.
+// Each drifted object's solver row ages by DecayShift halvings, then
+// absorbs the delta observed since the last fold (with DecayShift 0 this
+// reduces to the plain cumulative frequencies).
+func (c *Cluster) collectDriftLocked() ([]int, float64) {
+	if len(c.fold) != len(c.shards) {
+		c.fold = make([]shardFold, len(c.shards))
+	}
+	par.ForEach(c.opts.Parallelism, len(c.shards), c.foldShard)
 	changed := c.changedBuf[:0]
+	var num, den float64
+	for i := range c.fold {
+		f := &c.fold[i]
+		changed = append(changed, f.changed...)
+		for _, od := range f.drift {
+			num, den = addDrift(num, den, od.dTot, od.d)
+		}
+	}
+	c.changedBuf = changed[:0] // keep capacity; the list itself is consumed by the caller
+	return changed, driftMean(num, den)
+}
+
+// foldShard is collectDriftLocked's per-shard body.
+func (c *Cluster) foldShard(_, si int) {
+	sh, f := c.shards[si], &c.fold[si]
 	leaves := c.t.Leaves()
 	shift := c.opts.DecayShift
 	armed := c.opts.DriftThreshold > 0
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		from := len(changed)
-		changed = sh.tracker.DrainDrifted(changed)
-		shw := sh.tracker.Workload()
-		for _, x := range changed[from:] {
-			row := shw.Row(x)
-			// With the drift trigger armed, the fold also discounts the
-			// object's decayed history by its measured drift: an object
-			// whose new traffic lands where the old did (d near 0) keeps
-			// its full decayed mass, one whose traffic moved to entirely
-			// different processors (d near 2) forgets the stale history
-			// outright — otherwise the solver keeps placing for a
-			// distribution that no longer exists for several folds after
-			// a phase shift, and the adopted placement lags the traffic.
-			keep := 1.0
-			if armed {
-				if _, d := c.objectDriftLocked(row, x, leaves); d > 0 {
-					keep = 1 - d/2
-				}
-			}
-			for _, v := range leaves {
-				cur, old, was := row[v], c.prev.At(x, v), c.w.At(x, v)
-				r, w := was.Reads>>shift, was.Writes>>shift
-				if keep < 1 {
-					r = int64(float64(r) * keep)
-					w = int64(float64(w) * keep)
-				}
-				c.w.Set(x, v, workload.Access{
-					Reads:  r + cur.Reads - old.Reads,
-					Writes: w + cur.Writes - old.Writes,
-				})
-				c.prev.Set(x, v, cur)
-			}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	f.changed = sh.tracker.DrainDrifted(f.changed[:0])
+	f.drift = f.drift[:0]
+	shw := sh.tracker.Workload()
+	for _, x := range f.changed {
+		row := shw.Row(x)
+		dTot, d := c.objectDriftLocked(row, x, leaves)
+		f.drift = append(f.drift, objDrift{dTot, d})
+		// With the drift trigger armed, the fold also discounts the
+		// object's decayed history by its measured drift: an object whose
+		// new traffic lands where the old did (d near 0) keeps its full
+		// decayed mass, one whose traffic moved to entirely different
+		// processors (d near 2) forgets the stale history outright —
+		// otherwise the solver keeps placing for a distribution that no
+		// longer exists for several folds after a phase shift, and the
+		// adopted placement lags the traffic.
+		keep := 1.0
+		if armed && d > 0 {
+			keep = 1 - d/2
 		}
-		sh.mu.Unlock()
+		prev, solved := c.prev.Row(x), c.w.Row(x)
+		for _, v := range leaves {
+			// Both reads precede the writes below, which update the very
+			// rows they were read from.
+			cur, old, was := row[v], prev[v], solved[v]
+			r, w := was.Reads>>shift, was.Writes>>shift
+			if keep < 1 {
+				r = int64(float64(r) * keep)
+				w = int64(float64(w) * keep)
+			}
+			c.w.Set(x, v, workload.Access{
+				Reads:  r + cur.Reads - old.Reads,
+				Writes: w + cur.Writes - old.Writes,
+			})
+			c.prev.Set(x, v, cur)
+		}
 	}
-	c.changedBuf = changed[:0] // keep capacity; the list itself is consumed by the caller
-	return changed
 }
 
 func (c *Cluster) resolveEpochLocked(trigger string) error {
 	start := time.Now()
 	startReqs := c.served.Load() // snapshot: ingestion continues during the pass
 
-	// Measured before the fold below overwrites c.prev — this is the drift
-	// the pass is reacting to, recorded for every pass so cadence and
-	// drift-triggered epochs are comparable in the log.
-	driftMag := c.driftMagnitudeLocked()
-
-	changed := c.collectDriftLocked()
+	// The drift magnitude is measured by the fold itself, before it
+	// overwrites c.prev — this is the drift the pass is reacting to,
+	// recorded for every pass so cadence and drift-triggered epochs are
+	// comparable in the log.
+	changed, driftMag := c.collectDriftLocked()
 
 	if len(changed) == 0 && c.solved {
 		return nil
@@ -828,22 +889,14 @@ func (c *Cluster) resolveEpochLocked(trigger string) error {
 	// Adoption: every object with demand moves to its freshly solved
 	// placement. Unchanged objects whose dynamic state drifted (writes
 	// contract copy sets) are re-warmed too; identical sets are no-ops.
+	// Shards adopt in parallel, each under its own lock into its own
+	// strategy; integer movement totals sum exactly in any order.
+	par.ForEach(c.opts.Parallelism, len(c.shards), func(_, si int) {
+		c.adoptShard(si, res)
+	})
 	var moved int64
-	for si, sh := range c.shards {
-		sh.mu.Lock()
-		for x := si; x < c.numObjects; x += len(c.shards) {
-			cs := res.Final.Copies[x]
-			if len(cs) == 0 {
-				continue
-			}
-			nodes := c.nodesBuf[:0]
-			for _, cp := range cs {
-				nodes = append(nodes, cp.Node)
-			}
-			c.nodesBuf = nodes[:0]
-			moved += sh.strat.AdoptCopySet(x, nodes)
-		}
-		sh.mu.Unlock()
+	for i := range c.fold {
+		moved += c.fold[i].moved
 	}
 
 	elapsed := time.Since(start)
@@ -875,6 +928,27 @@ func (c *Cluster) resolveEpochLocked(trigger string) error {
 		}
 	}
 	return nil
+}
+
+// adoptShard installs the solved copy sets of shard si's objects into its
+// strategy and records the shard's movement total.
+func (c *Cluster) adoptShard(si int, res *core.Result) {
+	sh, f := c.shards[si], &c.fold[si]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	f.moved = 0
+	for x := si; x < c.numObjects; x += len(c.shards) {
+		cs := res.Final.Copies[x]
+		if len(cs) == 0 {
+			continue
+		}
+		nodes := f.nodes[:0]
+		for _, cp := range cs {
+			nodes = append(nodes, cp.Node)
+		}
+		f.nodes = nodes
+		f.moved += sh.strat.AdoptCopySet(x, nodes)
+	}
 }
 
 // triggerCode maps an EpochStat trigger label to the integer carried in
