@@ -198,14 +198,14 @@ func BenchmarkEvaluateCold1000x64(b *testing.B) {
 // --- Serving-path benchmarks (PR 4) ---
 
 // benchIngest measures steady-state Cluster.Ingest throughput on the
-// drifting-Zipf trace at the -ingestbench configuration (1024-request
-// batches, threshold 8, epoch re-solve off), batched or per-request.
-func benchIngest(b *testing.B, unbatched, noTelemetry bool) {
+// drifting-Zipf trace (1024-request batches, threshold 8, epoch re-solve
+// off), with telemetry on or off.
+func benchIngest(b *testing.B, noTelemetry bool) {
 	b.Helper()
 	t := tree.SCICluster(8, 8, 32, 16)
 	const objects, batch = 256, 1024
 	trace := workload.DriftingZipf(rand.New(rand.NewSource(2000)), t, objects, 200000, 6, 1.0, 0.03)
-	c, err := serve.NewCluster(t, objects, serve.Options{Shards: 1, Threshold: 8, Unbatched: unbatched, NoTelemetry: noTelemetry})
+	c, err := serve.NewCluster(t, objects, serve.Options{Shards: 1, Threshold: 8, NoTelemetry: noTelemetry})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -220,20 +220,16 @@ func benchIngest(b *testing.B, unbatched, noTelemetry bool) {
 	}
 }
 
-// BenchmarkIngestBatch1024 is the batched serving hot path (ServeBatch
-// run-length folding, RecordBatch run folding, pooled partition scratch)
-// with telemetry at its default: enabled. Allocations must stay ~0
-// (guarded by TestIngestSteadyAllocs).
-func BenchmarkIngestBatch1024(b *testing.B) { benchIngest(b, false, false) }
+// BenchmarkIngestBatch1024 is the serving hot path (pooled partition
+// scratch, ServeBatch, RecordBatch run folding) with telemetry at its
+// default: enabled. Allocations must stay ~0 (guarded by
+// TestIngestSteadyAllocs).
+func BenchmarkIngestBatch1024(b *testing.B) { benchIngest(b, false) }
 
 // BenchmarkIngestBatch1024Bare is the same path with Options.NoTelemetry.
 // CI compares it against BenchmarkIngestBatch1024 and fails if the
 // enabled-by-default telemetry costs more than 3% of ingest throughput.
-func BenchmarkIngestBatch1024Bare(b *testing.B) { benchIngest(b, false, true) }
-
-// BenchmarkIngestPerRequest1024 is the per-request reference path
-// (Options.Unbatched) on the same trace — bit-identical final state.
-func BenchmarkIngestPerRequest1024(b *testing.B) { benchIngest(b, true, false) }
+func BenchmarkIngestBatch1024Bare(b *testing.B) { benchIngest(b, true) }
 
 // BenchmarkLCACaterpillar measures the O(1) LCA on the topology where the
 // old parent-walk was O(n) per query.

@@ -1,7 +1,7 @@
 package main
 
 // -daemon mode: drive a LIVE hbnd daemon over its real TCP socket — the
-// out-of-process twin of the in-process -ingestbench — and verify the
+// out-of-process twin of in-process Cluster.Ingest — and verify the
 // conservation ledger from the outside: every event the daemon claims to
 // have served is one a client saw acknowledged, the service cost matches
 // the acknowledged batch costs, and ΣServiceLoad + dropped closes the

@@ -11,9 +11,7 @@
 //	hbnbench -experiment all -json      # machine-readable, for BENCH_*.json
 //	hbnbench -experiment none -solverbench -json  # solver benchmarks only
 //	hbnbench -experiment none -serve    # trace-driven serving benchmark
-//	hbnbench -experiment none -ingestbench      # requests/sec, batched vs per-request
 //	hbnbench -experiment none -reconfig # live topology churn (failover/scale-out/brownout)
-//	hbnbench -experiment none -churn    # compound fault scripts, stop-the-world vs rolling stalls
 //	hbnbench -experiment none -snapshot # crash-consistent snapshot/restore latency, stall, image size
 //	hbnbench -experiment none -ratio    # competitive ratio vs the clairvoyant static optimum
 //	hbnbench -experiment none -ratio -ratioguard BENCH_pr8.json  # fail on >10% ratio regression
@@ -66,9 +64,7 @@ type jsonOutput struct {
 	Results    []jsonResult     `json:"results"`
 	Benchmarks []jsonBench      `json:"benchmarks,omitempty"`
 	Serving    []jsonServe      `json:"serving,omitempty"`
-	Ingest     []jsonIngest     `json:"ingest,omitempty"`
 	Reconfig   []jsonReconfig   `json:"reconfig,omitempty"`
-	Churn      []jsonChurn      `json:"churn,omitempty"`
 	Snapshot   []jsonSnapshot   `json:"snapshot,omitempty"`
 	Ratio      []jsonRatio      `json:"ratio,omitempty"`
 	Daemon     *jsonDaemonBench `json:"daemon,omitempty"`
@@ -83,9 +79,7 @@ func main() {
 		seed       = flag.Int64("seed", 2000, "base random seed")
 		solverB    = flag.Bool("solverbench", false, "measure the solver benchmarks (warm/cold Solve, Resolve) and emit them in -json mode")
 		serveB     = flag.Bool("serve", false, "run the trace-driven serving benchmark (sharded cluster, epoch re-solve vs baseline vs clairvoyant static)")
-		ingestB    = flag.Bool("ingestbench", false, "run the ingest throughput benchmark (requests/sec, batched ServeBatch path vs per-request reference, all four trace scenarios)")
 		reconfigB  = flag.Bool("reconfig", false, "run the live-reconfiguration benchmark (failover, scale-out, brownout: reconfigure latency, req/s during churn, congestion vs a cold restart)")
-		churnB     = flag.Bool("churn", false, "run the adversarial churn benchmark (compound fault-injection scenarios, stop-the-world vs rolling reconfiguration ingest stalls, conservation checked)")
 		snapshotB  = flag.Bool("snapshot", false, "run the snapshot durability benchmark (crash-consistent snapshot latency, ingest stall, image size, restore-to-first-served-request)")
 		ratioB     = flag.Bool("ratio", false, "run the competitive-ratio benchmark (online congestion over the clairvoyant static optimum, pre-PR-8 flat strategy vs bandwidth-aware budgets with drift-triggered epochs)")
 		ratioGuard = flag.String("ratioguard", "", "baseline BENCH json to compare -ratio post_ratio values against; exit nonzero if any scenario regresses by more than 10% (implies -ratio)")
@@ -153,26 +147,10 @@ func main() {
 			fatal(err)
 		}
 	}
-	var ingest []jsonIngest
-	if *ingestB {
-		var err error
-		ingest, err = runIngestBench(*quick, *seed)
-		if err != nil {
-			fatal(err)
-		}
-	}
 	var reconfig []jsonReconfig
 	if *reconfigB {
 		var err error
 		reconfig, err = runReconfigBench(*quick, *seed)
-		if err != nil {
-			fatal(err)
-		}
-	}
-	var churn []jsonChurn
-	if *churnB {
-		var err error
-		churn, err = runChurnBench(*quick, *seed)
 		if err != nil {
 			fatal(err)
 		}
@@ -246,9 +224,7 @@ func main() {
 			Results:    timed,
 			Benchmarks: benches,
 			Serving:    serving,
-			Ingest:     ingest,
 			Reconfig:   reconfig,
-			Churn:      churn,
 			Snapshot:   snapshots,
 			Ratio:      ratios,
 			Daemon:     daemonRes,
@@ -273,14 +249,8 @@ func main() {
 		if len(serving) > 0 {
 			printServeBench(serving)
 		}
-		if len(ingest) > 0 {
-			printIngestBench(ingest)
-		}
 		if len(reconfig) > 0 {
 			printReconfigBench(reconfig)
-		}
-		if len(churn) > 0 {
-			printChurnBench(churn)
 		}
 		if len(snapshots) > 0 {
 			printSnapshotBench(snapshots)

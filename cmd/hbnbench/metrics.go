@@ -7,10 +7,9 @@ import (
 )
 
 // Shared metric helpers for every benchmark mode. The competitive-ratio
-// harness, the reconfiguration benchmark and the churn benchmark all score
-// load vectors with the same congestion definition — keeping it in one
-// place (with a unit test pinning the cost model) is what makes their
-// numbers comparable.
+// harness and the reconfiguration benchmark both score load vectors with
+// the same congestion definition — keeping it in one place (with a unit
+// test pinning the cost model) is what makes their numbers comparable.
 
 // congestionOf is the serving-side congestion of a load vector: the
 // maximum relative load over switches and buses (a bus carries half the

@@ -15,11 +15,12 @@ import (
 // The -reconfig benchmark drives the serving layer through live topology
 // changes: a leaf-failure failover, a capacity scale-out, and a bandwidth
 // brownout, each with a trace whose traffic shape matches the event. Per
-// scenario it reports the Reconfigure latency (ingestion is blocked for
-// exactly that long), the ingest throughput before / during / after the
-// churn, and the post-churn serving congestion of the migrated cluster
-// against a cold restart on the new topology — the full-state-loss
-// alternative a reconfiguration subsystem is measured against.
+// scenario it reports the Reconfigure latency (this benchmark ingests
+// sequentially, so no batch overlaps it), the ingest throughput before /
+// during / after the churn, and the post-churn serving congestion of the
+// migrated cluster against a cold restart on the new topology — the
+// full-state-loss alternative a reconfiguration subsystem is measured
+// against.
 
 // reconfigScenario is one churn event: the diff, plus the trace already
 // split at the reconfiguration point, each half in its own tree's ID

@@ -52,8 +52,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nfailed %d processors in %v (ingestion blocked for exactly that long)\n",
-		len(doomed), rs.Elapsed)
+	fmt.Printf("\nfailed %d processors in %v (longest ingest stall %v)\n",
+		len(doomed), rs.Elapsed, rs.MaxIngestStall)
 	fmt.Printf("  removed %d nodes, kept %d objects on surviving copies, restored %d lost objects\n",
 		rs.RemovedNodes, rs.Projected, rs.Recovered)
 	fmt.Printf("  migration movement (priced like epoch adoption): %d edge transfers\n", rs.Moved)

@@ -92,13 +92,13 @@
 //
 // The online serving layer (NewCluster) is built around batches: Ingest
 // partitions each batch onto its owner shards with pooled, reusable
-// scratch (steady-state allocation-free) and serves every shard through
-// OnlineStrategy.ServeBatch — bit-identical to per-request serving, with
-// runs of identical requests folded into single path walks and the
-// write-broadcast Steiner tree of each copy set maintained incrementally
-// (the connected-subtree structure of Theorem 3.1 makes both exact; see
-// internal/dynamic). `hbnbench -ingestbench` measures the requests/sec
-// throughput of this path against the per-request reference.
+// scratch (steady-state allocation-free) and serves every shard's part
+// through OnlineStrategy.ServeBatch, which validates the part and then
+// serves it request by request. Nearest-copy resolution and the
+// write-broadcast Steiner tree of each copy set are maintained
+// incrementally (the connected-subtree structure of Theorem 3.1 makes
+// both exact; see internal/dynamic). The bench/ module's ingest-*
+// workloads measure this path's events/s.
 //
 // # Elastic topology
 //
@@ -112,7 +112,7 @@
 // (frequencies remapped, surviving copies kept in place, lost objects
 // recovered at the nearest surviving leaf, a fresh near-optimal placement
 // solved on the remapped workload), and Cluster.Reconfigure applies all
-// of it to a live cluster atomically, safe under concurrent Ingest:
+// of it to a live cluster, safe under concurrent Ingest:
 //
 //	rs, err := cluster.Reconfigure(hbn.TopologyDiff{
 //	    Remove: []hbn.NodeID{failedLeaf},
@@ -126,20 +126,19 @@
 // throughput during churn, and post-churn congestion against a cold
 // restart on the new topology.
 //
-// Cluster.Reconfigure swaps every shard behind one write-gate hold, so
-// ingestion stalls for the whole migration. Cluster.ReconfigureRolling
-// bounds that stall instead: it plans the same migration while ingestion
-// continues, then migrates one shard at a time — un-migrated shards keep
-// serving the old tree, migrated shards serve the new one through the
-// diff's remap — so the largest single ingest stall is one shard's
-// adoption (ReconfigStats.MaxIngestStall measures it). The final
-// placement is bit-identical to the stop-the-world path. Degenerate
-// diffs are rejected with typed sentinels (ErrRemoveRoot,
-// ErrNoProcessors, ...), and a reconfiguration attempted while another
-// is in flight fails fast with ErrReconfigInProgress — it never queues.
-// `hbnbench -churn` drives compound fault scripts (cascading failovers,
-// flapping links, scale-out under a write storm) through both flavors
-// and checks the conservation invariants.
+// Cluster.Reconfigure bounds the ingest stall: it plans the migration
+// while ingestion continues, then migrates one shard at a time —
+// un-migrated shards keep serving the old tree, migrated shards serve
+// the new one through the diff's remap — so the largest single ingest
+// stall is one shard's adoption (ReconfigStats.MaxIngestStall measures
+// it). The final placement is bit-identical to swapping every shard
+// behind one write-gate hold. Degenerate diffs are rejected with typed
+// sentinels (ErrRemoveRoot, ErrNoProcessors, ...), and a reconfiguration
+// attempted while another is in flight fails fast with
+// ErrReconfigInProgress — it never queues. internal/chaos drives
+// compound fault scripts (cascading failovers, flapping links, scale-out
+// under a write storm) through it and checks the conservation
+// invariants.
 //
 // # Durability
 //
@@ -271,7 +270,7 @@ type (
 const None = tree.None
 
 // Typed reconfiguration errors, matched with errors.Is through the
-// wrapped errors Reconfigure / ReconfigureRolling / ApplyDiff return.
+// wrapped errors Reconfigure / ApplyDiff return.
 var (
 	// ErrReconfigInProgress: another reconfiguration already holds the
 	// cluster's flag; the attempt failed fast and nothing was queued.

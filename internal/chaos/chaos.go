@@ -3,9 +3,9 @@
 // ingest traffic while a deterministic, seedable injector executes a
 // scripted sequence of compound topology faults — cascading ring
 // failures, flapping bandwidth (brownout/recover cycles), scale-out
-// under a write storm — through Reconfigure or ReconfigureRolling, with
-// a jammer provoking concurrent reconfiguration attempts that must fail
-// fast with serve.ErrReconfigInProgress, never deadlock or corrupt.
+// under a write storm — through Reconfigure, with a jammer provoking
+// concurrent reconfiguration attempts that must fail fast with
+// serve.ErrReconfigInProgress, never deadlock or corrupt.
 //
 // Determinism contract: a Scenario plus Options is a pure function of
 // Options.Seed — the traffic every ingester generates, the fault script,
@@ -125,9 +125,6 @@ type Options struct {
 	// Pace is a per-batch ingester sleep stretching the traffic in time so
 	// scripted faults land mid-stream instead of after it. Default 0.
 	Pace time.Duration
-	// Rolling uses ReconfigureRolling for every fault; otherwise the
-	// stop-the-world Reconfigure.
-	Rolling bool
 	// Jam adds a goroutine that repeatedly attempts an identity
 	// reconfiguration for the duration of the run; attempts rejected with
 	// ErrReconfigInProgress are counted in Result.Busy (and prove the
@@ -288,15 +285,7 @@ func Run(s Scenario, o Options) (*Result, error) {
 			return fmt.Errorf("chaos: unknown fault kind %d", int(f.Kind))
 		}
 		for {
-			var (
-				rs  serve.ReconfigStats
-				err error
-			)
-			if o.Rolling {
-				rs, err = c.ReconfigureRolling(d)
-			} else {
-				rs, err = c.Reconfigure(d)
-			}
+			rs, err := c.Reconfigure(d)
 			if errors.Is(err, serve.ErrReconfigInProgress) {
 				busy.Add(1)
 				continue // the jammer got in; retry until we win the flag
@@ -452,12 +441,7 @@ func Run(s Scenario, o Options) (*Result, error) {
 						return
 					default:
 					}
-					var err error
-					if o.Rolling {
-						_, err = c.ReconfigureRolling(topo.Diff{})
-					} else {
-						_, err = c.Reconfigure(topo.Diff{})
-					}
+					_, err := c.Reconfigure(topo.Diff{})
 					switch {
 					case errors.Is(err, serve.ErrReconfigInProgress):
 						busy.Add(1)
@@ -537,8 +521,8 @@ func Run(s Scenario, o Options) (*Result, error) {
 	return res, nil
 }
 
-// Scenarios returns the named compound scenarios the churn tests and the
-// -churn bench run: each composes faults the single-event generators
+// Scenarios returns the named compound scenarios the churn tests run:
+// each composes faults the single-event generators
 // don't — cascading failovers (one removal while the previous swap's
 // traffic shift is still settling), link flapping (brownout/recover
 // cycles), scale-out racing a write storm (the caller sets WriteFrac

@@ -5,51 +5,41 @@ import (
 	"time"
 )
 
-// Every compound scenario, both reconfiguration flavors, with the jammer
-// racing the injector — run under -race in CI. Run itself checks the
-// conservation invariants (exact request conservation, the service-cost
-// ledger closing through dropped switch loads, no requested object left
-// copyless); the test only has to drive it and pin the script accounting.
+// Every compound scenario with the jammer racing the injector — run under
+// -race in CI. Run itself checks the conservation invariants (exact
+// request conservation, the service-cost ledger closing through dropped
+// switch loads, no requested object left copyless); the test only has to
+// drive it and pin the script accounting.
 func TestCompoundScenarios(t *testing.T) {
-	for _, rolling := range []bool{false, true} {
-		for _, s := range Scenarios(4 * 64 * 24) {
-			name := s.Name
-			if rolling {
-				name += "/rolling"
-			} else {
-				name += "/stw"
+	for _, s := range Scenarios(4 * 64 * 24) {
+		t.Run(s.Name, func(t *testing.T) {
+			t.Parallel()
+			o := Options{
+				Seed:       1,
+				Jam:        true,
+				Background: true,
+				// Stretch the stream so scripted faults land mid-traffic
+				// instead of after it.
+				Pace: 100 * time.Microsecond,
 			}
-			s := s
-			t.Run(name, func(t *testing.T) {
-				t.Parallel()
-				o := Options{
-					Seed:       1,
-					Rolling:    rolling,
-					Jam:        true,
-					Background: true,
-					// Stretch the stream so scripted faults land mid-traffic
-					// instead of after it.
-					Pace: 100 * time.Microsecond,
-				}
-				if s.Name == "scaleout-write-storm" {
-					o.WriteFrac = 0.8
-				}
-				res, err := Run(s, o)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.FaultsApplied+res.FaultsSkipped != len(s.Faults) {
-					t.Fatalf("script ran %d+%d faults, want %d",
-						res.FaultsApplied, res.FaultsSkipped, len(s.Faults))
-				}
-				if res.Requests == 0 || res.TotalCost == 0 {
-					t.Fatalf("no traffic measured: %+v", res)
-				}
-				t.Logf("faults %d (skipped %d), busy %d, max stall %v, p50/p99/max ingest %v/%v/%v, dropped service %d",
-					res.FaultsApplied, res.FaultsSkipped, res.Busy, res.MaxIngestStall,
-					res.P50, res.P99, res.Max, res.DroppedServiceLoad)
-			})
-		}
+			if s.Name == "scaleout-write-storm" {
+				o.WriteFrac = 0.8
+			}
+			res, err := Run(s, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.FaultsApplied+res.FaultsSkipped != len(s.Faults) {
+				t.Fatalf("script ran %d+%d faults, want %d",
+					res.FaultsApplied, res.FaultsSkipped, len(s.Faults))
+			}
+			if res.Requests == 0 || res.TotalCost == 0 {
+				t.Fatalf("no traffic measured: %+v", res)
+			}
+			t.Logf("faults %d (skipped %d), busy %d, max stall %v, p50/p99/max ingest %v/%v/%v, dropped service %d",
+				res.FaultsApplied, res.FaultsSkipped, res.Busy, res.MaxIngestStall,
+				res.P50, res.P99, res.Max, res.DroppedServiceLoad)
+		})
 	}
 }
 
@@ -65,7 +55,6 @@ func TestJammerNeverWedgesInjector(t *testing.T) {
 		Seed:      7,
 		Ingesters: 2,
 		Batches:   16,
-		Rolling:   true,
 		Jam:       true,
 	})
 	if err != nil {
@@ -126,16 +115,16 @@ func TestScenarioValidation(t *testing.T) {
 }
 
 // FuzzChaosScenario drives randomized fault scripts (kinds, thresholds,
-// flavor, seed) through tiny clusters: whatever the script, Run must
+// seed) through tiny clusters: whatever the script, Run must
 // terminate with the invariants intact — any violation or deadlock is a
 // crasher. Sizes stay minimal so the CI smoke budget explores scripts,
 // not solver time.
 func FuzzChaosScenario(f *testing.F) {
-	f.Add(int64(1), []byte{0, 1, 2, 3}, true)
-	f.Add(int64(2), []byte{0, 0, 0, 1, 1}, false)
-	f.Add(int64(3), []byte{2, 3, 2, 3, 2, 3}, true)
-	f.Add(int64(4), []byte{}, false)
-	f.Fuzz(func(t *testing.T, seed int64, script []byte, rolling bool) {
+	f.Add(int64(1), []byte{0, 1, 2, 3})
+	f.Add(int64(2), []byte{0, 0, 0, 1, 1})
+	f.Add(int64(3), []byte{2, 3, 2, 3, 2, 3})
+	f.Add(int64(4), []byte{})
+	f.Fuzz(func(t *testing.T, seed int64, script []byte) {
 		if len(script) > 6 {
 			script = script[:6]
 		}
@@ -156,7 +145,6 @@ func FuzzChaosScenario(f *testing.F) {
 			Batch:     32,
 			Batches:   6,
 			Shards:    2,
-			Rolling:   rolling,
 		}); err != nil {
 			t.Fatal(err)
 		}

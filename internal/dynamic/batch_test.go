@@ -143,6 +143,59 @@ func TestServeBatchMatchesSequentialWithAdoption(t *testing.T) {
 	}
 }
 
+// OfflineTracker.RecordBatch must be equivalent to the per-request Record
+// loop — same frequency rows, same DrainDrifted order and same Report
+// loads — across the topology zoo and all four workload scenarios, under
+// random uneven batch splits, with drift drains and Reports interleaved
+// so the incremental dirty and drift bookkeeping is exercised mid-stream.
+func TestRecordBatchMatchesRecord(t *testing.T) {
+	rng := rand.New(rand.NewSource(407))
+	for _, tr := range batchTrees(rng) {
+		const objects = 8
+		for name, reqs := range batchScenarios(rng, tr, objects, 1200) {
+			ref := NewOfflineTracker(tr, objects)
+			bat := NewOfflineTracker(tr, objects)
+			var refDrift, batDrift []int
+			for lo, step := 0, 0; lo < len(reqs); step++ {
+				hi := min(lo+1+rng.Intn(200), len(reqs))
+				for _, r := range reqs[lo:hi] {
+					ref.Record(r)
+				}
+				bat.RecordBatch(reqs[lo:hi])
+				lo = hi
+				if step%3 == 0 {
+					refDrift = ref.DrainDrifted(refDrift[:0])
+					batDrift = bat.DrainDrifted(batDrift[:0])
+					if !slices.Equal(refDrift, batDrift) {
+						t.Fatalf("%s step %d: drift order %v != %v", name, step, batDrift, refDrift)
+					}
+				}
+				if step%4 == 0 || lo == len(reqs) {
+					want, err := ref.Report()
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := bat.Report()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(want.EdgeLoad, got.EdgeLoad) || !slices.Equal(want.BusLoadX2, got.BusLoadX2) {
+						t.Fatalf("%s step %d: report loads diverge", name, step)
+					}
+				}
+			}
+			if !slices.Equal(ref.DrainDrifted(nil), bat.DrainDrifted(nil)) {
+				t.Fatalf("%s: final drift order diverges", name)
+			}
+			for x := 0; x < objects; x++ {
+				if !slices.Equal(ref.Workload().Row(x), bat.Workload().Row(x)) {
+					t.Fatalf("%s: object %d workload row diverges", name, x)
+				}
+			}
+		}
+	}
+}
+
 // steinerReference recomputes object x's write-broadcast edges from
 // scratch: edge e is a Steiner edge of the copy set iff copies exist on
 // both sides of e (counted over the node-0 orientation).
@@ -215,8 +268,8 @@ func benchStrategyTrace() (*tree.Tree, []Request) {
 	return t, workload.DriftingZipf(rand.New(rand.NewSource(2000)), t, 256, 200000, 6, 1.0, 0.03)
 }
 
-// BenchmarkServeLoop1024 is the per-request reference: one warm strategy
-// serving the drifting-Zipf trace 1024 requests at a time via Serve.
+// BenchmarkServeLoop1024 is the per-request Serve loop: one warm strategy
+// serving the drifting-Zipf trace 1024 requests at a time.
 func BenchmarkServeLoop1024(b *testing.B) {
 	t, trace := benchStrategyTrace()
 	s := MustNew(t, 256, Options{Threshold: 8})
@@ -231,8 +284,7 @@ func BenchmarkServeLoop1024(b *testing.B) {
 	}
 }
 
-// BenchmarkServeBatch1024 is the batched run-length-folded path on the
-// same trace and batch size.
+// BenchmarkServeBatch1024 is ServeBatch on the same trace and batch size.
 func BenchmarkServeBatch1024(b *testing.B) {
 	t, trace := benchStrategyTrace()
 	s := MustNew(t, 256, Options{Threshold: 8})

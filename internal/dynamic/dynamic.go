@@ -39,9 +39,8 @@
 //
 // Read counters reset by generation stamp (packed with their counts into
 // one word), all per-request buffers are reused, and ServeBatch is the
-// batched entry point: bit-identical to the per-request loop, folding
-// runs of identical requests and adaptively grouping a batch by object
-// when the per-object groups are long enough to pay for the scatter. The
+// batched entry point: it validates the whole batch up front, then serves
+// it request by request in input order, exactly like the Serve loop. The
 // tradeoff is memory: each touched object keeps O(|V|) copy bits, plus
 // O(|E|) read counters and broadcast stamps once it sees remote reads or
 // replicates (and O(|V|) nearest tables only if it is ever adopted).
@@ -224,18 +223,8 @@ type Strategy struct {
 	bcastStamp [][]uint32
 	bcastGen   []uint32
 
-	// ServeBatch grouping scratch: a counting sort of the batch by object
-	// into grpBuf. grpCount doubles as the per-object write cursor and is
-	// reset via grpTouched, so a batch costs O(len + touched), not O(|X|).
-	// Input that is already grouped by object is detected during the count
-	// pass and served in place — no scatter. lastGrouped remembers the
-	// grouped view for GroupedBatch.
-	grpCount    []int32
-	grpTouched  []int
-	grpBuf      []Request
-	lastGrouped []Request
-	batchTick   uint32
-	groupMode   bool
+	// lastBatch is the batch ServeBatch served last, for GroupedBatch.
+	lastBatch []Request
 
 	// EdgeLoad accumulates all message and copy-movement traffic.
 	EdgeLoad []int64
@@ -603,40 +592,16 @@ func (s *Strategy) serveWrite(x int, node tree.NodeID) int64 {
 
 // ServeBatch processes a whole batch and returns its total service cost,
 // with final state bit-identical to serving the requests one at a time
-// with Serve, and runs of identical (object, node, read/write) requests
-// served with run-length folding: one path walk charges the whole run,
-// chunked at replication-threshold crossings so the copy set evolves
-// exactly as under per-request serving.
-//
-// The batch layout is adaptive, measured on the drifting-Zipf trace
-// family (see DESIGN.md): input that already arrives as per-object groups
-// is served segment by segment in place; input whose average per-object
-// group is long (≥ groupServeMin) is counting-sorted by object into
-// reusable scratch first — preserving per-object request order, so the
-// regrouping cannot change the outcome (per-object evolution depends only
-// on the object's own subsequence, and the shared load counters are
-// commutative sums) — and everything else is served in input order,
-// because at short group lengths even the counting pass costs more than
-// folding recovers. The layout decision is sticky: it is re-measured on
-// every 32nd batch, so steady low-repetition traffic pays nothing beyond
-// the per-request path while repetitive traffic keeps the group folding.
+// with Serve. The whole batch is validated before anything is served, so
+// an out-of-range object panics exactly like Serve without serving a
+// prefix of the batch.
 func (s *Strategy) ServeBatch(reqs []Request) int64 {
-	if len(reqs) == 0 {
-		return 0
-	}
-	tick := s.batchTick
-	s.batchTick++
-	if s.groupMode || tick%32 == 0 {
-		return s.serveBatchGrouping(reqs)
-	}
-	// Direct mode: validate up front (ServeBatch must not serve a prefix
-	// of an invalid batch), then serve exactly like the Serve loop.
 	for i := range reqs {
 		if x := reqs[i].Object; x < 0 || x >= len(s.isCopy) {
 			panic(fmt.Sprintf("dynamic: object %d out of range", x))
 		}
 	}
-	s.lastGrouped = reqs
+	s.lastBatch = reqs
 	s.requests += len(reqs)
 	var total int64
 	for i := range reqs {
@@ -659,232 +624,10 @@ func (s *Strategy) ServeBatch(reqs []Request) int64 {
 	return total
 }
 
-// serveBatchGrouping is the counting half of ServeBatch: build the
-// per-object histogram, re-evaluate the layout decision, and serve
-// grouped when it pays.
-func (s *Strategy) serveBatchGrouping(reqs []Request) int64 {
-	if len(s.grpCount) != len(s.isCopy) {
-		s.grpCount = make([]int32, len(s.isCopy))
-	}
-	touched := s.grpTouched[:0]
-	grouped := true
-	for i := range reqs {
-		x := reqs[i].Object
-		if x < 0 || x >= len(s.grpCount) {
-			// Roll the half-built histogram back so the strategy stays
-			// usable, then fail exactly like Serve — before serving
-			// anything.
-			for _, r := range reqs[:i] {
-				s.grpCount[r.Object] = 0
-			}
-			s.grpTouched = touched[:0]
-			panic(fmt.Sprintf("dynamic: object %d out of range", x))
-		}
-		if s.grpCount[x] == 0 {
-			touched = append(touched, x)
-		} else if reqs[i-1].Object != x {
-			grouped = false // a revisited object: the input is not grouped
-		}
-		s.grpCount[x]++
-	}
-	s.groupMode = grouped || len(reqs) >= groupServeMin*len(touched)
-	var total int64
-	switch {
-	case grouped:
-		// Already a concatenation of per-object groups: serve each segment
-		// in place, no scatter.
-		s.lastGrouped = reqs
-		start := 0
-		for _, x := range touched {
-			end := start + int(s.grpCount[x])
-			total += s.serveRuns(reqs[start:end])
-			start = end
-			s.grpCount[x] = 0
-		}
-	case len(reqs) >= groupServeMin*len(touched):
-		// Long groups: fold-per-group pays for the scatter. Turn the
-		// counts into write cursors (group starts in first-touch order),
-		// scatter, then serve each contiguous group.
-		if cap(s.grpBuf) < len(reqs) {
-			s.grpBuf = make([]Request, len(reqs))
-		}
-		buf := s.grpBuf[:len(reqs)]
-		off := int32(0)
-		for _, x := range touched {
-			n := s.grpCount[x]
-			s.grpCount[x] = off
-			off += n
-		}
-		for _, r := range reqs {
-			p := s.grpCount[r.Object]
-			buf[p] = r
-			s.grpCount[r.Object] = p + 1
-		}
-		s.lastGrouped = buf
-		start := int32(0)
-		for _, x := range touched {
-			end := s.grpCount[x] // the cursor stopped at the group's end
-			total += s.serveRuns(buf[start:end])
-			start = end
-			s.grpCount[x] = 0
-		}
-	default:
-		// Short groups: serve in input order (bit-identical by
-		// definition), folding the naturally consecutive runs.
-		s.lastGrouped = reqs
-		for _, x := range touched {
-			s.grpCount[x] = 0
-		}
-		total = s.serveRuns(reqs)
-	}
-	s.grpTouched = touched[:0]
-	return total
-}
-
-// groupServeMin is the average per-object group length above which
-// ServeBatch physically groups a batch by object: below it the scatter
-// pass costs more than per-group run folding recovers (measured on the
-// drifting-Zipf traces, where the break-even sits around 16).
-const groupServeMin = 16
-
-// GroupedBatch returns the layout the most recent ServeBatch call served
-// its batch in (aliasing either internal scratch or the input itself),
-// valid until the strategy's next call. Callers that aggregate
-// per-request statistics — the serving layer's offline tracker — iterate
-// it so their run folding sees exactly the runs serving saw.
-func (s *Strategy) GroupedBatch() []Request { return s.lastGrouped }
-
-// serveRuns serves a request slice in its given order, folding runs of
-// consecutive identical requests. All requests must reference in-range
-// objects.
-func (s *Strategy) serveRuns(reqs []Request) int64 {
-	var total int64
-	for i := 0; i < len(reqs); {
-		r := reqs[i]
-		x := r.Object
-		if len(s.copyList[x]) == 0 {
-			// First touch: materialize at the requester for free.
-			s.requests++
-			s.materialize(x, r.Node)
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(reqs) && reqs[j] == r {
-			j++
-		}
-		if r.Write {
-			total += s.serveWriteRun(x, r.Node, j-i)
-		} else {
-			total += s.serveReadRun(x, r.Node, j-i)
-		}
-		i = j
-	}
-	return total
-}
-
-// serveReadRun serves k consecutive reads of object x from node. Between
-// threshold crossings the copy set, the nearest tables and hence the path
-// are all fixed, and each read only adds one unit to every path edge's
-// loads and one to the path's copy-side read counter — so a chunk of
-// m = min(remaining, edgeThresh[e] - counter) reads folds into one walk,
-// with the chunk boundary re-derived per chunk from the copy-side edge's
-// own budget (budgets differ per edge under BandwidthAware). A
-// chunk that reaches the threshold replicates (and cascades towards the
-// requester) exactly like the per-request path, then the next chunk
-// re-resolves the now-closer nearest copy. Once node itself holds a copy
-// the rest of the run is free and touches nothing.
-func (s *Strategy) serveReadRun(x int, node tree.NodeID, k int) int64 {
-	s.requests += k
-	s.wStreak[x] = 0 // reads keep the replica set alive
-	if s.isCopy[x][node] {
-		return 0 // local reads
-	}
-	var cost int64
-	remaining := int32(k)
-	for remaining > 0 {
-		target, path := s.pathToNearest(x, node)
-		if target == node {
-			break // local reads are free
-		}
-		e := path[len(path)-1]
-		c := s.readCount(x, e)
-		need := s.edgeThresh[e] - c
-		m := remaining
-		if need < m {
-			m = need
-		}
-		lm := int64(m)
-		for _, pe := range path {
-			s.EdgeLoad[pe] += lm
-		}
-		cost += lm * int64(len(path))
-		remaining -= m
-		if m < need {
-			s.setReadCount(x, e, c+m)
-			break // the run ends before the next crossing
-		}
-		// The m-th read saturates the copy-side edge: replicate across it
-		// and cascade towards the requester, exactly as serveRead does for
-		// the crossing request.
-		s.replicateAcross(x, e)
-		for i := len(path) - 2; i >= 0; i-- {
-			pe := path[i]
-			cc := s.readCount(x, pe) + 1
-			s.setReadCount(x, pe, cc)
-			if cc < s.edgeThresh[pe] {
-				break
-			}
-			s.replicateAcross(x, pe)
-		}
-	}
-	return cost
-}
-
-// serveWriteRun serves k consecutive writes of object x from node. While
-// the copy set is multi-copy and the write streak stays under the budget,
-// every write pays the same path and the same Steiner broadcast, so those
-// writes fold into one charge; the budget-crossing write (and the per-hop
-// migration of a lone remote copy) is served individually, and once the
-// object sits alone on the writer every further write is free and only
-// advances the generation stamps, which folds into one addition.
-func (s *Strategy) serveWriteRun(x int, node tree.NodeID, k int) int64 {
-	s.requests += k
-	var cost int64
-	for n := 0; n < k; {
-		if list := s.copyList[x]; len(list) == 1 && list[0] == node {
-			left := uint32(k - n)
-			s.curGen[x] += left
-			s.bcastGen[x] += left
-			s.wStreak[x] = 0
-			break
-		}
-		if len(s.copyList[x]) > 1 && s.wStreak[x]+1 < s.wBudget {
-			// Fold the writes that cannot contract: the set (and so the
-			// nearest copy, the path and the broadcast edges) is unchanged
-			// across them, only the streak advances.
-			m := int32(s.wBudget - s.wStreak[x] - 1)
-			if r := int32(k - n); r < m {
-				m = r
-			}
-			_, path := s.pathToNearest(x, node)
-			lm := int64(m)
-			for _, e := range path {
-				s.EdgeLoad[e] += lm
-			}
-			for _, e := range s.bcast[x] {
-				s.EdgeLoad[e] += lm
-			}
-			cost += lm * int64(len(path)+len(s.bcast[x]))
-			s.wStreak[x] += uint32(m)
-			n += int(m)
-			continue
-		}
-		cost += s.serveWrite(x, node)
-		n++
-	}
-	return cost
-}
+// GroupedBatch returns the batch the most recent ServeBatch call served,
+// in the order it was served (the input itself), valid until the
+// strategy's next call.
+func (s *Strategy) GroupedBatch() []Request { return s.lastBatch }
 
 // materialize creates object x's first copy on home. The copy-membership
 // bits are allocated at first touch; the nearest tables only at the first
@@ -1303,9 +1046,8 @@ func (ot *OfflineTracker) Record(r Request) {
 
 // RecordBatch folds a whole batch into the aggregated frequencies — the
 // bulk form of Record, one call per ingested batch instead of one per
-// request. Runs of identical events collapse into one frequency addition,
-// so feeding it a by-object grouped batch (Strategy.GroupedBatch) makes
-// recording cost O(runs), not O(requests).
+// request, with the same resulting frequencies, dirty set and drift
+// order. Runs of identical events collapse into one frequency addition.
 func (ot *OfflineTracker) RecordBatch(reqs []Request) {
 	for i := 0; i < len(reqs); {
 		r := reqs[i]

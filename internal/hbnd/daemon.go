@@ -433,17 +433,14 @@ func (d *Daemon) snapshotNow() (*wire.SnapshotResult, error) {
 // the tail log's replayability (its events reference the old topology),
 // so it commits a fresh snapshot and truncates the tail before
 // returning — a reconfigure the client saw acknowledged survives a
-// restart.
+// restart. The applier is paused for all three steps, and that pause is
+// the stall the reply reports: the cluster's own rolling stall bound
+// does not apply while the daemon holds applyMu.
 func (d *Daemon) reconfigure(req *wire.ReconfigRequest) (*wire.ReconfigResult, error) {
 	d.applyMu.Lock()
 	defer d.applyMu.Unlock()
-	var rs serve.ReconfigStats
-	var err error
-	if req.Rolling {
-		rs, err = d.cl.ReconfigureRolling(req.Diff)
-	} else {
-		rs, err = d.cl.Reconfigure(req.Diff)
-	}
+	paused := time.Now()
+	rs, err := d.cl.Reconfigure(req.Diff)
 	if err != nil {
 		return nil, err
 	}
@@ -454,7 +451,8 @@ func (d *Daemon) reconfigure(req *wire.ReconfigRequest) (*wire.ReconfigResult, e
 		return nil, err
 	}
 	return &wire.ReconfigResult{
-		MaxIngestStallNs:   rs.MaxIngestStall.Nanoseconds(),
+		// Read last, just before the deferred unlock ends the pause.
+		MaxIngestStallNs:   time.Since(paused).Nanoseconds(),
 		DroppedLoad:        rs.DroppedLoad,
 		DroppedServiceLoad: rs.DroppedServiceLoad,
 	}, nil

@@ -304,12 +304,19 @@ func TestDaemonReconfigureOverWire(t *testing.T) {
 	// Remove one leaf ring's processor: pick the last leaf.
 	leaves := d.Cluster().Tree().Leaves()
 	victim := leaves[len(leaves)-1]
-	res, err := cl.Reconfigure(&wire.ReconfigRequest{
-		Rolling: true,
-		Diff:    topoDiffRemove(victim),
-	})
+	res, err := cl.Reconfigure(&wire.ReconfigRequest{Diff: topoDiffRemove(victim)})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The reported stall is the applier pause, which spans the whole
+	// reconfiguration (its epoch-log ResolveNs) plus the commit snapshot.
+	log := d.Cluster().EpochLog()
+	rec := log[len(log)-1]
+	if rec.Trigger != serve.TriggerManual {
+		t.Fatalf("last epoch-log entry %+v is not the reconfigure", rec)
+	}
+	if res.MaxIngestStallNs < rec.ResolveNs {
+		t.Fatalf("reported stall %dns is shorter than the reconfigure's %dns", res.MaxIngestStallNs, rec.ResolveNs)
 	}
 	after := d.Cluster().Tree().Len()
 	if after >= before {

@@ -18,8 +18,12 @@ type Registry struct {
 	ReconfigStall Histogram // per-shard ingest stall during reconfiguration
 	SnapshotCut   Histogram // snapshot cut stall (ingest paused)
 	Handoff       Histogram // live handoff phase durations
-	Apply         Histogram // daemon apply latency (admission to applied)
-	RoundTrip     Histogram // client-observed request round-trip latency
+	// Apply is the daemon's per-batch apply time: the clock starts after
+	// the batch is dequeued and passes its deadline check, and stops when
+	// Cluster.Ingest returns, before the tail append. Queue wait is not
+	// included.
+	Apply     Histogram
+	RoundTrip Histogram // client-observed request round-trip latency
 
 	// Flight is the structural-event flight recorder.
 	Flight *Recorder

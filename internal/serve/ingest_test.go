@@ -8,57 +8,12 @@ import (
 	"hbn/internal/workload"
 )
 
-// The batched shard path (ServeBatch + RecordBatch) and the per-request
-// reference path (Options.Unbatched) must produce bit-identical clusters:
-// same loads, same costs, same epoch passes and adoption movement.
-func TestIngestBatchedMatchesUnbatched(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	tr := tree.SCICluster(3, 4, 16, 8)
-	const objects = 16
-	trace := workload.DriftingZipf(rng, tr, objects, 6000, 3, 1.0, 0.05)
-
-	run := func(unbatched bool) ([]int64, []int64, Stats) {
-		c, err := NewCluster(tr, objects, Options{
-			Shards: 3, EpochRequests: 1000, Threshold: 3, Unbatched: unbatched,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for lo := 0; lo < len(trace); {
-			hi := lo + 1 + rng.Intn(400)
-			if hi > len(trace) {
-				hi = len(trace)
-			}
-			if _, err := c.Ingest(trace[lo:hi]); err != nil {
-				t.Fatal(err)
-			}
-			lo = hi
-		}
-		return c.EdgeLoad(), c.ServiceLoad(), c.Stats()
-	}
-	// Identical uneven batch splits for both runs.
-	rng = rand.New(rand.NewSource(78))
-	be, bs, bst := run(false)
-	rng = rand.New(rand.NewSource(78))
-	ue, us, ust := run(true)
-
-	bst.ResolveTime, ust.ResolveTime = 0, 0
-	if bst != ust {
-		t.Fatalf("stats differ: batched %+v vs unbatched %+v", bst, ust)
-	}
-	for e := range be {
-		if be[e] != ue[e] || bs[e] != us[e] {
-			t.Fatalf("edge %d: batched (%d,%d) != unbatched (%d,%d)", e, be[e], bs[e], ue[e], us[e])
-		}
-	}
-}
-
 // The serving hot path must be allocation-free in steady state: once a
 // cluster has seen its high-water batch size and every object has been
 // touched, Ingest performs ~0 allocations per batch (partition scratch
-// cycles through a pool, ServeBatch groups into strategy-owned buffers,
-// and all per-object tables are already materialized). Mirrors PR 2's
-// TestSolverSteadyAllocs; wired into the CI alloc-guard step.
+// cycles through a pool, and all per-object tables are already
+// materialized). Mirrors the solver's TestSolverSteadyAllocs; wired into
+// the CI alloc-guard step.
 func TestIngestSteadyAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	tr := tree.SCICluster(4, 4, 16, 8)

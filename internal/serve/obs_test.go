@@ -71,8 +71,8 @@ func TestObsLedgerReconciliation(t *testing.T) {
 	}
 	checkReconciled(t, c)
 
-	// Stop-the-world reconfigure removing one ring switch: loads on its
-	// edges are dropped; the obs drop counters must move in lockstep.
+	// A reconfigure removing one ring switch: loads on its edges are
+	// dropped; the obs drop counters must move in lockstep.
 	doomed := tree.NodeID(1 + 2*(4+1))
 	if _, err := c.Reconfigure(topo.Diff{Remove: []tree.NodeID{doomed}}); err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestObsLedgerReconciliation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.ReconfigureRolling(topo.Diff{}); err != nil {
+	if _, err := c.Reconfigure(topo.Diff{}); err != nil {
 		t.Fatal(err)
 	}
 	checkReconciled(t, c)

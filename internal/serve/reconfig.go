@@ -12,33 +12,27 @@ import (
 	"hbn/internal/workload"
 )
 
-// ErrReconfigInProgress reports that a Reconfigure or ReconfigureRolling
-// call is already in flight. Reconfigurations never queue: a rolling call
-// holds the epoch lock for its whole (potentially long) duration, and
-// silently serializing a second topology change behind it would stack
-// diffs whose IDs refer to a tree that no longer exists by the time the
-// second one runs. Callers retry after the first call returns, diffing
-// against the then-current tree.
+// ErrReconfigInProgress reports that a Reconfigure call is already in
+// flight. Reconfigurations never queue: a call holds the epoch lock for
+// its whole (potentially long) duration, and silently serializing a
+// second topology change behind it would stack diffs whose IDs refer to
+// a tree that no longer exists by the time the second one runs. Callers
+// retry after the first call returns, diffing against the then-current
+// tree.
 var ErrReconfigInProgress = errors.New("serve: reconfiguration already in progress")
 
-// ReconfigStats summarizes one completed Reconfigure / ReconfigureRolling
-// call.
+// ReconfigStats summarizes one completed Reconfigure call.
 type ReconfigStats struct {
-	// Elapsed is the wall time of the whole reconfiguration. For the
-	// stop-the-world Reconfigure, ingestion is blocked for all of it.
+	// Elapsed is the wall time of the whole reconfiguration.
 	Elapsed time.Duration
 	// PlanElapsed is the planning portion (diff application, migration
-	// solve, projection tables). A rolling call plans while ingestion runs
-	// at full speed; stop-the-world plans inside the gate.
+	// solve, projection tables), which runs while ingestion continues.
 	PlanElapsed time.Duration
 	// MaxIngestStall bounds the longest single window during which any
 	// Ingest call could have been blocked by this reconfiguration: the
-	// whole Elapsed for stop-the-world; for rolling, the maximum over the
-	// two quiesce windows (publish and commit) and each individual shard's
-	// migration — the stall bound the staged swap exists to deliver.
+	// maximum over the two quiesce windows (publish and commit) and each
+	// individual shard's migration.
 	MaxIngestStall time.Duration
-	// Rolling records which path produced these stats.
-	Rolling bool
 	// RemovedNodes / AddedNodes count the node difference (removals
 	// include pruned degenerate buses).
 	RemovedNodes, AddedNodes int
@@ -76,87 +70,30 @@ type ReconfigStats struct {
 // The epoch solver is re-armed on the new tree, so subsequent passes
 // continue incrementally with Resolve.
 //
-// Reconfigure is safe under concurrent Ingest and background epoch
-// passes: it write-acquires the ingest gate (waiting out in-flight
-// batches and blocking new ones for the duration) and holds the epoch
-// lock. A concurrent Reconfigure/ReconfigureRolling fails fast with
-// ErrReconfigInProgress. Requests ingested after it returns must use NEW
-// node IDs — translate in-flight traffic through the returned
-// ReconfigStats.Remap. The renumbering is dense, so the cluster can only
-// reject stale IDs that fall outside the new tree or on a bus; an
-// untranslated old ID that happens to alias a surviving processor is
-// indistinguishable from a genuine request for it and is served as such.
-// ID translation is the caller's responsibility, exactly as with any
-// resharding. For a swap whose ingest stall is bounded by one shard's
-// migration instead of the whole operation, see ReconfigureRolling.
-func (c *Cluster) Reconfigure(d topo.Diff) (ReconfigStats, error) {
-	var rs ReconfigStats
-	if !c.reconfiguring.CompareAndSwap(false, true) {
-		return rs, ErrReconfigInProgress
-	}
-	defer c.reconfiguring.Store(false)
-	c.closeMu.Lock()
-	defer c.closeMu.Unlock()
-	if c.closed.Load() {
-		return rs, ErrClosed
-	}
-	c.epochMu.Lock()
-	defer c.epochMu.Unlock()
-	start := time.Now()
-	if o := c.obs; o != nil {
-		o.Flight.Record(obs.EvReconfig, -1, obs.PhaseBegin, 0, 0)
-	}
-
-	oldTree := c.t
-	mig, changed, err := c.planLocked(d)
-	if err != nil {
-		return rs, err
-	}
-	rs.PlanElapsed = time.Since(start)
-	rs.fillPlan(c, mig)
-
-	// Swap the topology and the epoch machinery. The migration's solver
-	// already ran a full Solve on the remapped frequencies, so the epoch
-	// pipeline continues with incremental Resolve from here.
-	c.installEpochState(mig, mig.Remap.Workload(c.prev), newIsLeaf(mig.Tree))
-
-	// Rebuild each shard on the new tree. The gate is held, so the live
-	// copy sets the projector sees are exactly the plan snapshot.
-	proj := topo.NewProjector(oldTree, mig.Tree, mig.Remap)
-	for si, sh := range c.shards {
-		sh.mu.Lock()
-		c.migrateShard(sh, si, mig, proj, &rs)
-		sh.mu.Unlock()
-	}
-
-	rs.Elapsed = time.Since(start)
-	rs.MaxIngestStall = rs.Elapsed
-	if o := c.obs; o != nil {
-		// Stop-the-world: the whole gated window is one ingest stall.
-		o.ReconfigStall.Observe(rs.Elapsed.Nanoseconds())
-	}
-	c.finishReconfigLocked(&rs, changed, mig.Congestion)
-	return rs, nil
-}
-
-// ReconfigureRolling applies a topology diff as a staged (rolling) swap:
-// the end state is bit-identical to Reconfigure on a quiesced cluster,
-// but ingestion is never blocked for longer than one shard's migration
-// (plus two brief quiesce windows that publish and commit the roll) —
-// the measured bound comes back in ReconfigStats.MaxIngestStall.
+// The swap is staged (rolling): ingestion is never blocked for longer
+// than one shard's migration, plus two brief quiesce windows that publish
+// and commit the roll — the measured bound comes back in
+// ReconfigStats.MaxIngestStall. The cluster double-buffers the topology
+// for the duration: planning (diff, migration solve, projection tables)
+// runs with ingestion at full speed; then the roll state is published
+// under a quiesce and shards migrate onto the new tree one at a time,
+// each under only its own lock. Ingest keeps accepting OLD node IDs
+// throughout — batches landing on not-yet-migrated shards serve against
+// the old tree as if nothing were happening, while migrated shards
+// translate each request across the remap, redirecting traffic addressed
+// to removed processors to their nearest surviving leaf
+// (Migration.LeafFallback) so every request is served and conserved
+// mid-swap. On a quiesced cluster the end state is bit-identical to
+// swapping every shard behind one gate hold.
 //
-// The cluster double-buffers the topology for the duration: planning
-// (diff, migration solve, projection tables) runs with ingestion at full
-// speed; then the roll state is published under a quiesce and shards
-// migrate onto the new tree one at a time, each under only its own lock.
-// Ingest keeps accepting OLD node IDs throughout — batches landing on
-// not-yet-migrated shards serve against the old tree as if nothing were
-// happening, while migrated shards translate each request across the
-// remap, redirecting traffic addressed to removed processors to their
-// nearest surviving leaf (Migration.LeafFallback) so every request is
-// served and conserved mid-swap. A final quiesce commits the new tree as
-// the cluster's addressing space; from then on callers must use NEW IDs,
-// translating via ReconfigStats.Remap exactly as with Reconfigure.
+// A final quiesce commits the new tree as the cluster's addressing space;
+// requests ingested after Reconfigure returns must use NEW node IDs —
+// translate in-flight traffic through the returned ReconfigStats.Remap.
+// The renumbering is dense, so the cluster can only reject stale IDs that
+// fall outside the new tree or on a bus; an untranslated old ID that
+// happens to alias a surviving processor is indistinguishable from a
+// genuine request for it and is served as such. ID translation is the
+// caller's responsibility, exactly as with any resharding.
 //
 // Mid-roll, load accessors (EdgeLoad, ServiceLoad, MaxEdgeLoad,
 // TotalLoad) report in the NEW tree's edge space — un-migrated shards'
@@ -166,14 +103,13 @@ func (c *Cluster) Reconfigure(d topo.Diff) (ReconfigStats, error) {
 // every instant. Copies reports per-shard state and may mix old- and
 // new-tree IDs while the roll is in flight.
 //
-// Epoch passes pause for the duration (the roll holds the epoch lock and
+// Epoch passes pause for the duration (the call holds the epoch lock and
 // epoch-crossing Ingest calls skip the inline pass while one is in
 // flight); drift recorded mid-roll is carried across the rebuild and
-// picked up by the next pass. A concurrent Reconfigure or
-// ReconfigureRolling fails fast with ErrReconfigInProgress — never
-// queues, never deadlocks.
-func (c *Cluster) ReconfigureRolling(d topo.Diff) (ReconfigStats, error) {
-	rs := ReconfigStats{Rolling: true}
+// picked up by the next pass. A concurrent Reconfigure fails fast with
+// ErrReconfigInProgress — never queues, never deadlocks.
+func (c *Cluster) Reconfigure(d topo.Diff) (ReconfigStats, error) {
+	var rs ReconfigStats
 	if !c.reconfiguring.CompareAndSwap(false, true) {
 		return rs, ErrReconfigInProgress
 	}
@@ -232,7 +168,7 @@ func (c *Cluster) ReconfigureRolling(d topo.Diff) (ReconfigStats, error) {
 	// projects each object's LIVE copy set at its shard's swap instant —
 	// threshold dynamics that ran since the plan snapshot migrate as they
 	// are, never rolled back to the snapshot (on a quiesced cluster the
-	// live sets ARE the snapshot, giving bit-identity with Reconfigure).
+	// live sets ARE the snapshot).
 	proj := topo.NewProjector(oldTree, mig.Tree, mig.Remap)
 	for si, sh := range c.shards {
 		t0 = time.Now()
@@ -300,8 +236,8 @@ func (rs *ReconfigStats) fillPlan(c *Cluster, mig *topo.Migration) {
 }
 
 // installEpochState swaps the epoch machinery onto the migration's tree
-// (caller holds epochMu; the stop-the-world path additionally holds the
-// gate, the rolling path runs it inside the commit quiesce).
+// (caller holds epochMu and the full ingest gate: Reconfigure runs it
+// inside the commit quiesce).
 func (c *Cluster) installEpochState(mig *topo.Migration, prev *workload.W, isLeaf []bool) {
 	c.t = mig.Tree
 	c.solver = mig.Solver

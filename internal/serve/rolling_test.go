@@ -5,11 +5,52 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"hbn/internal/topo"
 	"hbn/internal/tree"
 	"hbn/internal/workload"
 )
+
+// reconfigureStopTheWorld is the test oracle for Reconfigure: the same
+// plan, migration and bookkeeping, but every shard is swapped behind one
+// hold of the full ingest gate, so ingestion stalls for the whole
+// operation (MaxIngestStall == Elapsed). Reconfigure's staged swap must
+// end bit-identical to it on a quiesced cluster.
+func (c *Cluster) reconfigureStopTheWorld(d topo.Diff) (ReconfigStats, error) {
+	var rs ReconfigStats
+	if !c.reconfiguring.CompareAndSwap(false, true) {
+		return rs, ErrReconfigInProgress
+	}
+	defer c.reconfiguring.Store(false)
+	c.closeMu.Lock()
+	defer c.closeMu.Unlock()
+	if c.closed.Load() {
+		return rs, ErrClosed
+	}
+	c.epochMu.Lock()
+	defer c.epochMu.Unlock()
+	start := time.Now()
+	oldTree := c.t
+	mig, changed, err := c.planLocked(d)
+	if err != nil {
+		return rs, err
+	}
+	rs.PlanElapsed = time.Since(start)
+	rs.fillPlan(c, mig)
+	c.installEpochState(mig, mig.Remap.Workload(c.prev), newIsLeaf(mig.Tree))
+	proj := topo.NewProjector(oldTree, mig.Tree, mig.Remap)
+	for si, sh := range c.shards {
+		sh.mu.Lock()
+		c.migrateShard(sh, si, mig, proj, &rs)
+		sh.mu.Unlock()
+	}
+
+	rs.Elapsed = time.Since(start)
+	rs.MaxIngestStall = rs.Elapsed
+	c.finishReconfigLocked(&rs, changed, mig.Congestion)
+	return rs, nil
+}
 
 // tailRingDiff removes the tail ring of an SCICluster(rings, procs, ...)
 // layout — the removal that keeps every stable leaf's ID unchanged.
@@ -34,16 +75,13 @@ func TestRollingMatchesStopTheWorld(t *testing.T) {
 	}
 	d := tailRingDiff(4, 5)
 	c1, c2 := mk(), mk()
-	rsS, err := c1.Reconfigure(d)
+	rsS, err := c1.reconfigureStopTheWorld(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rsR, err := c2.ReconfigureRolling(d)
+	rsR, err := c2.Reconfigure(d)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if rsS.Rolling || !rsR.Rolling {
-		t.Fatalf("Rolling flags: stw %v, rolling %v", rsS.Rolling, rsR.Rolling)
 	}
 	if rsS.MaxIngestStall != rsS.Elapsed {
 		t.Fatal("stop-the-world stall must equal its whole elapsed time")
@@ -114,11 +152,11 @@ func TestRollingStallBoundAt64Shards(t *testing.T) {
 	rollStall := make([]int64, 0, trials)
 	for i := 0; i < trials; i++ {
 		c1, c2 := mk(), mk()
-		rsS, err := c1.Reconfigure(d)
+		rsS, err := c1.reconfigureStopTheWorld(d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rsR, err := c2.ReconfigureRolling(d)
+		rsR, err := c2.Reconfigure(d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +175,7 @@ func TestRollingStallBoundAt64Shards(t *testing.T) {
 // batch addressed in OLD IDs — including traffic for the doomed ring's
 // processors — is accepted and served, half the shards on each tree;
 // accessors report consistently in the new ID space; and a second
-// reconfiguration of either flavor fails fast with ErrReconfigInProgress.
+// reconfiguration fails fast with ErrReconfigInProgress.
 // After commit the conservation ledger closes exactly:
 // Σ ServiceLoad + DroppedServiceLoad == Σ costs Ingest returned.
 func TestRollingMidSwapServing(t *testing.T) {
@@ -191,11 +229,8 @@ func TestRollingMidSwapServing(t *testing.T) {
 		if _, err := c.Reconfigure(topo.Diff{}); !errors.Is(err, ErrReconfigInProgress) {
 			t.Errorf("concurrent Reconfigure: got %v, want ErrReconfigInProgress", err)
 		}
-		if _, err := c.ReconfigureRolling(topo.Diff{}); !errors.Is(err, ErrReconfigInProgress) {
-			t.Errorf("concurrent ReconfigureRolling: got %v, want ErrReconfigInProgress", err)
-		}
 	}
-	rs, err := c.ReconfigureRolling(topo.Diff{Remove: []tree.NodeID{doomed}})
+	rs, err := c.Reconfigure(topo.Diff{Remove: []tree.NodeID{doomed}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,17 +254,17 @@ func TestRollingMidSwapServing(t *testing.T) {
 			t.Fatalf("object %d lost its copies", x)
 		}
 	}
-	// The flag cleared: the next rolling call goes through.
+	// The flag cleared: the next call goes through.
 	c.rollHook = nil // the probe batch's old IDs are stale now
-	if _, err := c.ReconfigureRolling(topo.Diff{}); err != nil {
-		t.Fatalf("post-roll rolling reconfigure: %v", err)
+	if _, err := c.Reconfigure(topo.Diff{}); err != nil {
+		t.Fatalf("post-roll reconfigure: %v", err)
 	}
 }
 
-// A failed rolling plan disarms the solver exactly like the stop-the-world
-// error path: nothing swapped, no roll state leaked, the in-progress flag
-// released, and the next epoch pass cold-solves back to bit-identity with
-// a cluster that never saw the failed call.
+// A failed plan disarms the solver: nothing swapped, no roll state
+// leaked, the in-progress flag released, and the next epoch pass
+// cold-solves back to bit-identity with a cluster that never saw the
+// failed call.
 func TestRollingFailureLeavesClusterConsistent(t *testing.T) {
 	tr := tree.SCICluster(3, 4, 16, 8)
 	const objects = 20
@@ -247,7 +282,7 @@ func TestRollingFailureLeavesClusterConsistent(t *testing.T) {
 		return c
 	}
 	c1, c2 := mk(), mk()
-	_, err := c1.ReconfigureRolling(topo.Diff{Remove: []tree.NodeID{0}})
+	_, err := c1.Reconfigure(topo.Diff{Remove: []tree.NodeID{0}})
 	if !errors.Is(err, topo.ErrRemoveRoot) {
 		t.Fatalf("got %v, want topo.ErrRemoveRoot", err)
 	}
@@ -268,8 +303,8 @@ func TestRollingFailureLeavesClusterConsistent(t *testing.T) {
 			t.Fatalf("object %d: copies diverged after a failed rolling reconfigure", x)
 		}
 	}
-	// The flag released: a valid rolling call now succeeds.
-	if _, err := c1.ReconfigureRolling(tailRingDiff(3, 4)); err != nil {
+	// The flag released: a valid call now succeeds.
+	if _, err := c1.Reconfigure(tailRingDiff(3, 4)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -307,51 +342,40 @@ func TestReconfigureTypedErrors(t *testing.T) {
 		if _, err := c.Reconfigure(tc.d); !errors.Is(err, tc.want) {
 			t.Errorf("%s: Reconfigure error %v, want %v", tc.name, err, tc.want)
 		}
-		if _, err := c.ReconfigureRolling(tc.d); !errors.Is(err, tc.want) {
-			t.Errorf("%s: ReconfigureRolling error %v, want %v", tc.name, err, tc.want)
-		}
 	}
 }
 
-// After ANY failed reconfigure flavor the solver is disarmed: the next
-// epoch pass must run a full Solve (not an incremental Resolve over the
-// silently mutated workload rows). Pinned by arming the solver, failing a
-// call, then checking the pass completes and matches a cold-solved twin —
-// and that the cluster still accepts a subsequent valid reconfigure.
+// After a failed reconfigure the solver is disarmed: the next epoch pass
+// must run a full Solve (not an incremental Resolve over the silently
+// mutated workload rows). Pinned by arming the solver, failing a call,
+// then checking the pass completes — and that the cluster still accepts
+// a subsequent valid reconfigure.
 func TestReconfigureErrorDisarmsThenColdSolves(t *testing.T) {
 	tr := tree.SCICluster(3, 4, 16, 8)
 	const objects = 12
 	trace := workload.DriftingZipf(rand.New(rand.NewSource(13)), tr, objects, 3000, 3, 1.0, 0.05)
-	for _, rolling := range []bool{false, true} {
-		c, err := NewCluster(tr, objects, Options{Shards: 2, Threshold: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ingestAll(t, c, trace[:1500], 250)
-		if err := c.ResolveNow(); err != nil { // arm incremental state
-			t.Fatal(err)
-		}
-		ingestAll(t, c, trace[1500:], 250) // fresh drift the failed fold consumes
-		bad := topo.Diff{Remove: []tree.NodeID{99}}
-		if rolling {
-			_, err = c.ReconfigureRolling(bad)
-		} else {
-			_, err = c.Reconfigure(bad)
-		}
-		if !errors.Is(err, topo.ErrRemoveRange) {
-			t.Fatalf("rolling=%v: got %v, want topo.ErrRemoveRange", rolling, err)
-		}
-		if c.solved {
-			t.Fatalf("rolling=%v: solver still armed after failed reconfigure", rolling)
-		}
-		if err := c.ResolveNow(); err != nil {
-			t.Fatalf("rolling=%v: cold re-solve after failure: %v", rolling, err)
-		}
-		if !c.solved {
-			t.Fatalf("rolling=%v: cold re-solve did not re-arm", rolling)
-		}
-		if _, err := c.Reconfigure(tailRingDiff(3, 4)); err != nil {
-			t.Fatalf("rolling=%v: valid reconfigure after recovery: %v", rolling, err)
-		}
+	c, err := NewCluster(tr, objects, Options{Shards: 2, Threshold: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestAll(t, c, trace[:1500], 250)
+	if err := c.ResolveNow(); err != nil { // arm incremental state
+		t.Fatal(err)
+	}
+	ingestAll(t, c, trace[1500:], 250) // fresh drift the failed fold consumes
+	if _, err := c.Reconfigure(topo.Diff{Remove: []tree.NodeID{99}}); !errors.Is(err, topo.ErrRemoveRange) {
+		t.Fatalf("got %v, want topo.ErrRemoveRange", err)
+	}
+	if c.solved {
+		t.Fatal("solver still armed after failed reconfigure")
+	}
+	if err := c.ResolveNow(); err != nil {
+		t.Fatalf("cold re-solve after failure: %v", err)
+	}
+	if !c.solved {
+		t.Fatal("cold re-solve did not re-arm")
+	}
+	if _, err := c.Reconfigure(tailRingDiff(3, 4)); err != nil {
+		t.Fatalf("valid reconfigure after recovery: %v", err)
 	}
 }

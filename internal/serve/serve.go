@@ -9,11 +9,9 @@
 // serving the whole sequence). Batches ingested by Ingest are partitioned
 // by owner (counting-sorted into pooled scratch: the steady-state request
 // hot path allocates nothing, guarded by TestIngestSteadyAllocs) and
-// served shard-parallel through Strategy.ServeBatch, the run-length
-// folding batched path (Options.Unbatched selects the per-request
-// reference loop, bit-identical by the batching equivalence property);
-// each shard's OfflineTracker records the observed frequencies in bulk as
-// it serves.
+// served shard-parallel through Strategy.ServeBatch, which serves each
+// shard's partition request by request; each shard's OfflineTracker
+// records the observed frequencies in bulk as it serves.
 //
 // Every EpochRequests served requests, an epoch pass feeds the objects
 // whose frequencies drifted since the previous pass into a shared
@@ -57,8 +55,8 @@ type Request = workload.TraceEvent
 
 // ErrClosed reports an operation on a cluster after Close. Accessors
 // (loads, stats, copies, snapshots) stay usable on a closed cluster; the
-// mutating paths — Ingest, ResolveNow, Reconfigure, ReconfigureRolling —
-// fail with an error satisfying errors.Is(err, ErrClosed).
+// mutating paths — Ingest, ResolveNow, Reconfigure — fail with an error
+// satisfying errors.Is(err, ErrClosed).
 var ErrClosed = errors.New("serve: cluster is closed")
 
 // ErrBadOptions reports an invalid Options value, matched with errors.Is
@@ -127,12 +125,6 @@ type Options struct {
 	// average. Objects with no new traffic keep their frequencies either
 	// way, so the incremental Resolve contract is preserved.
 	DecayShift uint
-	// Unbatched serves each shard's partition with the per-request
-	// Serve/Record loop instead of the batched run-length-folded path.
-	// Both produce bit-identical state (property-tested); this is the
-	// reference configuration for equivalence tests and the baseline of
-	// the ingest throughput benchmark.
-	Unbatched bool
 	// NoTelemetry disables the cluster's obs registry: Obs returns nil
 	// and the serving paths skip all counter/histogram updates. Telemetry
 	// is on by default and costs a handful of uncontended atomic adds per
@@ -303,17 +295,8 @@ func (sc *ingestScratch) serveShard(_, si int) {
 			part[i].Node = fb[part[i].Node]
 		}
 	}
-	var cost int64
-	if sc.c.opts.Unbatched {
-		for _, r := range part {
-			cost += sh.strat.Serve(r)
-			sh.tracker.Record(r)
-		}
-	} else {
-		cost = sh.strat.ServeBatch(part)
-		// The grouped view lets the tracker fold runs of identical events.
-		sh.tracker.RecordBatch(sh.strat.GroupedBatch())
-	}
+	cost := sh.strat.ServeBatch(part)
+	sh.tracker.RecordBatch(part)
 	sc.costs[si] = cost
 	sh.cost += cost
 	if b := sh.obsb; b != nil {
@@ -423,12 +406,12 @@ type Cluster struct {
 	// it (each shard's obsb block).
 	obs *obs.Registry
 
-	// reconfiguring serializes Reconfigure/ReconfigureRolling calls: a
-	// second call arriving while one is in flight fails fast with
+	// reconfiguring serializes Reconfigure (and Snapshot) calls: a second
+	// call arriving while one is in flight fails fast with
 	// ErrReconfigInProgress instead of queueing behind epochMu (which a
-	// rolling call holds for its whole duration).
+	// reconfiguration holds for its whole duration).
 	reconfiguring atomic.Bool
-	// roll is the staged reconfiguration in flight, nil otherwise.
+	// roll is the reconfiguration in flight, nil otherwise.
 	// Written only inside quiesce (the full ingest gate); read under the
 	// gate's read side.
 	roll *rollState
@@ -1043,9 +1026,10 @@ func (c *Cluster) Close() error {
 // threshold-driven copy movement) summed over all shards, indexed by the
 // current topology's edge IDs.
 func (c *Cluster) EdgeLoad() []int64 {
-	// The read lock pins the topology: Reconfigure write-acquires closeMu
-	// before swapping the tree and the shard strategies, so the edge count
-	// and every shard's load vector are mutually consistent here.
+	// The read lock pins the topology generation: Reconfigure publishes
+	// and commits its roll under the write side, and mid-roll the fold
+	// projects un-migrated shards forward (see foldLoadsLocked), so the
+	// edge count and every shard's contribution are mutually consistent.
 	c.closeMu.RLock()
 	defer c.closeMu.RUnlock()
 	return c.edgeLoadLocked()

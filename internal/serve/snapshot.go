@@ -124,7 +124,6 @@ func (c *Cluster) captureLocked() *snapshot.State {
 		EpochRequests:      c.opts.EpochRequests,
 		Threshold:          c.opts.Threshold,
 		DecayShift:         uint32(c.opts.DecayShift),
-		Unbatched:          c.opts.Unbatched,
 		BandwidthAware:     c.opts.BandwidthAware,
 		WriteBudget:        c.opts.WriteBudget,
 		DriftThreshold:     c.opts.DriftThreshold,
@@ -281,7 +280,6 @@ func RestoreState(st *snapshot.State, opts RestoreOptions) (*Cluster, error) {
 		Parallelism:        opts.Parallelism,
 		Background:         opts.Background,
 		DecayShift:         uint(st.DecayShift),
-		Unbatched:          st.Unbatched,
 		BandwidthAware:     st.BandwidthAware,
 		WriteBudget:        st.WriteBudget,
 		DriftThreshold:     st.DriftThreshold,

@@ -222,7 +222,7 @@ func TestSnapshotReconfigMutualExclusion(t *testing.T) {
 				_, rollErr = c.Snapshot(filepath.Join(dir, "mid.hbn"))
 			}
 		}
-		if _, err := c.ReconfigureRolling(topo.Diff{}); err != nil {
+		if _, err := c.Reconfigure(topo.Diff{}); err != nil {
 			t.Fatal(err)
 		}
 		if !errors.Is(rollErr, ErrReconfigInProgress) {
@@ -325,7 +325,6 @@ func TestClosedTypedErrors(t *testing.T) {
 		{"Ingest", func() error { _, err := c.Ingest([]Request{{Object: 0, Node: leaves[0]}}); return err }},
 		{"ResolveNow", func() error { return c.ResolveNow() }},
 		{"Reconfigure", func() error { _, err := c.Reconfigure(topo.Diff{}); return err }},
-		{"ReconfigureRolling", func() error { _, err := c.ReconfigureRolling(topo.Diff{}); return err }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

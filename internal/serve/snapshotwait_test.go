@@ -73,7 +73,7 @@ func TestSnapshotWait(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := c.ReconfigureRolling(topo.Diff{}); err != nil {
+			if _, err := c.Reconfigure(topo.Diff{}); err != nil {
 				t.Errorf("rolling reconfigure: %v", err)
 			}
 		}()

@@ -75,10 +75,9 @@ func Encode(st *State) []byte {
 	e.varint(int64(st.Threshold))
 	e.varint(st.EpochRequests)
 	e.uvarint(uint64(st.DecayShift))
+	// Flag bit 0 once pinned a per-request serving knob that no longer
+	// exists; it is never written, and Decode ignores it (see decodeBody).
 	var flags byte
-	if st.Unbatched {
-		flags |= 1
-	}
 	if st.Solved {
 		flags |= 2
 	}
@@ -414,7 +413,10 @@ func decodeBody(body []byte) (*State, error) {
 	if flags&^byte(7) != 0 {
 		d.fail("unknown state flags %#x", flags)
 	}
-	st.Unbatched = flags&1 != 0
+	// Bit 0 is retired: images written before its knob was removed may
+	// still carry it. That knob served bit-identically to the one path
+	// left, so the bit is accepted and dropped (a re-encode writes it
+	// clear).
 	st.Solved = flags&2 != 0
 	st.BandwidthAware = flags&4 != 0
 	st.WriteBudget = int(d.nonneg("write budget"))

@@ -28,6 +28,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 	downgraded := bytes.Clone(img)
 	binary.LittleEndian.PutUint32(downgraded[len(magic):], 1)
 	f.Add(downgraded)
+	// An image carrying the retired state flag bit 0, which Decode accepts
+	// and drops.
+	f.Add(withStateFlags(img, 1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := Decode(data)

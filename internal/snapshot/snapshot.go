@@ -102,7 +102,6 @@ type State struct {
 	EpochRequests int64
 	Threshold     int
 	DecayShift    uint32
-	Unbatched     bool
 	// v2 options: the per-edge replication budgets, the write-contraction
 	// budget and the drift trigger change serving decisions, so they are
 	// pinned like Threshold.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -49,7 +50,6 @@ func mkState(seq uint64) *State {
 		EpochRequests: 400,
 		Threshold:     3,
 		DecayShift:    1,
-		Unbatched:     false,
 		// v2 options: all non-default, so the round-trip and the fuzz
 		// corpus (seeded from this state) cover the extended image.
 		BandwidthAware:     true,
@@ -117,6 +117,41 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	if st.Tree.Len() != mkState(42).Tree.Len() {
 		t.Fatalf("tree size changed")
+	}
+}
+
+// withStateFlags returns a copy of a valid image with bits ORed into its
+// state flags byte and the checksum recomputed — the image a writer that
+// set those bits would have produced.
+func withStateFlags(img []byte, bits byte) []byte {
+	out := bytes.Clone(img)
+	body := out[headerSize : len(out)-crcSize]
+	d := &dec{b: body}
+	d.uvarint() // seq
+	d.uvarint() // objects
+	d.uvarint() // shards
+	d.varint()  // threshold
+	d.varint()  // epoch cadence
+	d.uvarint() // decay shift
+	body[len(body)-len(d.b)] |= bits
+	binary.LittleEndian.PutUint32(out[len(out)-crcSize:], crc32.ChecksumIEEE(body))
+	return out
+}
+
+// State flag bit 0 once pinned a per-request serving knob that has since
+// been removed. Images written with it set still decode, and re-encode
+// with the bit clear; a bit no writer ever set is still corrupt.
+func TestDecodeRetiredFlagBit(t *testing.T) {
+	img := Encode(mkState(5))
+	st, err := Decode(withStateFlags(img, 1))
+	if err != nil {
+		t.Fatalf("bit-0 image: %v", err)
+	}
+	if !bytes.Equal(Encode(st), img) {
+		t.Fatal("bit-0 image did not re-encode to the image with the bit clear")
+	}
+	if _, err := Decode(withStateFlags(img, 0x08)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("unknown flag 0x08: got %v, want ErrCorrupt", err)
 	}
 }
 

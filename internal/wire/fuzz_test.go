@@ -27,7 +27,7 @@ func FuzzWireDecode(f *testing.F) {
 		AppendFrame(nil, TQuery, 6, AppendQuery(nil, 77)),
 		AppendFrame(nil, TStatsOK, 7, AppendStats(nil, &DaemonStats{AppliedSeq: 9, Requests: 10})),
 		AppendFrame(nil, TSnapshotOK, 8, AppendSnapshotResult(nil, &SnapshotResult{Seq: 2, Bytes: 100})),
-		AppendFrame(nil, TReconfig, 9, AppendReconfig(nil, &ReconfigRequest{Rolling: true})),
+		AppendFrame(nil, TReconfig, 9, AppendReconfig(nil, &ReconfigRequest{})),
 		AppendFrame(nil, TTail, 10, AppendEvents(nil, events)),
 		AppendFrame(nil, THandoffCommit, 11, AppendHandoffCommit(nil, &HandoffCommit{FinalSeq: 3, Requests: 4, ServiceCost: 5})),
 		AppendFrame(nil, TMsgStats, 12, nil),

@@ -728,19 +728,15 @@ func ParseSnapshotResult(body []byte) (*SnapshotResult, error) {
 
 // ---- Reconfigure ----
 
-// ReconfigRequest is a TReconfig body: the diff plus the flavor.
+// ReconfigRequest is a TReconfig body: the topology diff.
 type ReconfigRequest struct {
-	Rolling bool
-	Diff    topo.Diff
+	Diff topo.Diff
 }
 
-// AppendReconfig encodes a TReconfig body.
+// AppendReconfig encodes a TReconfig body. The body opens with a flags
+// byte, always written as 0 (see ParseReconfig).
 func AppendReconfig(dst []byte, r *ReconfigRequest) []byte {
-	var flags byte
-	if r.Rolling {
-		flags |= 1
-	}
-	dst = append(dst, flags)
+	dst = append(dst, 0)
 	dst = binary.AppendUvarint(dst, uint64(len(r.Diff.Remove)))
 	for _, v := range r.Diff.Remove {
 		dst = binary.AppendUvarint(dst, uint64(v))
@@ -773,7 +769,9 @@ func AppendReconfig(dst []byte, r *ReconfigRequest) []byte {
 
 // ParseReconfig decodes a TReconfig body. Grafted names are not carried
 // (the protocol names nothing); semantic validation of the diff itself is
-// topo.Apply's job on the serving side.
+// topo.Apply's job on the serving side. Flag bit 0 once selected between
+// two reconfiguration flavors; older clients still send it, so it is
+// accepted and ignored. Any other flag bit is rejected.
 func ParseReconfig(body []byte) (*ReconfigRequest, error) {
 	d := &dec{b: body}
 	r := &ReconfigRequest{}
@@ -781,7 +779,6 @@ func ParseReconfig(body []byte) (*ReconfigRequest, error) {
 	if d.err == nil && flags&^byte(1) != 0 {
 		d.fail("unknown reconfig flags %#x", flags)
 	}
-	r.Rolling = flags&1 != 0
 	nr := d.count(math.MaxInt32, 1, "removal")
 	if d.err != nil {
 		return nil, d.err
@@ -849,7 +846,13 @@ func ParseReconfig(body []byte) (*ReconfigRequest, error) {
 
 // ReconfigResult is a TReconfigOK body.
 type ReconfigResult struct {
-	MaxIngestStallNs   int64
+	// MaxIngestStallNs is how long the daemon's applier was paused: from
+	// taking the apply lock to releasing it, a window that covers the
+	// reconfiguration, the commit snapshot and the tail truncate. No
+	// admitted batch is applied during it.
+	MaxIngestStallNs int64
+	// DroppedLoad / DroppedServiceLoad are the reconfiguration's
+	// conservation-ledger drops (serve.ReconfigStats).
 	DroppedLoad        int64
 	DroppedServiceLoad int64
 }

@@ -144,7 +144,6 @@ func TestReconfigRoundTrip(t *testing.T) {
 	// Graft names are deliberately not carried on the wire, so the
 	// round-trip fixture leaves them empty.
 	req := &ReconfigRequest{
-		Rolling: true,
 		Diff: topo.Diff{
 			Remove: []tree.NodeID{3, 9},
 			Add: []topo.Graft{
@@ -163,7 +162,7 @@ func TestReconfigRoundTrip(t *testing.T) {
 		t.Fatalf("got %+v, want %+v", got, req)
 	}
 
-	// Empty diff, non-rolling.
+	// Empty diff.
 	req2 := &ReconfigRequest{}
 	got2, err := ParseReconfig(AppendReconfig(nil, req2))
 	if err != nil {
@@ -171,6 +170,37 @@ func TestReconfigRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got2, req2) {
 		t.Fatalf("got %+v, want %+v", got2, req2)
+	}
+}
+
+// The TReconfig flags byte outlived the flavor bit it carried: older
+// clients still send bit 0, so a body with flags 1 must parse to exactly
+// the diff the same body with flags 0 does, while any other bit is still
+// rejected with the typed corrupt-frame error.
+func TestReconfigRetiredFlagBit(t *testing.T) {
+	body := AppendReconfig(nil, &ReconfigRequest{Diff: topo.Diff{
+		Remove:          []tree.NodeID{4},
+		SetBusBandwidth: []topo.BusBandwidth{{Node: 1, Bandwidth: 8}},
+	}})
+	if body[0] != 0 {
+		t.Fatalf("flags byte written as %#x, want 0", body[0])
+	}
+	want, err := ParseReconfig(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := append([]byte(nil), body...)
+	legacy[0] = 1
+	got, err := ParseReconfig(legacy)
+	if err != nil {
+		t.Fatalf("flags 1: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("flags 1 parsed to %+v, flags 0 to %+v", got, want)
+	}
+	legacy[0] = 2
+	if _, err := ParseReconfig(legacy); !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("flags 2: got %v, want ErrCorruptFrame", err)
 	}
 }
 
