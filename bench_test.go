@@ -12,7 +12,6 @@ package hbn
 //	go test -bench=. -benchmem
 
 import (
-	"math/rand"
 	"testing"
 
 	"hbn/internal/core"
@@ -22,7 +21,6 @@ import (
 	"hbn/internal/mapping"
 	"hbn/internal/nibble"
 	"hbn/internal/placement"
-	"hbn/internal/serve"
 	"hbn/internal/solverbench"
 	"hbn/internal/tree"
 	"hbn/internal/workload"
@@ -194,42 +192,6 @@ func BenchmarkEvaluateCold1000x64(b *testing.B) {
 		placement.Evaluate(t, res.Final)
 	}
 }
-
-// --- Serving-path benchmarks (PR 4) ---
-
-// benchIngest measures steady-state Cluster.Ingest throughput on the
-// drifting-Zipf trace (1024-request batches, threshold 8, epoch re-solve
-// off), with telemetry on or off.
-func benchIngest(b *testing.B, noTelemetry bool) {
-	b.Helper()
-	t := tree.SCICluster(8, 8, 32, 16)
-	const objects, batch = 256, 1024
-	trace := workload.DriftingZipf(rand.New(rand.NewSource(2000)), t, objects, 200000, 6, 1.0, 0.03)
-	c, err := serve.NewCluster(t, objects, serve.Options{Shards: 1, Threshold: 8, NoTelemetry: noTelemetry})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	n := 0
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Ingest(trace[n : n+batch]); err != nil {
-			b.Fatal(err)
-		}
-		n = (n + batch) % (len(trace) - batch)
-	}
-}
-
-// BenchmarkIngestBatch1024 is the serving hot path (pooled partition
-// scratch, ServeBatch, RecordBatch run folding) with telemetry at its
-// default: enabled. Allocations must stay ~0 (guarded by
-// TestIngestSteadyAllocs).
-func BenchmarkIngestBatch1024(b *testing.B) { benchIngest(b, false) }
-
-// BenchmarkIngestBatch1024Bare is the same path with Options.NoTelemetry.
-// CI compares it against BenchmarkIngestBatch1024 and fails if the
-// enabled-by-default telemetry costs more than 3% of ingest throughput.
-func BenchmarkIngestBatch1024Bare(b *testing.B) { benchIngest(b, true) }
 
 // BenchmarkLCACaterpillar measures the O(1) LCA on the topology where the
 // old parent-walk was O(n) per query.

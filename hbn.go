@@ -235,7 +235,7 @@ type (
 	// re-solve; see NewCluster.
 	Cluster = serve.Cluster
 	// ClusterOptions tune a Cluster (shards, epoch length, threshold,
-	// background re-solving).
+	// drift trigger, history decay).
 	ClusterOptions = serve.Options
 	// ClusterStats summarize a Cluster's served traffic and epoch passes.
 	ClusterStats = serve.Stats
@@ -259,8 +259,8 @@ type (
 	// SnapshotStats summarizes one Cluster.Snapshot call (image size, cut
 	// stall, encode and write times).
 	SnapshotStats = serve.SnapshotStats
-	// RestoreOptions choose the runtime shape (parallelism, background
-	// re-solving) of a restored Cluster.
+	// RestoreOptions choose the runtime shape (parallelism) of a restored
+	// Cluster.
 	RestoreOptions = serve.RestoreOptions
 	// RestoreInfo reports which snapshot generation a Restore recovered.
 	RestoreInfo = serve.RestoreInfo

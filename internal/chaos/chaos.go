@@ -109,13 +109,12 @@ type Options struct {
 	// WriteFrac is the write fraction of the generated traffic (default
 	// 0.1; a write storm is a scenario with WriteFrac near 1).
 	WriteFrac float64
-	// Shards / EpochRequests / Threshold / Background configure the
-	// cluster (serve.Options). Defaults: 4 shards, epoch every half of the
-	// total trace, threshold 3, background on.
+	// Shards / EpochRequests / Threshold configure the cluster
+	// (serve.Options). Defaults: 4 shards, epoch every half of the total
+	// trace, threshold 3.
 	Shards        int
 	EpochRequests int64
 	Threshold     int
-	Background    bool
 	// Warmup requests are ingested single-threaded before the concurrent
 	// phase, addressed uniformly over ALL leaves — doomed rings included —
 	// so tail-ring removals actually drop accumulated load and the
@@ -222,7 +221,6 @@ func Run(s Scenario, o Options) (*Result, error) {
 		Shards:        o.Shards,
 		EpochRequests: o.EpochRequests,
 		Threshold:     o.Threshold,
-		Background:    o.Background,
 		Parallelism:   2, // keep scheduler pressure bounded under -race
 	})
 	if err != nil {
@@ -349,7 +347,7 @@ func Run(s Scenario, o Options) (*Result, error) {
 		}
 	}
 
-	if o.Ingesters == 1 && !o.Background && !o.Jam {
+	if o.Ingesters == 1 && !o.Jam {
 		// Fully deterministic mode: one goroutine interleaves the script
 		// with the traffic at exact batch boundaries, so the same
 		// (scenario, seed) replays the identical execution — the

@@ -15,9 +15,8 @@ func TestCompoundScenarios(t *testing.T) {
 		t.Run(s.Name, func(t *testing.T) {
 			t.Parallel()
 			o := Options{
-				Seed:       1,
-				Jam:        true,
-				Background: true,
+				Seed: 1,
+				Jam:  true,
 				// Stretch the stream so scripted faults land mid-traffic
 				// instead of after it.
 				Pace: 100 * time.Microsecond,
@@ -66,9 +65,9 @@ func TestJammerNeverWedgesInjector(t *testing.T) {
 }
 
 // The determinism contract, pinned in its strongest form: with one
-// ingester, inline epoch passes, no jammer and faults keyed to exact
-// batch boundaries, two runs of the same (scenario, seed) produce
-// identical traffic accounting — requests, total cost, drops. (With
+// ingester, no jammer and faults keyed to exact batch boundaries, two
+// runs of the same (scenario, seed) produce identical traffic
+// accounting — requests, total cost, drops. (With
 // concurrency the interleaving varies and only the invariants are
 // stable; this configuration removes the concurrency.)
 func TestScriptedRunIsDeterministic(t *testing.T) {

@@ -7,8 +7,9 @@
 // The one structural decision everything else leans on: batches are
 // applied by a single sequential applier goroutine (parallelism lives
 // inside Cluster.Ingest's shard-parallel path, not across batches), and
-// the cluster runs with Background off. That gives every applied batch a
-// place in one total order, recorded in the sequence-numbered tail log —
+// every epoch pass runs inline on the Ingest call that crosses it. That
+// gives every applied batch a place in one total order, recorded in the
+// sequence-numbered tail log, and every epoch pass a fixed place in it —
 // which is what makes restart and handoff bit-identical: snapshot +
 // ordered tail replay reproduces exactly the serving state of the
 // uninterrupted process (the serve.TestSnapshotRestoreIdentity
@@ -52,12 +53,10 @@ type Config struct {
 	NumObjects   int
 
 	// Cluster tuning (as in serve.Options).
-	EpochRequests  int64
-	Threshold      int
-	Shards         int
-	WriteBudget    int
-	BandwidthAware bool
-	Parallelism    int
+	EpochRequests int64
+	Threshold     int
+	Shards        int
+	Parallelism   int
 
 	// QueueCap bounds the admission queue; a batch arriving with the
 	// queue full is shed with a typed overload reply, never queued. <= 0
@@ -216,12 +215,10 @@ func (d *Daemon) openState() error {
 	case errors.Is(err, snapshot.ErrNoSnapshot):
 		t := tree.SCICluster(cfg.Switches, cfg.ProcsPerRing, cfg.RingBW, cfg.SwitchBW)
 		cl, err = serve.NewCluster(t, cfg.NumObjects, serve.Options{
-			Shards:         cfg.Shards,
-			EpochRequests:  cfg.EpochRequests,
-			Threshold:      cfg.Threshold,
-			Parallelism:    cfg.Parallelism,
-			WriteBudget:    cfg.WriteBudget,
-			BandwidthAware: cfg.BandwidthAware,
+			Shards:        cfg.Shards,
+			EpochRequests: cfg.EpochRequests,
+			Threshold:     cfg.Threshold,
+			Parallelism:   cfg.Parallelism,
 		})
 		if err != nil {
 			return fmt.Errorf("hbnd: cold start: %w", err)

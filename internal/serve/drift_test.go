@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hbn/internal/tree"
@@ -106,5 +107,36 @@ func TestDriftTriggerFlipsHotspotResolveLoss(t *testing.T) {
 	}
 	if fixed.Stats().DriftEpochs == 0 {
 		t.Fatal("the drift trigger never fired")
+	}
+}
+
+// History is forgotten by one rule only: DecayShift halving. Arming the
+// drift trigger must not change what the epoch fold keeps, so a trigger
+// that is armed but can never fire (DriftThreshold 3 lies above the
+// magnitude's [0,2] range) serves exactly like no trigger at all: the
+// same epoch log (wall times aside) and the same edge loads.
+func TestOneForgettingRule(t *testing.T) {
+	tr := tree.SCICluster(4, 6, 16, 8)
+	const objects = 24
+	trace := workload.DriftingZipf(rand.New(rand.NewSource(9)), tr, objects, 30000, 6, 1.0, 0.05)
+
+	plain := Options{Shards: 4, EpochRequests: 1000, Threshold: 6, DecayShift: 1}
+	armed := plain
+	armed.DriftThreshold = 3
+
+	a := driftServeAll(t, tr, objects, trace, plain)
+	b := driftServeAll(t, tr, objects, trace, armed)
+	la, lb := a.EpochLog(), b.EpochLog()
+	if len(la) != len(lb) || len(la) == 0 {
+		t.Fatalf("epoch passes: %d unarmed, %d armed", len(la), len(lb))
+	}
+	for i := range la {
+		la[i].ResolveNs, lb[i].ResolveNs = 0, 0
+		if la[i] != lb[i] {
+			t.Fatalf("epoch %d differs once the trigger is armed:\n unarmed %+v\n armed   %+v", i+1, la[i], lb[i])
+		}
+	}
+	if !slices.Equal(a.EdgeLoad(), b.EdgeLoad()) {
+		t.Fatal("edge loads differ once the trigger is armed")
 	}
 }

@@ -55,3 +55,37 @@ func TestIngestSteadyAllocs(t *testing.T) {
 		t.Errorf("steady-state Ingest allocates %.1f allocs/op, want ~0 (<= 2)", allocs)
 	}
 }
+
+// benchIngest measures steady-state Cluster.Ingest throughput on the
+// drifting-Zipf trace (1024-request batches, threshold 8, epoch re-solve
+// off), with telemetry on or off.
+func benchIngest(b *testing.B, telemetry bool) {
+	b.Helper()
+	t := tree.SCICluster(8, 8, 32, 16)
+	const objects, batch = 256, 1024
+	trace := workload.DriftingZipf(rand.New(rand.NewSource(2000)), t, objects, 200000, 6, 1.0, 0.03)
+	c, err := newCluster(t, objects, Options{Shards: 1, Threshold: 8}, telemetry)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Ingest(trace[n : n+batch]); err != nil {
+			b.Fatal(err)
+		}
+		n = (n + batch) % (len(trace) - batch)
+	}
+}
+
+// BenchmarkIngestBatch1024 is the serving hot path (pooled partition
+// scratch, ServeBatch, RecordBatch) with telemetry at its default:
+// enabled. Allocations must stay ~0 (guarded by TestIngestSteadyAllocs).
+func BenchmarkIngestBatch1024(b *testing.B) { benchIngest(b, true) }
+
+// BenchmarkIngestBatch1024Bare is the same path on a cluster built
+// without telemetry. CI compares it against BenchmarkIngestBatch1024 and
+// fails if the enabled-by-default telemetry costs more than 3% of ingest
+// throughput.
+func BenchmarkIngestBatch1024Bare(b *testing.B) { benchIngest(b, false) }

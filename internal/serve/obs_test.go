@@ -159,17 +159,17 @@ func TestObsIngestHistogram(t *testing.T) {
 	}
 }
 
-// TestNoTelemetry pins the disable switch used by the overhead-guard
-// baseline: no registry, and serving still works.
+// TestNoTelemetry pins the bare cluster the overhead-guard baseline
+// builds: no registry, and serving still works.
 func TestNoTelemetry(t *testing.T) {
 	tr := tree.SCICluster(3, 3, 8, 4)
-	c, err := NewCluster(tr, 8, Options{Threshold: 3, NoTelemetry: true})
+	c, err := newCluster(tr, 8, Options{Threshold: 3}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	if c.Obs() != nil {
-		t.Fatal("Obs() should be nil with NoTelemetry")
+		t.Fatal("Obs() should be nil without telemetry")
 	}
 	leaf := tr.Leaves()[0]
 	if _, err := c.Ingest([]Request{{Object: 1, Node: leaf, Write: false}}); err != nil {

@@ -12,11 +12,13 @@ import (
 )
 
 // Race-stress: N goroutines ingest disjoint slices of one trace
-// concurrently while background epoch re-solves adopt fresh placements
-// into the shards. Run under -race in CI. The conservation law checked at
-// the end — total served requests and total returned service cost equal
-// the sums of the per-shard counters, and the aggregate service load sums
-// to the same cost — holds for every interleaving.
+// concurrently. Each epoch pass runs inline on the Ingest call that
+// crossed the boundary and adopts fresh placements into the shards while
+// the other ingesters' batches keep serving. Run under -race in CI. The
+// conservation law checked at the end — total served requests and total
+// returned service cost equal the sums of the per-shard counters, and the
+// aggregate service load sums to the same cost — holds for every
+// interleaving.
 func TestClusterRaceStress(t *testing.T) {
 	tr := tree.SCICluster(3, 5, 16, 8)
 	const (
@@ -32,7 +34,6 @@ func TestClusterRaceStress(t *testing.T) {
 		Shards:        4,
 		EpochRequests: 900,
 		Threshold:     3,
-		Background:    true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -57,8 +58,7 @@ func TestClusterRaceStress(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	// One synchronous pass drains any drift the background loop has not
-	// picked up yet, then the loop stops.
+	// One synchronous pass folds the drift served since the last crossing.
 	if err := c.ResolveNow(); err != nil {
 		t.Fatal(err)
 	}
@@ -95,15 +95,15 @@ func TestClusterRaceStress(t *testing.T) {
 
 // Race-stress for live reconfiguration: ingesters hammer the stable rings
 // while a reconfigurer repeatedly fails the tail ring out of the fabric
-// and grafts a replacement back in, with background epoch passes enabled
-// throughout. Run under -race in CI. The tree is laid out so the doomed
-// ring occupies the tail IDs: removals and re-grafts leave every stable
-// leaf's ID unchanged, which is what lets the ingesters keep publishing
-// batches without coordinating on remaps. Checked at the end: no Ingest
-// or Reconfigure error, exact request conservation across all topology
-// generations, every object still holds copies, and the service loads
-// never exceed the returned costs (removed switches may take dropped
-// service history with them, never add any).
+// and grafts a replacement back in, and the ingesters' crossings run
+// inline epoch passes throughout. Run under -race in CI. The tree is laid
+// out so the doomed ring occupies the tail IDs: removals and re-grafts
+// leave every stable leaf's ID unchanged, which is what lets the
+// ingesters keep publishing batches without coordinating on remaps.
+// Checked at the end: no Ingest or Reconfigure error, exact request
+// conservation across all topology generations, every object still holds
+// copies, and the service loads never exceed the returned costs (removed
+// switches may take dropped service history with them, never add any).
 func TestReconfigureRaceStress(t *testing.T) {
 	tr := tree.SCICluster(4, 6, 32, 16) // ring3 (bus 22, procs 23..28) is the doomed tail
 	const (
@@ -134,7 +134,6 @@ func TestReconfigureRaceStress(t *testing.T) {
 		Shards:        4,
 		EpochRequests: 700,
 		Threshold:     3,
-		Background:    true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -111,11 +111,6 @@ type Options struct {
 	// Parallelism bounds the workers serving shards of one batch and the
 	// solver's object-parallel stages. <= 0 means GOMAXPROCS.
 	Parallelism int
-	// Background runs epoch passes on a background goroutine, overlapping
-	// re-solves with ingestion; Close must be called to stop it. When
-	// false, the Ingest call that crosses an epoch boundary runs the pass
-	// inline (deterministic, for tests and benchmarks).
-	Background bool
 	// DecayShift ages the solver's view of each drifted object at every
 	// epoch pass: the retained frequencies are halved DecayShift times
 	// before the new epoch's observations are added (an exponentially
@@ -125,17 +120,11 @@ type Options struct {
 	// average. Objects with no new traffic keep their frequencies either
 	// way, so the incremental Resolve contract is preserved.
 	DecayShift uint
-	// NoTelemetry disables the cluster's obs registry: Obs returns nil
-	// and the serving paths skip all counter/histogram updates. Telemetry
-	// is on by default and costs a handful of uncontended atomic adds per
-	// batch (pinned within 3% of the bare path by the CI overhead guard);
-	// this switch exists for that guard's baseline measurement, not for
-	// production use.
-	NoTelemetry bool
-	// FlightRecorderSize bounds the obs flight recorder (most recent N
-	// structural events, rounded up to a power of two). <= 0 means 1024.
-	FlightRecorderSize int
 }
+
+// flightRecorderSize bounds the obs flight recorder: the most recent 1024
+// structural events.
+const flightRecorderSize = 1024
 
 // validate rejects option values that would silently change serving
 // semantics if coerced. Shards <= 0 meaning 1 and Parallelism <= 0 meaning
@@ -230,10 +219,10 @@ type shard struct {
 	strat   *dynamic.Strategy
 	tracker *dynamic.OfflineTracker
 	cost    int64 // total service cost of this shard
-	// obsb is this shard's padded telemetry counter block (nil with
-	// Options.NoTelemetry). Held directly so the per-batch booking is a
-	// concrete atomic add on the shard's own cache line — no interface
-	// dispatch, no sharing with neighbouring shards.
+	// obsb is this shard's padded telemetry counter block (nil without
+	// telemetry; see newCluster). Held directly so the per-batch booking
+	// is a concrete atomic add on the shard's own cache line — no
+	// interface dispatch, no sharing with neighbouring shards.
 	obsb *obs.Block
 	// onNew marks that a staged reconfiguration has already migrated this
 	// shard onto the roll's new tree (guarded by mu; reset under the full
@@ -386,22 +375,13 @@ type Cluster struct {
 	fold       []shardFold // per-shard scratch of the epoch pass
 	stats      Stats
 	epochLog   []EpochStat
-	lastErr    error  // most recent background pass failure
 	snapSeq    uint64 // monotone snapshot sequence number (see Snapshot)
 
 	served  atomic.Int64
 	closed  atomic.Bool
 	closeMu sync.RWMutex // the ingest gate; see quiesce
-	trigger chan struct{}
-	// driftTrigger is the background-mode channel of the drift-magnitude
-	// trigger: a crossing of the DriftCheckRequests cadence enqueues a
-	// (coalescing) check here; the loop measures and fires a pass only
-	// when the measured drift clears DriftThreshold.
-	driftTrigger chan struct{}
-	done         chan struct{}
-	wg           sync.WaitGroup
 
-	// obs is the cluster's telemetry registry (nil with NoTelemetry).
+	// obs is the cluster's telemetry registry (nil without telemetry).
 	// All registry state is atomic; hot paths hold direct pointers into
 	// it (each shard's obsb block).
 	obs *obs.Registry
@@ -422,27 +402,32 @@ type Cluster struct {
 	rollHook func(migrated int)
 }
 
-// quiesce write-acquires the ingest gate, runs fn (which may be nil) and
-// releases. This is the cluster's one gating primitive: returning
-// guarantees that every gated call — Ingest batches, load accessors —
-// that began before quiesce has fully finished, that none started while
-// fn ran, and that fn's writes are visible to every gated call that
-// starts afterwards. Close uses it as a pure barrier to wait out
-// in-flight batches; the reconfiguration paths use it to publish
-// topology-generation changes (the roll state, the tree swap) atomically
-// with respect to serving.
+// quiesce write-acquires the ingest gate, runs fn and releases. This is
+// the cluster's one gating primitive: returning guarantees that every
+// gated call — Ingest batches, load accessors — that began before quiesce
+// has fully finished, that none started while fn ran, and that fn's
+// writes are visible to every gated call that starts afterwards. The
+// reconfiguration and snapshot paths use it to publish
+// topology-generation changes (the roll state, the tree swap) and to take
+// consistent cuts atomically with respect to serving.
 func (c *Cluster) quiesce(fn func()) {
 	c.closeMu.Lock()
 	defer c.closeMu.Unlock()
-	if fn != nil {
-		fn()
-	}
+	fn()
 }
 
 // NewCluster creates a cluster for numObjects objects on t. The tree must
 // be a valid hierarchical bus network. Invalid options are rejected with
 // an error satisfying errors.Is(err, ErrBadOptions).
 func NewCluster(t *tree.Tree, numObjects int, opts Options) (*Cluster, error) {
+	return newCluster(t, numObjects, opts, true)
+}
+
+// newCluster is NewCluster with telemetry selectable. Without it Obs
+// returns nil and the serving paths skip every counter and histogram
+// update; that bare cluster exists only as the baseline of the telemetry
+// overhead benchmark, so the switch is not part of Options.
+func newCluster(t *tree.Tree, numObjects int, opts Options, telemetry bool) (*Cluster, error) {
 	if numObjects < 0 {
 		return nil, fmt.Errorf("serve: negative object count %d", numObjects)
 	}
@@ -471,12 +456,8 @@ func NewCluster(t *tree.Tree, numObjects int, opts Options) (*Cluster, error) {
 		w:          workload.New(numObjects, t.Len()),
 		prev:       workload.New(numObjects, t.Len()),
 	}
-	if !opts.NoTelemetry {
-		fr := opts.FlightRecorderSize
-		if fr <= 0 {
-			fr = 1024
-		}
-		c.obs = obs.NewRegistry(opts.Shards, fr)
+	if telemetry {
+		c.obs = obs.NewRegistry(opts.Shards, flightRecorderSize)
 	}
 	for i := range c.shards {
 		// Threshold validity was checked above, so New cannot fail here.
@@ -497,13 +478,6 @@ func NewCluster(t *tree.Tree, numObjects int, opts Options) (*Cluster, error) {
 		sc.serve = sc.serveShard // bind once; per-call closures would allocate
 		return sc
 	}
-	if opts.Background {
-		c.trigger = make(chan struct{}, 1)
-		c.driftTrigger = make(chan struct{}, 1)
-		c.done = make(chan struct{})
-		c.wg.Add(1)
-		go c.loop()
-	}
 	return c, nil
 }
 
@@ -521,8 +495,8 @@ func (c *Cluster) dynOpts() dynamic.Options {
 // Ingest serves one batch of requests and returns its total service cost.
 // Requests are partitioned onto their owner shards and served in parallel;
 // concurrent Ingest calls are safe (shards serialize internally). If the
-// batch crosses an epoch boundary, the epoch pass runs inline (or is
-// handed to the background loop when Options.Background is set). While a
+// batch crosses an epoch boundary (or a drift check that clears
+// DriftThreshold), this call runs the epoch pass before returning. While a
 // staged reconfiguration is in flight the inline pass is skipped — the
 // roll itself ends with a full re-solve and adoption, and blocking a
 // serving batch behind the whole roll would defeat its stall bound; the
@@ -550,12 +524,9 @@ func (c *Cluster) Ingest(batch []Request) (int64, error) {
 }
 
 // serveGated validates, partitions and serves one batch under the ingest
-// gate's read side. In background mode an epoch or drift-check crossing
-// enqueues the matching (non-blocking) trigger here, still under the gate,
-// so Close's quiesce barrier keeps its guarantee that no drained batch is
-// about to enqueue one; in inline mode crossed/driftCheck tell Ingest to
-// run the work AFTER releasing the gate. Nothing that runs under the gate
-// may wait on epochMu — crossing detection is pure counter arithmetic.
+// gate's read side. crossed/driftCheck tell Ingest to run the epoch work
+// AFTER releasing the gate: nothing that runs under the gate may wait on
+// epochMu — crossing detection is pure counter arithmetic.
 func (c *Cluster) serveGated(batch []Request) (total int64, crossed, driftCheck bool, err error) {
 	c.closeMu.RLock()
 	defer c.closeMu.RUnlock()
@@ -592,26 +563,9 @@ func (c *Cluster) serveGated(batch []Request) (total int64, crossed, driftCheck 
 	}
 	after := c.served.Add(int64(len(batch)))
 	before := after - int64(len(batch))
-	if e := c.opts.EpochRequests; e > 0 && before/e != after/e {
-		if c.opts.Background {
-			select {
-			case c.trigger <- struct{}{}:
-			default: // a pass is already pending; it will see our drift
-			}
-		} else {
-			crossed = true
-		}
-	}
-	if d := c.opts.DriftCheckRequests; c.opts.DriftThreshold > 0 && d > 0 && before/d != after/d {
-		if c.opts.Background {
-			select {
-			case c.driftTrigger <- struct{}{}:
-			default: // a check is already pending; it will see our drift
-			}
-		} else {
-			driftCheck = true
-		}
-	}
+	e, d := c.opts.EpochRequests, c.opts.DriftCheckRequests
+	crossed = e > 0 && before/e != after/e
+	driftCheck = c.opts.DriftThreshold > 0 && d > 0 && before/d != after/d
 	return total, crossed, driftCheck, nil
 }
 
@@ -634,9 +588,9 @@ func (c *Cluster) resolveEpoch(trigger string) error {
 }
 
 // maybeDriftEpoch measures the drift magnitude and runs an epoch pass only
-// when it clears DriftThreshold — the drift-triggered path of Ingest and
-// the background loop. Like resolveEpoch it serializes on epochMu alone
-// and must be called outside the ingest gate.
+// when it clears DriftThreshold — the drift-triggered path of Ingest. Like
+// resolveEpoch it serializes on epochMu alone and must be called outside
+// the ingest gate.
 func (c *Cluster) maybeDriftEpoch() error {
 	c.epochMu.Lock()
 	defer c.epochMu.Unlock()
@@ -796,7 +750,6 @@ func (c *Cluster) foldShard(_, si int) {
 	sh, f := c.shards[si], &c.fold[si]
 	leaves := c.t.Leaves()
 	shift := c.opts.DecayShift
-	armed := c.opts.DriftThreshold > 0
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	f.changed = sh.tracker.DrainDrifted(f.changed[:0])
@@ -806,31 +759,14 @@ func (c *Cluster) foldShard(_, si int) {
 		row := shw.Row(x)
 		dTot, d := c.objectDriftLocked(row, x, leaves)
 		f.drift = append(f.drift, objDrift{dTot, d})
-		// With the drift trigger armed, the fold also discounts the
-		// object's decayed history by its measured drift: an object whose
-		// new traffic lands where the old did (d near 0) keeps its full
-		// decayed mass, one whose traffic moved to entirely different
-		// processors (d near 2) forgets the stale history outright —
-		// otherwise the solver keeps placing for a distribution that no
-		// longer exists for several folds after a phase shift, and the
-		// adopted placement lags the traffic.
-		keep := 1.0
-		if armed && d > 0 {
-			keep = 1 - d/2
-		}
 		prev, solved := c.prev.Row(x), c.w.Row(x)
 		for _, v := range leaves {
 			// Both reads precede the writes below, which update the very
 			// rows they were read from.
 			cur, old, was := row[v], prev[v], solved[v]
-			r, w := was.Reads>>shift, was.Writes>>shift
-			if keep < 1 {
-				r = int64(float64(r) * keep)
-				w = int64(float64(w) * keep)
-			}
 			c.w.Set(x, v, workload.Access{
-				Reads:  r + cur.Reads - old.Reads,
-				Writes: w + cur.Writes - old.Writes,
+				Reads:  was.Reads>>shift + cur.Reads - old.Reads,
+				Writes: was.Writes>>shift + cur.Writes - old.Writes,
 			})
 			c.prev.Set(x, v, cur)
 		}
@@ -947,79 +883,14 @@ func triggerCode(trigger string) int64 {
 	}
 }
 
-// loop is the background epoch runner.
-func (c *Cluster) loop() {
-	defer c.wg.Done()
-	for {
-		select {
-		case <-c.done:
-			return
-		case <-c.trigger:
-			// A failing pass leaves serving untouched; the error is
-			// retained (LastResolveErr, also returned by Close) so silent
-			// degradation to the no-re-solve baseline is observable.
-			if err := c.resolveEpoch(TriggerCadence); err != nil {
-				c.epochMu.Lock()
-				c.lastErr = err
-				c.epochMu.Unlock()
-			}
-		case <-c.driftTrigger:
-			if err := c.maybeDriftEpoch(); err != nil {
-				c.epochMu.Lock()
-				c.lastErr = err
-				c.epochMu.Unlock()
-			}
-		}
-	}
-}
-
-// LastResolveErr returns the most recent background epoch-pass error, or
-// nil. Synchronous passes (inline crossings, ResolveNow) report their
-// errors directly to the caller instead.
-func (c *Cluster) LastResolveErr() error {
-	c.epochMu.Lock()
-	defer c.epochMu.Unlock()
-	return c.lastErr
-}
-
-// Close stops the background epoch loop (if any) and returns the last
-// background re-solve error, if one occurred. The cluster rejects further
-// Ingest/ResolveNow calls; accessors stay usable.
+// Close marks the cluster closed: Ingest, ResolveNow and Reconfigure then
+// fail with ErrClosed, while accessors and Snapshot stay usable. Every
+// epoch pass runs on the call that triggered it, so there is nothing to
+// stop or drain and Close always returns nil; the error result keeps
+// Cluster an io.Closer.
 func (c *Cluster) Close() error {
-	if c.closed.Swap(true) {
-		return nil
-	}
-	if c.opts.Background {
-		close(c.done)
-		c.wg.Wait()
-		// Wait out in-flight Ingest calls: after the quiesce barrier, no
-		// batch that passed the closed check can still be serving (or about
-		// to enqueue a trigger).
-		c.quiesce(nil)
-		// A trigger enqueued after the loop's final select would be
-		// dropped, abandoning the drift it announced; drain it with one
-		// last synchronous pass (a no-op when ResolveNow already ran). A
-		// pending drift check is drained the same way — it may decline.
-		select {
-		case <-c.trigger:
-			if err := c.resolveEpoch(TriggerCadence); err != nil {
-				c.epochMu.Lock()
-				c.lastErr = err
-				c.epochMu.Unlock()
-			}
-		default:
-		}
-		select {
-		case <-c.driftTrigger:
-			if err := c.maybeDriftEpoch(); err != nil {
-				c.epochMu.Lock()
-				c.lastErr = err
-				c.epochMu.Unlock()
-			}
-		default:
-		}
-	}
-	return c.LastResolveErr()
+	c.closed.Store(true)
+	return nil
 }
 
 // EdgeLoad returns the aggregate per-edge load (request service plus
@@ -1165,9 +1036,9 @@ func (c *Cluster) EpochLog() []EpochStat {
 // Shards returns the shard count.
 func (c *Cluster) Shards() int { return len(c.shards) }
 
-// Obs returns the cluster's telemetry registry, or nil when the cluster
-// was built with Options.NoTelemetry. The registry is live: counters and
-// histograms may be read at any time (they are exact once all concurrent
+// Obs returns the cluster's telemetry registry (nil only for the bare
+// baseline cluster of the telemetry overhead benchmark). The registry is
+// live: counters and histograms may be read at any time (they are exact once all concurrent
 // Ingest calls have returned, like Stats), and the per-shard event/cost
 // counters reconcile exactly with Stats' conservation ledger at
 // quiescence — the chaos harness asserts that equality after every run.

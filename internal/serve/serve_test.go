@@ -277,44 +277,3 @@ func TestClusterValidationAndClose(t *testing.T) {
 		t.Fatal("resolve after Close should fail")
 	}
 }
-
-// A background cluster runs its epoch passes on its own goroutine; after
-// Close, at least one pass must have happened and conservation holds.
-func TestClusterBackgroundEpochs(t *testing.T) {
-	tr := tree.BalancedKAry(2, 3, 0)
-	const objects = 8
-	trace := workload.Diurnal(rand.New(rand.NewSource(3)), tr, objects, 6000, 1500, 0.1)
-	c, err := NewCluster(tr, objects, Options{Shards: 2, EpochRequests: 500, Threshold: 2, Background: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total int64
-	for i := 0; i < len(trace); i += 200 {
-		cost, err := c.Ingest(trace[i : i+200])
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += cost
-	}
-	// Flush the last pending trigger deterministically, then stop.
-	if err := c.ResolveNow(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st := c.Stats()
-	if st.Epochs == 0 {
-		t.Fatal("background loop never resolved")
-	}
-	if st.Requests != int64(len(trace)) || st.ServiceCost != total {
-		t.Fatalf("conservation violated: %+v vs served %d cost %d", st, len(trace), total)
-	}
-	var sum int64
-	for _, l := range c.ServiceLoad() {
-		sum += l
-	}
-	if sum != total {
-		t.Fatalf("service load sum %d != returned cost %d", sum, total)
-	}
-}

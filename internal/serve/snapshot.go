@@ -34,13 +34,10 @@ type SnapshotStats struct {
 
 // RestoreOptions tune the cluster a Restore builds. Everything that
 // affects serving decisions travels inside the snapshot; only the
-// scheduling knobs — which never change results — are chosen here.
+// scheduling knob — which never changes results — is chosen here.
 type RestoreOptions struct {
 	// Parallelism bounds batch-serving and solver workers (as in Options).
 	Parallelism int
-	// Background runs epoch passes on a background goroutine (as in
-	// Options).
-	Background bool
 }
 
 // RestoreInfo reports which generation a Restore recovered.
@@ -233,8 +230,9 @@ func Restore(path string, opts RestoreOptions) (*Cluster, *RestoreInfo, error) {
 // the solver is re-armed with a full Solve over the restored frequency
 // view, which by the Resolve ≡ fresh-Solve contract yields the same
 // future epoch placements the source would have produced. Parallelism
-// and Background may differ from the source — both are scheduling knobs
-// whose results are bit-identical by construction.
+// may differ from the source: every parallel stage of serving and of the
+// epoch pass is bit-identical to its sequential order (the property
+// TestEpochPassParallelBitIdentical pins).
 func RestoreState(st *snapshot.State, opts RestoreOptions) (*Cluster, error) {
 	nshards := len(st.ShardStates)
 	if nshards == 0 {
@@ -278,7 +276,6 @@ func RestoreState(st *snapshot.State, opts RestoreOptions) (*Cluster, error) {
 		EpochRequests:      st.EpochRequests,
 		Threshold:          st.Threshold,
 		Parallelism:        opts.Parallelism,
-		Background:         opts.Background,
 		DecayShift:         uint(st.DecayShift),
 		BandwidthAware:     st.BandwidthAware,
 		WriteBudget:        st.WriteBudget,
@@ -289,15 +286,12 @@ func RestoreState(st *snapshot.State, opts RestoreOptions) (*Cluster, error) {
 		return nil, fmt.Errorf("%w: %v", snapshot.ErrCorrupt, err)
 	}
 	if err := c.installState(st); err != nil {
-		c.Close()
 		return nil, err
 	}
 	return c, nil
 }
 
-// installState populates a freshly built cluster from st under epochMu
-// (split out of RestoreState so the failure path can Close the cluster
-// after the lock is released — Close itself takes epochMu).
+// installState populates a freshly built cluster from st under epochMu.
 func (c *Cluster) installState(st *snapshot.State) error {
 	nshards := len(c.shards)
 	c.epochMu.Lock()

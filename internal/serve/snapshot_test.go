@@ -341,7 +341,7 @@ func TestSnapshotAfterClose(t *testing.T) {
 	tr := testTrees(rand.New(rand.NewSource(3)))[3].tr
 	const objects = 32
 	trace := workload.DriftingZipf(rand.New(rand.NewSource(5)), tr, objects, 3000, 3, 1.0, 0.05)
-	c, err := NewCluster(tr, objects, Options{Shards: 4, EpochRequests: 700, Threshold: 3, Background: true})
+	c, err := NewCluster(tr, objects, Options{Shards: 4, EpochRequests: 700, Threshold: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

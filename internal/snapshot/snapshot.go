@@ -97,8 +97,8 @@ type State struct {
 
 	// Pinned semantic options: a restored cluster must reproduce the
 	// original's serving decisions bit-for-bit, so everything that affects
-	// them travels in the snapshot. (Parallelism and Background affect
-	// only scheduling, never results, and are chosen at restore time.)
+	// them travels in the snapshot. (Parallelism affects only scheduling,
+	// never results, and is chosen at restore time.)
 	EpochRequests int64
 	Threshold     int
 	DecayShift    uint32
