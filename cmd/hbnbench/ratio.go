@@ -169,7 +169,7 @@ func runRatioBench(quick bool, seed int64) ([]jsonRatio, error) {
 		// cadence stretched 5x, since the trigger catches real shifts and
 		// each cadence adoption churns copy sets whether or not traffic
 		// moved.
-		pre := serve.Options{Shards: shards, EpochRequests: epoch, Threshold: 8, DecayShift: 1}
+		pre := serve.Options{Shards: shards, EpochRequests: epoch, Threshold: 8}
 		post := pre
 		post.EpochRequests = 5 * epoch
 		post.BandwidthAware = true

@@ -150,7 +150,7 @@ func runReconfigBench(quick bool, seed int64) ([]jsonReconfig, error) {
 	}
 	var out []jsonReconfig
 	for _, sc := range scenarios {
-		opts := serve.Options{Shards: shards, EpochRequests: epoch, Threshold: 8, DecayShift: 1}
+		opts := serve.Options{Shards: shards, EpochRequests: epoch, Threshold: 8}
 		c, err := serve.NewCluster(t, objects, opts)
 		if err != nil {
 			return nil, err

@@ -113,7 +113,6 @@ func runServeBench(quick bool, seed int64) ([]jsonServe, error) {
 				Shards:        shards,
 				EpochRequests: epochReqs,
 				Threshold:     8,
-				DecayShift:    1, // track the phases, not the all-time average
 			})
 			if err != nil {
 				return nil, 0, err

@@ -29,7 +29,6 @@ func main() {
 			Shards:        4,
 			EpochRequests: epoch,
 			Threshold:     6,
-			DecayShift:    1,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -35,7 +35,6 @@ func main() {
 		Shards:        4,
 		EpochRequests: 2000,
 		Threshold:     6,
-		DecayShift:    1,
 	})
 	if err != nil {
 		log.Fatal(err)

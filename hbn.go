@@ -235,7 +235,8 @@ type (
 	// re-solve; see NewCluster.
 	Cluster = serve.Cluster
 	// ClusterOptions tune a Cluster (shards, epoch length, threshold,
-	// drift trigger, history decay).
+	// drift trigger). Every epoch pass halves the solver's history of each
+	// drifted object once; there is no option for it.
 	ClusterOptions = serve.Options
 	// ClusterStats summarize a Cluster's served traffic and epoch passes.
 	ClusterStats = serve.Stats
@@ -285,8 +286,9 @@ var (
 	// ErrClusterClosed: the operation raced with or followed Cluster.Close.
 	ErrClusterClosed = serve.ErrClosed
 	// ErrBadClusterOptions: NewCluster rejected an out-of-range
-	// ClusterOptions value (Threshold < 1, negative cadences, DecayShift
-	// > 63, or a drift trigger with no check cadence).
+	// ClusterOptions value (Threshold < 1, negative cadences or budgets, a
+	// NaN or negative drift threshold, or a drift trigger with no check
+	// cadence).
 	ErrBadClusterOptions = serve.ErrBadOptions
 	// ErrBadOnlineOptions: NewOnline rejected its options (threshold < 1).
 	ErrBadOnlineOptions = dynamic.ErrBadOptions

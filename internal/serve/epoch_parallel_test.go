@@ -15,7 +15,7 @@ import (
 
 // The epoch pass folds drift and adopts placements shard-parallel, and the
 // solver re-evaluates in parallel; none of it may change a bit of the
-// result. Over a drifting trace with the drift trigger armed and decay on,
+// result. Over a drifting trace with the drift trigger armed,
 // clusters at Parallelism 1 and 4 must agree exactly — epoch log (drift
 // magnitudes included), aggregate loads, every copy set and the snapshot
 // image (wall-clock fields blanked) — for every shard count. Before each
@@ -34,7 +34,7 @@ func TestEpochPassParallelBitIdentical(t *testing.T) {
 			checked := 0
 			for i, parallelism := range []int{1, 4} {
 				c, err := NewCluster(tr, objects, Options{
-					Shards: shards, EpochRequests: 2000, Threshold: 3, DecayShift: 1,
+					Shards: shards, EpochRequests: 2000, Threshold: 3,
 					DriftThreshold: 0.1, DriftCheckRequests: 400, Parallelism: parallelism,
 				})
 				if err != nil {

@@ -25,7 +25,6 @@ func TestNewClusterRejectsBadOptions(t *testing.T) {
 		{"negative threshold", Options{Threshold: -2}, true},
 		{"negative write budget", Options{Threshold: 4, WriteBudget: -1}, true},
 		{"negative epoch cadence", Options{Threshold: 4, EpochRequests: -100}, true},
-		{"decay shift discards everything", Options{Threshold: 4, DecayShift: 64}, true},
 		{"NaN drift threshold", Options{Threshold: 4, DriftThreshold: math.NaN()}, true},
 		{"negative drift threshold", Options{Threshold: 4, DriftThreshold: -0.5}, true},
 		{"negative drift cadence", Options{Threshold: 4, DriftThreshold: 0.2, DriftCheckRequests: -1}, true},
@@ -33,7 +32,7 @@ func TestNewClusterRejectsBadOptions(t *testing.T) {
 		{"minimal valid", Options{Threshold: 1}, false},
 		{"derived drift cadence", Options{Threshold: 4, EpochRequests: 800, DriftThreshold: 0.2}, false},
 		{"explicit drift cadence", Options{Threshold: 4, DriftThreshold: 0.2, DriftCheckRequests: 50}, false},
-		{"full opt-in", Options{Threshold: 8, EpochRequests: 400, DecayShift: 1,
+		{"full opt-in", Options{Threshold: 8, EpochRequests: 400,
 			BandwidthAware: true, WriteBudget: 8, DriftThreshold: 0.15, DriftCheckRequests: 25}, false},
 	}
 	for _, tc := range cases {

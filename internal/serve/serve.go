@@ -61,8 +61,8 @@ var ErrClosed = errors.New("serve: cluster is closed")
 
 // ErrBadOptions reports an invalid Options value, matched with errors.Is
 // through the wrapped error NewCluster returns. Out-of-range values are
-// rejected instead of coerced: a negative epoch cadence or a 65-bit decay
-// shift is always a caller bug, and serving with silently substituted
+// rejected instead of coerced: a negative epoch cadence or a NaN drift
+// threshold is always a caller bug, and serving with silently substituted
 // options makes the recorded stats unreproducible.
 var ErrBadOptions = errors.New("serve: invalid options")
 
@@ -111,15 +111,6 @@ type Options struct {
 	// Parallelism bounds the workers serving shards of one batch and the
 	// solver's object-parallel stages. <= 0 means GOMAXPROCS.
 	Parallelism int
-	// DecayShift ages the solver's view of each drifted object at every
-	// epoch pass: the retained frequencies are halved DecayShift times
-	// before the new epoch's observations are added (an exponentially
-	// weighted window, frequency' = frequency>>DecayShift + delta). 0
-	// keeps the full cumulative history — right for stationary traffic;
-	// 1–2 makes re-solving track phase shifts instead of the all-time
-	// average. Objects with no new traffic keep their frequencies either
-	// way, so the incremental Resolve contract is preserved.
-	DecayShift uint
 }
 
 // flightRecorderSize bounds the obs flight recorder: the most recent 1024
@@ -139,9 +130,6 @@ func (o Options) validate() error {
 	}
 	if o.EpochRequests < 0 {
 		return fmt.Errorf("%w: EpochRequests %d, want >= 0", ErrBadOptions, o.EpochRequests)
-	}
-	if o.DecayShift > 63 {
-		return fmt.Errorf("%w: DecayShift %d discards all history, want <= 63", ErrBadOptions, o.DecayShift)
 	}
 	if math.IsNaN(o.DriftThreshold) || o.DriftThreshold < 0 {
 		return fmt.Errorf("%w: DriftThreshold %v, want >= 0", ErrBadOptions, o.DriftThreshold)
@@ -164,9 +152,10 @@ type EpochStat struct {
 	// Moved is the adoption movement distance of this pass.
 	Moved int64
 	// StaticCongestion is the solver's congestion on its current view of
-	// the observed frequencies — the full history with DecayShift 0, the
-	// exponentially aged window otherwise (so it is only comparable to
-	// the clairvoyant StaticOffline comparator when decay is off).
+	// the observed frequencies: an exponentially aged window, halved once
+	// per pass for every drifted object. It describes recent traffic, not
+	// the whole trace, so it is never comparable to the clairvoyant
+	// StaticOffline comparator, which scores the cumulative counts.
 	StaticCongestion float64
 	// MaxEdgeLoad is the cluster's served max edge load after adoption.
 	MaxEdgeLoad int64
@@ -724,9 +713,11 @@ func (c *Cluster) objectDriftLocked(row []workload.Access, x int, leaves []tree.
 // per-object drift is computed once and kept per shard, and the magnitude
 // sums it afterwards in shard order and queue order — the order
 // driftMagnitudeLocked uses — so the float result is the same bit for bit.
-// Each drifted object's solver row ages by DecayShift halvings, then
-// absorbs the delta observed since the last fold (with DecayShift 0 this
-// reduces to the plain cumulative frequencies).
+// Each drifted object's solver row is halved once, then absorbs the delta
+// observed since the last fold (frequency' = frequency>>1 + delta), so
+// the solver tracks the current phase rather than the all-time average.
+// Objects with no new traffic keep their rows, which preserves the
+// incremental Resolve contract.
 func (c *Cluster) collectDriftLocked() ([]int, float64) {
 	if len(c.fold) != len(c.shards) {
 		c.fold = make([]shardFold, len(c.shards))
@@ -749,7 +740,6 @@ func (c *Cluster) collectDriftLocked() ([]int, float64) {
 func (c *Cluster) foldShard(_, si int) {
 	sh, f := c.shards[si], &c.fold[si]
 	leaves := c.t.Leaves()
-	shift := c.opts.DecayShift
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	f.changed = sh.tracker.DrainDrifted(f.changed[:0])
@@ -765,8 +755,8 @@ func (c *Cluster) foldShard(_, si int) {
 			// rows they were read from.
 			cur, old, was := row[v], prev[v], solved[v]
 			c.w.Set(x, v, workload.Access{
-				Reads:  was.Reads>>shift + cur.Reads - old.Reads,
-				Writes: was.Writes>>shift + cur.Writes - old.Writes,
+				Reads:  was.Reads>>1 + cur.Reads - old.Reads,
+				Writes: was.Writes>>1 + cur.Writes - old.Writes,
 			})
 			c.prev.Set(x, v, cur)
 		}

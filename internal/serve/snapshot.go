@@ -120,7 +120,6 @@ func (c *Cluster) captureLocked() *snapshot.State {
 
 		EpochRequests:      c.opts.EpochRequests,
 		Threshold:          c.opts.Threshold,
-		DecayShift:         uint32(c.opts.DecayShift),
 		BandwidthAware:     c.opts.BandwidthAware,
 		WriteBudget:        c.opts.WriteBudget,
 		DriftThreshold:     c.opts.DriftThreshold,
@@ -187,7 +186,11 @@ func (c *Cluster) captureLocked() *snapshot.State {
 // never panics on damaged input.
 //
 // The restored cluster's subsequent serving behavior is bit-identical to
-// the source cluster's from the cut onward (see RestoreState).
+// the source cluster's from the cut onward (see RestoreState). The one
+// exception is an image written while epoch passes could still keep the
+// full history (its retired decay-shift slot holds 0, as every image
+// from a default cluster of that time does): it restores the same state,
+// and its epoch passes halve the solver's history from the next pass on.
 func Restore(path string, opts RestoreOptions) (*Cluster, *RestoreInfo, error) {
 	var errs []error
 	missing := 0
@@ -276,7 +279,6 @@ func RestoreState(st *snapshot.State, opts RestoreOptions) (*Cluster, error) {
 		EpochRequests:      st.EpochRequests,
 		Threshold:          st.Threshold,
 		Parallelism:        opts.Parallelism,
-		DecayShift:         uint(st.DecayShift),
 		BandwidthAware:     st.BandwidthAware,
 		WriteBudget:        st.WriteBudget,
 		DriftThreshold:     st.DriftThreshold,

@@ -68,7 +68,7 @@ func TestSnapshotRestoreIdentity(t *testing.T) {
 				trace := workload.DriftingZipf(rand.New(rand.NewSource(7)), tc.tr, objects, 6000, 4, 1.0, 0.07)
 				cut := 4000
 				c, err := NewCluster(tc.tr, objects, Options{
-					Shards: shards, EpochRequests: 900, Threshold: 3, DecayShift: 1,
+					Shards: shards, EpochRequests: 900, Threshold: 3,
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -74,7 +74,10 @@ func Encode(st *State) []byte {
 	e.uvarint(uint64(len(st.ShardStates)))
 	e.varint(int64(st.Threshold))
 	e.varint(st.EpochRequests)
-	e.uvarint(uint64(st.DecayShift))
+	// The slot after the cadence once held a decay-shift option. Epoch
+	// passes now always halve once, so it is written as 1: a binary that
+	// still reads the slot restores the image and ages the same way.
+	e.uvarint(1)
 	// Flag bit 0 once pinned a per-request serving knob that no longer
 	// exists; it is never written, and Decode ignores it (see decodeBody).
 	var flags byte
@@ -408,7 +411,10 @@ func decodeBody(body []byte) (*State, error) {
 	st.NumObjects = numObjects
 	st.Threshold = int(d.varint())
 	st.EpochRequests = d.varint()
-	st.DecayShift = uint32(d.val(63, "decay shift"))
+	// Retired decay-shift slot: range-checked as it always was, then
+	// dropped. Images that carry 0 (full history) restore and halve from
+	// their next epoch pass on.
+	d.val(63, "decay shift")
 	flags := d.byte()
 	if flags&^byte(7) != 0 {
 		d.fail("unknown state flags %#x", flags)

@@ -20,6 +20,24 @@ import (
 // same image with the bit clear: its next snapshot is byte-identical, and
 // it serves the same suffix to the same loads, copies and stats.
 func TestRestoreRetiredFlagBitImage(t *testing.T) {
+	checkLegacyImageRestores(t, func(img []byte) []byte { return snapshot.WithStateFlags(img, 1) })
+}
+
+// An image whose retired decay-shift slot holds 0 — the full-history
+// default every writer used before epoch passes always aged — restores
+// into the same cluster as the image with the slot at 1, and halves from
+// its next pass on: its next snapshot is byte-identical, and it serves the
+// same suffix (two more cadence passes) to the same loads, copies and
+// stats.
+func TestRestoreFullHistoryImage(t *testing.T) {
+	checkLegacyImageRestores(t, func(img []byte) []byte { return snapshot.WithDecaySlot(img, 0) })
+}
+
+// checkLegacyImageRestores snapshots a drifting-Zipf cluster mid-trace,
+// rewrites the image with legacy, and checks that restoring the rewritten
+// image and the clean one gives indistinguishable clusters.
+func checkLegacyImageRestores(t *testing.T, legacy func([]byte) []byte) {
+	t.Helper()
 	tr := tree.SCICluster(3, 4, 16, 8)
 	const objects = 24
 	trace := workload.DriftingZipf(rand.New(rand.NewSource(31)), tr, objects, 4000, 3, 1.0, 0.05)
@@ -45,8 +63,12 @@ func TestRestoreRetiredFlagBitImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := filepath.Join(dir, "legacy.hbn")
-	if err := os.WriteFile(legacy, snapshot.WithStateFlags(img, 1), 0o644); err != nil {
+	rewritten := legacy(img)
+	if bytes.Equal(rewritten, img) {
+		t.Fatal("the legacy rewrite left the image unchanged")
+	}
+	old := filepath.Join(dir, "legacy.hbn")
+	if err := os.WriteFile(old, rewritten, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -67,9 +89,9 @@ func TestRestoreRetiredFlagBitImage(t *testing.T) {
 		return r, b
 	}
 	rc, imgC := restore(clean)
-	rl, imgL := restore(legacy)
+	rl, imgL := restore(old)
 	if !bytes.Equal(imgC, imgL) {
-		t.Fatal("snapshot of the bit-0 restore differs from the clean restore's")
+		t.Fatal("snapshot of the legacy restore differs from the clean restore's")
 	}
 
 	ingest(rc, trace[2500:])

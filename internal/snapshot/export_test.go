@@ -1,4 +1,8 @@
 package snapshot
 
-// WithStateFlags exposes withStateFlags to the external restore test.
-var WithStateFlags = withStateFlags
+// WithStateFlags and WithDecaySlot expose the image rewriters to the
+// external restore tests.
+var (
+	WithStateFlags = withStateFlags
+	WithDecaySlot  = withDecaySlot
+)

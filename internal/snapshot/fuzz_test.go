@@ -31,6 +31,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 	// An image carrying the retired state flag bit 0, which Decode accepts
 	// and drops.
 	f.Add(withStateFlags(img, 1))
+	// A full-history image (decay-shift slot 0), which Decode accepts and
+	// re-encodes with the slot at 1.
+	f.Add(withDecaySlot(img, 0))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := Decode(data)

@@ -98,10 +98,14 @@ type State struct {
 	// Pinned semantic options: a restored cluster must reproduce the
 	// original's serving decisions bit-for-bit, so everything that affects
 	// them travels in the snapshot. (Parallelism affects only scheduling,
-	// never results, and is chosen at restore time.)
+	// never results, and is chosen at restore time.) The image slot after
+	// EpochRequests once held a decay shift; epoch passes now always
+	// halve once, so Encode writes 1 there and Decode range-checks and
+	// drops it. An image carrying 0 (full history, the default of every
+	// writer before the slot was retired) restores the same state and
+	// halves from its next epoch pass on.
 	EpochRequests int64
 	Threshold     int
-	DecayShift    uint32
 	// v2 options: the per-edge replication budgets, the write-contraction
 	// budget and the drift trigger change serving decisions, so they are
 	// pinned like Threshold.

@@ -49,7 +49,6 @@ func mkState(seq uint64) *State {
 		NumObjects:    objects,
 		EpochRequests: 400,
 		Threshold:     3,
-		DecayShift:    1,
 		// v2 options: all non-default, so the round-trip and the fuzz
 		// corpus (seeded from this state) cover the extended image.
 		BandwidthAware:     true,
@@ -136,6 +135,46 @@ func withStateFlags(img []byte, bits byte) []byte {
 	body[len(body)-len(d.b)] |= bits
 	binary.LittleEndian.PutUint32(out[len(out)-crcSize:], crc32.ChecksumIEEE(body))
 	return out
+}
+
+// withDecaySlot returns a copy of a valid image with its retired
+// decay-shift slot rewritten to v (< 128, one uvarint byte) and the
+// checksum recomputed: v 0 is the full-history image every writer before
+// the slot's retirement produced by default.
+func withDecaySlot(img []byte, v byte) []byte {
+	out := bytes.Clone(img)
+	body := out[headerSize : len(out)-crcSize]
+	d := &dec{b: body}
+	d.uvarint() // seq
+	d.uvarint() // objects
+	d.uvarint() // shards
+	d.varint()  // threshold
+	d.varint()  // epoch cadence
+	body[len(body)-len(d.b)] = v
+	binary.LittleEndian.PutUint32(out[len(out)-crcSize:], crc32.ChecksumIEEE(body))
+	return out
+}
+
+// The slot after the epoch cadence once held a decay-shift option. Every
+// image carries 1 now; an image with any shift up to 63 still decodes and
+// re-encodes with 1, and 64 or more is corrupt as it always was.
+func TestDecodeRetiredDecaySlot(t *testing.T) {
+	img := Encode(mkState(5))
+	if !bytes.Equal(withDecaySlot(img, 1), img) {
+		t.Fatal("Encode does not write 1 in the decay-shift slot")
+	}
+	for _, v := range []byte{0, 2, 63} {
+		st, err := Decode(withDecaySlot(img, v))
+		if err != nil {
+			t.Fatalf("slot %d: %v", v, err)
+		}
+		if !bytes.Equal(Encode(st), img) {
+			t.Fatalf("slot %d image did not re-encode with slot 1", v)
+		}
+	}
+	if _, err := Decode(withDecaySlot(img, 64)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("slot 64: got %v, want ErrCorrupt", err)
+	}
 }
 
 // State flag bit 0 once pinned a per-request serving knob that has since
