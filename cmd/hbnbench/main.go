@@ -12,7 +12,6 @@
 //	hbnbench -experiment none -solverbench -json  # solver benchmarks only
 //	hbnbench -experiment none -serve    # trace-driven serving benchmark
 //	hbnbench -experiment none -reconfig # live topology churn (failover/scale-out/brownout)
-//	hbnbench -experiment none -snapshot # crash-consistent snapshot/restore latency, stall, image size
 //	hbnbench -experiment none -ratio    # competitive ratio vs the clairvoyant static optimum
 //	hbnbench -experiment none -ratio -ratioguard BENCH_pr8.json  # fail on >10% ratio regression
 //	hbnbench -experiment none -daemon 127.0.0.1:7070    # drive a live hbnd daemon over the wire, verify its ledger
@@ -65,7 +64,6 @@ type jsonOutput struct {
 	Benchmarks []jsonBench      `json:"benchmarks,omitempty"`
 	Serving    []jsonServe      `json:"serving,omitempty"`
 	Reconfig   []jsonReconfig   `json:"reconfig,omitempty"`
-	Snapshot   []jsonSnapshot   `json:"snapshot,omitempty"`
 	Ratio      []jsonRatio      `json:"ratio,omitempty"`
 	Daemon     *jsonDaemonBench `json:"daemon,omitempty"`
 }
@@ -80,7 +78,6 @@ func main() {
 		solverB    = flag.Bool("solverbench", false, "measure the solver benchmarks (warm/cold Solve, Resolve) and emit them in -json mode")
 		serveB     = flag.Bool("serve", false, "run the trace-driven serving benchmark (sharded cluster, epoch re-solve vs baseline vs clairvoyant static)")
 		reconfigB  = flag.Bool("reconfig", false, "run the live-reconfiguration benchmark (failover, scale-out, brownout: reconfigure latency, req/s during churn, congestion vs a cold restart)")
-		snapshotB  = flag.Bool("snapshot", false, "run the snapshot durability benchmark (crash-consistent snapshot latency, ingest stall, image size, restore-to-first-served-request)")
 		ratioB     = flag.Bool("ratio", false, "run the competitive-ratio benchmark (online congestion over the clairvoyant static optimum, pre-PR-8 flat strategy vs bandwidth-aware budgets with drift-triggered epochs)")
 		ratioGuard = flag.String("ratioguard", "", "baseline BENCH json to compare -ratio post_ratio values against; exit nonzero if any scenario regresses by more than 10% (implies -ratio)")
 		daemonAddr = flag.String("daemon", "", "address of a running hbnd daemon: drive it over the wire and verify the conservation ledger externally (see cmd/hbnd)")
@@ -155,14 +152,6 @@ func main() {
 			fatal(err)
 		}
 	}
-	var snapshots []jsonSnapshot
-	if *snapshotB {
-		var err error
-		snapshots, err = runSnapshotBench(*quick, *seed)
-		if err != nil {
-			fatal(err)
-		}
-	}
 	var ratios []jsonRatio
 	if *ratioB || *ratioGuard != "" {
 		var err error
@@ -225,7 +214,6 @@ func main() {
 			Benchmarks: benches,
 			Serving:    serving,
 			Reconfig:   reconfig,
-			Snapshot:   snapshots,
 			Ratio:      ratios,
 			Daemon:     daemonRes,
 		}); err != nil {
@@ -251,9 +239,6 @@ func main() {
 		}
 		if len(reconfig) > 0 {
 			printReconfigBench(reconfig)
-		}
-		if len(snapshots) > 0 {
-			printSnapshotBench(snapshots)
 		}
 		if len(ratios) > 0 {
 			printRatioBench(ratios)

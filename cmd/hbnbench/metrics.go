@@ -52,8 +52,3 @@ func maxOf(xs []int64) int64 {
 	}
 	return m
 }
-
-// ms converts a duration to fractional milliseconds for JSON output.
-func ms(d time.Duration) float64 {
-	return float64(d.Microseconds()) / 1000
-}

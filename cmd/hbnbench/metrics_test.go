@@ -59,7 +59,4 @@ func TestMetricHelpers(t *testing.T) {
 	if got := rate(100, 2*time.Second); got != 50 {
 		t.Fatalf("rate %v, want 50", got)
 	}
-	if got := ms(1500 * time.Microsecond); got != 1.5 {
-		t.Fatalf("ms %v, want 1.5", got)
-	}
 }

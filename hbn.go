@@ -149,24 +149,28 @@
 // subsequent serving is bit-identical to the original's:
 //
 //	ss, err := cluster.Snapshot("/var/lib/hbn/cluster.hbn")
-//	// ss.CutStall is all the ingest path felt; encode + disk write
-//	// happened after the gate was released.
+//	// ss.CutStall is all the ingest path felt: the cut, which encodes
+//	// the image in memory; the disk write happened after the gate was
+//	// released.
 //	...
 //	restored, info, err := hbn.Restore("/var/lib/hbn/cluster.hbn",
 //	    hbn.RestoreOptions{})
 //
 // Snapshot takes a consistent cut under the same write gate epochs and
-// reconfigurations use, so the ingest stall is bounded by the cut (a
-// few object table copies), not by the serialization or the disk. The
-// file is written crash-consistently — temp file, fsync, atomic rename,
-// with the previous generation retained — so a crash at any byte leaves
-// a recoverable state: Restore falls back from the primary to the
-// retained generation (RestoreInfo.Fallback) and reports typed
+// reconfigurations use, and encodes the image straight from live state
+// there, with no copy of the frequency tables, so the ingest stall is
+// bounded by one scan of the cluster's state in memory, not by the disk.
+// The file is written crash-consistently — temp file, fsync, atomic
+// rename, with the previous generation retained — so a crash at any
+// byte leaves a recoverable state: Restore falls back from the primary
+// to the retained generation (RestoreInfo.Fallback) and reports typed
 // ErrSnapshotCorrupt / ErrNoSnapshot otherwise, never a torn cluster.
 // The crash-point sweep in internal/chaos proves this by injecting a
-// crash at every byte offset of the image while ingesters run.
-// `hbnbench -snapshot` measures snapshot latency, ingest stall, image
-// size and restore-to-first-served-request across the trace scenarios.
+// crash at every byte offset of the image while ingesters run. The
+// repository benchmark (bench/) reports the snapshot call's p50 on every
+// workload and, in a traced run, its cut, encode and write times and
+// the restore time; BenchmarkSnapshot in internal/serve times the same
+// split on a warm cluster.
 package hbn
 
 import (

@@ -346,12 +346,10 @@ func (s *Strategy) ServiceLoad() []int64 {
 }
 
 // MoveLoad returns the per-edge copy-movement loads (the movement
-// account ServiceLoad subtracts), freshly allocated per call.
-func (s *Strategy) MoveLoad() []int64 {
-	out := make([]int64, len(s.moveLoad))
-	copy(out, s.moveLoad)
-	return out
-}
+// account ServiceLoad subtracts). Like EdgeLoad, the slice is the
+// strategy's own: read it under the lock that serializes serving, and do
+// not modify it.
+func (s *Strategy) MoveLoad() []int64 { return s.moveLoad }
 
 // ImportLoads seeds the strategy's per-edge load accounts and its served
 // request counter from a predecessor — the serving layer's topology

@@ -50,23 +50,35 @@ type ObjectState struct {
 // ExportObject captures object x's serving state. The returned slices are
 // fresh copies, safe to retain across further serving.
 func (s *Strategy) ExportObject(x int) ObjectState {
+	var st ObjectState
+	s.ExportObjectInto(x, &st)
+	return st
+}
+
+// ExportObjectInto captures object x's serving state into st, reusing its
+// slices: exporting object after object into one scratch state allocates
+// only when a slice outgrows every earlier object's. The slices hold
+// copies, valid until st is exported into again.
+func (s *Strategy) ExportObjectInto(x int, st *ObjectState) {
 	if x < 0 || x >= len(s.isCopy) {
 		panic(fmt.Sprintf("dynamic: object %d out of range", x))
 	}
-	var st ObjectState
+	*st = ObjectState{Copies: st.Copies[:0], Nearest: st.Nearest[:0], NDist: st.NDist[:0], Counters: st.Counters[:0]}
 	if len(s.copyList[x]) == 0 {
-		return st
+		return
 	}
 	st.Present = true
-	st.Copies = slices.Clone(s.copyList[x])
+	st.Copies = append(st.Copies, s.copyList[x]...)
 	st.TableValid = s.tableValid[x]
 	if st.TableValid {
-		st.Nearest = slices.Clone(s.nearest[x])
-		st.NDist = slices.Clone(s.ndist[x])
+		st.Nearest = append(st.Nearest, s.nearest[x]...)
+		st.NDist = append(st.NDist, s.ndist[x]...)
 	} else {
 		st.AnchorTop = s.anchorTop[x]
 	}
 	if cw := s.readCW[x]; cw != nil {
+		// One word per edge, so the counters come out in edge order and
+		// equal strategies export identical states.
 		gen := s.curGen[x]
 		for e, w := range cw {
 			if uint32(w>>32) == gen {
@@ -75,12 +87,8 @@ func (s *Strategy) ExportObject(x int) ObjectState {
 				}
 			}
 		}
-		// Sorted so the export is deterministic (the counters live in a
-		// map): equal strategies export byte-identical states.
-		slices.SortFunc(st.Counters, func(a, b EdgeCounter) int { return int(a.Edge - b.Edge) })
 	}
 	st.WriteStreak = s.wStreak[x]
-	return st
 }
 
 // RestoreObject installs an exported object state into a fresh strategy
@@ -199,18 +207,12 @@ func (s *Strategy) RestoreObject(x int, st ObjectState) error {
 	return nil
 }
 
-// Drifted returns a copy of the objects recorded since the previous drain
-// (in first-touch order) without draining them — the snapshot capture
-// reads the queue that the next epoch pass will still consume.
+// Drifted returns the objects recorded since the previous drain (in
+// first-touch order) without draining them: the drift trigger measures,
+// and the snapshot cut encodes, the queue the next epoch pass will still
+// consume. The slice is the tracker's own, not a copy: it is valid, and
+// must not be modified, until the next Record, RecordBatch, DrainDrifted
+// or MarkDrifted.
 func (ot *OfflineTracker) Drifted() []int {
-	return slices.Clone(ot.driftQ)
-}
-
-// DriftedFunc calls f for each drifted object in first-touch order without
-// draining the queue or allocating — the drift-magnitude trigger peeks at
-// the rows an epoch pass would fold without committing to one.
-func (ot *OfflineTracker) DriftedFunc(f func(x int)) {
-	for _, x := range ot.driftQ {
-		f(x)
-	}
+	return ot.driftQ
 }

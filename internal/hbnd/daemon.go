@@ -412,10 +412,14 @@ func (d *Daemon) Cluster() *serve.Cluster {
 
 // snapshotNow is the TSnapshot handler: pause the applier at a batch
 // boundary, snapshot, truncate the tail (its frames are all included in
-// the image now).
+// the image now). The applier stays paused through the cut, the write,
+// fsync and rename, and the truncate, and that pause is the stall the
+// reply reports: no batch is applied while the daemon holds applyMu,
+// however short the cluster's own cut.
 func (d *Daemon) snapshotNow() (*wire.SnapshotResult, error) {
 	d.applyMu.Lock()
 	defer d.applyMu.Unlock()
+	paused := time.Now()
 	ss, err := d.cl.SnapshotWait(d.cfg.SnapshotPath, 10, 5*time.Millisecond)
 	if err != nil {
 		return nil, err
@@ -423,7 +427,8 @@ func (d *Daemon) snapshotNow() (*wire.SnapshotResult, error) {
 	if err := d.tail.Truncate(); err != nil {
 		return nil, err
 	}
-	return &wire.SnapshotResult{Seq: ss.Seq, Bytes: ss.Bytes, CutStallNs: ss.CutStall.Nanoseconds()}, nil
+	// Read last, just before the deferred unlock ends the pause.
+	return &wire.SnapshotResult{Seq: ss.Seq, Bytes: ss.Bytes, CutStallNs: time.Since(paused).Nanoseconds()}, nil
 }
 
 // reconfigure is the TReconfig handler. A reconfiguration invalidates

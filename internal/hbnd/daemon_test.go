@@ -206,6 +206,35 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 }
 
+// A TSnapshot reply reports the applier pause: it covers the cluster's
+// cut and also the write, fsync, rename and tail truncate, so it exceeds
+// the cut stall the cluster books into its SnapshotCut histogram for the
+// same snapshot.
+func TestSnapshotReplyReportsApplierPause(t *testing.T) {
+	d := startDaemon(t, testConfig(t))
+	defer d.Close()
+	cl := dialTest(t, d.Addr())
+	trace := testTrace(2000)
+	for lo := 0; lo < len(trace); lo += 128 {
+		if _, err := cl.Ingest(trace[lo:min(lo+128, len(trace))], 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cut := &d.Cluster().Obs().SnapshotCut
+	before := cut.Snapshot()
+	sr, err := cl.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := cut.Snapshot()
+	if after.Count != before.Count+1 {
+		t.Fatalf("one snapshot RPC booked %d cuts", after.Count-before.Count)
+	}
+	if grew := after.Sum - before.Sum; sr.CutStallNs <= grew {
+		t.Fatalf("reply stall %dns does not exceed the cluster's cut %dns", sr.CutStallNs, grew)
+	}
+}
+
 // Restart recovers the exact state: snapshot mid-trace (truncating the
 // tail), more traffic (tail only), abrupt close, restart → snapshot +
 // tail replay equals the uninterrupted reference, and further serving

@@ -365,6 +365,7 @@ type Cluster struct {
 	stats      Stats
 	epochLog   []EpochStat
 	snapSeq    uint64 // monotone snapshot sequence number (see Snapshot)
+	snapBytes  int    // size of the last snapshot image, to size the next
 
 	served  atomic.Int64
 	closed  atomic.Bool
@@ -626,10 +627,10 @@ func (c *Cluster) driftMagnitudeLocked() float64 {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
 		shw := sh.tracker.Workload()
-		sh.tracker.DriftedFunc(func(x int) {
+		for _, x := range sh.tracker.Drifted() {
 			dTot, d := c.objectDriftLocked(shw.Row(x), x, leaves)
 			num, den = addDrift(num, den, dTot, d)
-		})
+		}
 		sh.mu.Unlock()
 	}
 	return driftMean(num, den)

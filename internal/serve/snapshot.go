@@ -21,11 +21,12 @@ type SnapshotStats struct {
 	// write starts, so a crashed attempt still reports how large the image
 	// would have been.
 	Bytes int64
-	// Elapsed is the wall time of the whole call; CutStall is the portion
-	// spent holding the ingest gate (the consistent cut — the only window
-	// during which concurrent Ingest calls can stall); EncodeElapsed and
-	// WriteElapsed happen after the gate is released, so disk speed never
-	// bounds the serving stall.
+	// Elapsed is the wall time of the whole call. CutStall is the portion
+	// spent holding the ingest gate — the only window during which
+	// concurrent Ingest calls can stall — and covers the consistent cut,
+	// which encodes the image in memory; EncodeElapsed is that encode, a
+	// part of CutStall. WriteElapsed (write, fsync, rename) happens after
+	// the gate is released, so disk speed never bounds the serving stall.
 	Elapsed       time.Duration
 	CutStall      time.Duration
 	EncodeElapsed time.Duration
@@ -55,12 +56,14 @@ type RestoreInfo struct {
 // protocol; the previous generation is retained at path+".prev").
 //
 // The consistent cut is taken under the ingest gate — the same quiesce
-// barrier reconfiguration commits use — so concurrent Ingest calls stall
-// only for the in-memory capture, never for encoding or the disk write;
-// the measured windows come back in SnapshotStats. Snapshot serializes
-// with topology changes through the same flag as Reconfigure: a call
-// while a reconfiguration (or another snapshot) is in flight fails fast
-// with ErrReconfigInProgress, because mid-roll the shards straddle two ID
+// barrier reconfiguration commits use — and is one pass over live state:
+// the image is encoded straight from the cluster's tables, load accounts
+// and copy sets, with nothing cloned. Concurrent Ingest calls therefore
+// stall for the in-memory encode, never for the disk write; the measured
+// windows come back in SnapshotStats. Snapshot serializes with topology
+// changes through the same flag as Reconfigure: a call while a
+// reconfiguration (or another snapshot) is in flight fails fast with
+// ErrReconfigInProgress, because mid-roll the shards straddle two ID
 // spaces and no consistent single-tree image exists. A closed cluster can
 // still be snapshotted (its state is frozen — the natural last step of a
 // shutdown-for-handoff).
@@ -71,7 +74,8 @@ func (c *Cluster) Snapshot(path string) (SnapshotStats, error) {
 // SnapshotWith is Snapshot with explicit save options — the seam the
 // fault-injection harness uses to crash the write at a chosen byte.
 // On an injected crash the returned stats are still meaningful (Seq,
-// Bytes, CutStall): the cut happened, the commit did not.
+// Bytes, CutStall, EncodeElapsed): the cut and its encode happened, the
+// commit did not.
 func (c *Cluster) SnapshotWith(path string, opts snapshot.SaveOptions) (SnapshotStats, error) {
 	var ss SnapshotStats
 	if !c.reconfiguring.CompareAndSwap(false, true) {
@@ -84,16 +88,19 @@ func (c *Cluster) SnapshotWith(path string, opts snapshot.SaveOptions) (Snapshot
 	// The sequence number advances per attempt, committed or not: a torn
 	// generation must never be confused with the one it failed to replace.
 	c.snapSeq++
-	var st *snapshot.State
+	ss.Seq = c.snapSeq
+	// Sized from the previous image, with room to grow, so the encode
+	// appends without reallocating.
+	data := make([]byte, 0, c.snapBytes+c.snapBytes/8)
 	t0 := time.Now()
-	c.quiesce(func() { st = c.captureLocked() })
+	c.quiesce(func() {
+		t1 := time.Now()
+		data = c.appendImageLocked(data)
+		ss.EncodeElapsed = time.Since(t1)
+	})
 	ss.CutStall = time.Since(t0)
+	c.snapBytes = len(data)
 	c.epochMu.Unlock()
-	ss.Seq = st.Seq
-
-	t0 = time.Now()
-	data := snapshot.Encode(st)
-	ss.EncodeElapsed = time.Since(t0)
 	ss.Bytes = int64(len(data))
 
 	t0 = time.Now()
@@ -107,13 +114,15 @@ func (c *Cluster) SnapshotWith(path string, opts snapshot.SaveOptions) (Snapshot
 	return ss, err
 }
 
-// captureLocked copies every piece of serving state into a State (caller
+// appendImageLocked appends the cluster's snapshot image to dst (caller
 // holds epochMu and the full ingest gate, and excludes reconfigurations,
-// so the shard locks below are uncontended formality). Everything shared
-// is cloned: the State owns its memory and stays valid after the gate
-// lifts.
-func (c *Cluster) captureLocked() *snapshot.State {
-	st := &snapshot.State{
+// so the shard locks below are uncontended formality). The State it
+// encodes references the live solver and tracker tables, load accounts
+// and drift queues, and each object is exported into one reused scratch
+// state as the encoder reaches it: nothing is cloned, and the bytes equal
+// those of encoding a full copy of the same state.
+func (c *Cluster) appendImageLocked(dst []byte) []byte {
+	st := snapshot.State{
 		Seq:        c.snapSeq,
 		Tree:       c.t,
 		NumObjects: c.numObjects,
@@ -135,15 +144,40 @@ func (c *Cluster) captureLocked() *snapshot.State {
 		ResolveTimeNs:      c.stats.ResolveTime.Nanoseconds(),
 		DroppedLoad:        c.stats.DroppedLoad,
 		DroppedServiceLoad: c.stats.DroppedServiceLoad,
-		SolverW:            c.w.Clone(),
-		PrevW:              c.prev.Clone(),
+		EpochLog:           c.epochRecs(),
+		SolverW:            c.w,
+		PrevW:              c.prev,
 
 		ShardStates: make([]snapshot.ShardState, len(c.shards)),
-		Objects:     make([]dynamic.ObjectState, c.numObjects),
 	}
-	st.EpochLog = make([]snapshot.EpochRec, len(c.epochLog))
+	for si, sh := range c.shards {
+		sh.mu.Lock()
+		st.ShardStates[si] = snapshot.ShardState{
+			EdgeLoad: sh.strat.EdgeLoad,
+			MoveLoad: sh.strat.MoveLoad(),
+			Requests: sh.strat.Requests(),
+			Cost:     sh.cost,
+			TrackerW: sh.tracker.Workload(),
+			Drift:    sh.tracker.Drifted(),
+		}
+	}
+	var o dynamic.ObjectState
+	dst = snapshot.AppendEncode(dst, &st, func(x int) *dynamic.ObjectState {
+		c.shards[x%len(c.shards)].strat.ExportObjectInto(x, &o)
+		return &o
+	})
+	for _, sh := range c.shards {
+		sh.mu.Unlock()
+	}
+	return dst
+}
+
+// epochRecs converts the epoch log to its image form (caller holds
+// epochMu).
+func (c *Cluster) epochRecs() []snapshot.EpochRec {
+	out := make([]snapshot.EpochRec, len(c.epochLog))
 	for i, e := range c.epochLog {
-		st.EpochLog[i] = snapshot.EpochRec{
+		out[i] = snapshot.EpochRec{
 			Epoch:            e.Epoch,
 			Requests:         e.Requests,
 			Drifted:          e.Drifted,
@@ -155,25 +189,7 @@ func (c *Cluster) captureLocked() *snapshot.State {
 			DriftMagnitude:   e.DriftMagnitude,
 		}
 	}
-	for si, sh := range c.shards {
-		sh.mu.Lock()
-		ml := sh.strat.MoveLoad() // freshly allocated per call
-		el := make([]int64, len(sh.strat.EdgeLoad))
-		copy(el, sh.strat.EdgeLoad)
-		st.ShardStates[si] = snapshot.ShardState{
-			EdgeLoad: el,
-			MoveLoad: ml,
-			Requests: sh.strat.Requests(),
-			Cost:     sh.cost,
-			TrackerW: sh.tracker.Workload().Clone(),
-			Drift:    sh.tracker.Drifted(),
-		}
-		for x := si; x < c.numObjects; x += len(c.shards) {
-			st.Objects[x] = sh.strat.ExportObject(x)
-		}
-		sh.mu.Unlock()
-	}
-	return st
+	return out
 }
 
 // Restore recovers a warm cluster from the snapshot at path, walking the

@@ -28,47 +28,81 @@ const (
 	maxCells = 1 << 26
 )
 
-// enc is the append-only body encoder.
+// enc is the append-only image encoder.
 type enc struct{ b []byte }
 
-func (e *enc) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
+func (e *enc) uvarint(v uint64) { e.b = appendUvarint(e.b, v) }
 func (e *enc) varint(v int64)   { e.b = binary.AppendVarint(e.b, v) }
 func (e *enc) byte(v byte)      { e.b = append(e.b, v) }
 func (e *enc) f64(v float64)    { e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v)) }
-func (e *enc) bytes(p []byte) {
-	e.uvarint(uint64(len(p)))
+
+// Write appends p, so tree.Encode can write the topology in place.
+func (e *enc) Write(p []byte) (int, error) {
 	e.b = append(e.b, p...)
+	return len(p), nil
 }
 
-// workload writes w as a sparse (object, node, reads, writes) list; the
-// dimensions are implied by the surrounding state (NumObjects × tree
-// nodes), so they cannot disagree with it.
+// gap reserves room for a uvarint that is known only once what follows
+// it has been written; fill writes the value there and closes the unused
+// part of the gap.
+func (e *enc) gap() int {
+	at := len(e.b)
+	e.b = append(e.b, make([]byte, binary.MaxVarintLen64)...)
+	return at
+}
+
+func (e *enc) fill(at int, v uint64) {
+	n := binary.PutUvarint(e.b[at:], v)
+	e.b = append(e.b[:at+n], e.b[at+binary.MaxVarintLen64:]...)
+}
+
+// workload writes w as a sparse (object, node, reads, writes) list behind
+// its cell count, in one scan of the table; the dimensions are implied by
+// the surrounding state (NumObjects × tree nodes), so they cannot
+// disagree with it.
 func (e *enc) workload(w *workload.W) {
-	cells := 0
-	for x := 0; x < w.NumObjects(); x++ {
-		for _, a := range w.Row(x) {
-			if a.Reads != 0 || a.Writes != 0 {
-				cells++
-			}
-		}
-	}
-	e.uvarint(uint64(cells))
+	at := e.gap()
+	b, cells := e.b, 0
 	for x := 0; x < w.NumObjects(); x++ {
 		for v, a := range w.Row(x) {
-			if a.Reads != 0 || a.Writes != 0 {
-				e.uvarint(uint64(x))
-				e.uvarint(uint64(v))
-				e.uvarint(uint64(a.Reads))
-				e.uvarint(uint64(a.Writes))
+			if a.Reads|a.Writes != 0 {
+				cells++
+				b = appendUvarint(b, uint64(x))
+				b = appendUvarint(b, uint64(v))
+				b = appendUvarint(b, uint64(a.Reads))
+				b = appendUvarint(b, uint64(a.Writes))
 			}
 		}
 	}
+	e.b = b
+	e.fill(at, uint64(cells))
+}
+
+// appendUvarint is binary.AppendUvarint with the one-byte case inlined:
+// most ids and frequencies are below 0x80.
+func appendUvarint(b []byte, v uint64) []byte {
+	if v < 0x80 {
+		return append(b, byte(v))
+	}
+	return binary.AppendUvarint(b, v)
 }
 
 // Encode serializes st into a complete snapshot image (header + body +
-// checksum), ready for WriteFile.
+// checksum), ready for WriteFile. st.Objects holds st.NumObjects entries.
 func Encode(st *State) []byte {
-	e := &enc{}
+	return AppendEncode(nil, st, func(x int) *dynamic.ObjectState { return &st.Objects[x] })
+}
+
+// AppendEncode appends the image of st to dst and returns the extended
+// slice. Objects come from object(x) for x in [0, st.NumObjects), read
+// once each in order, and st.Objects is ignored: the serving layer's cut
+// passes a State whose tables and slices are the live ones and exports
+// each object into one reused scratch state, so the image is written in
+// one pass with nothing cloned. The bytes equal Encode's for the same
+// state.
+func AppendEncode(dst []byte, st *State, object func(x int) *dynamic.ObjectState) []byte {
+	start := len(dst)
+	e := &enc{b: append(dst, make([]byte, headerSize)...)}
 	e.uvarint(st.Seq)
 	e.uvarint(uint64(st.NumObjects))
 	e.uvarint(uint64(len(st.ShardStates)))
@@ -101,13 +135,13 @@ func Encode(st *State) []byte {
 	e.varint(st.DroppedLoad)
 	e.varint(st.DroppedServiceLoad)
 
-	var tb bytes.Buffer
-	if err := tree.Encode(&tb, st.Tree); err != nil {
+	at := e.gap()
+	if err := tree.Encode(e, st.Tree); err != nil {
 		// The tree came out of a live cluster; its codec round-trips by
 		// construction. Failing to serialize it is a programming error.
 		panic("snapshot: tree encode: " + err.Error())
 	}
-	e.bytes(tb.Bytes())
+	e.fill(at, uint64(len(e.b)-at-binary.MaxVarintLen64))
 
 	e.workload(st.SolverW)
 	e.workload(st.PrevW)
@@ -142,8 +176,8 @@ func Encode(st *State) []byte {
 		}
 	}
 
-	for i := range st.Objects {
-		o := &st.Objects[i]
+	for x := 0; x < st.NumObjects; x++ {
+		o := object(x)
 		var f byte
 		if o.Present {
 			f |= 1
@@ -177,14 +211,11 @@ func Encode(st *State) []byte {
 		e.uvarint(uint64(o.WriteStreak))
 	}
 
-	body := e.b
-	out := make([]byte, 0, headerSize+len(body)+crcSize)
-	out = append(out, magic...)
-	out = binary.LittleEndian.AppendUint32(out, version)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(body)))
-	out = append(out, body...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
-	return out
+	h, body := e.b[start:start+headerSize], e.b[start+headerSize:]
+	copy(h, magic)
+	binary.LittleEndian.PutUint32(h[len(magic):], version)
+	binary.LittleEndian.PutUint64(h[len(magic)+4:], uint64(len(body)))
+	return binary.LittleEndian.AppendUint32(e.b, crc32.ChecksumIEEE(body))
 }
 
 // Epoch trigger wire codes. The empty string round-trips as its own code

@@ -34,6 +34,10 @@ func FuzzSnapshotDecode(f *testing.F) {
 	// A full-history image (decay-shift slot 0), which Decode accepts and
 	// re-encodes with the slot at 1.
 	f.Add(withDecaySlot(img, 0))
+	// A dense image: its section counts take 1, 2 and 3 bytes and its
+	// frequencies up to 6, the widths the one-scan table writer closes
+	// gaps for.
+	f.Add(Encode(mkDenseState()))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := Decode(data)

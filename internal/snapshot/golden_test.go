@@ -1,0 +1,121 @@
+package snapshot
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"hbn/internal/dynamic"
+	"hbn/internal/tree"
+	"hbn/internal/workload"
+)
+
+// mkDenseState builds a state whose tables need every width of the
+// codec's section counts and values: SolverW holds more than 2^14
+// nonzero cells (a 3-byte count), PrevW more than 2^7 (2 bytes), one
+// tracker a handful (1 byte) and the other none, and frequencies reach
+// 2^7, 2^14 and 2^35 (2-, 3- and 6-byte values).
+func mkDenseState() *State {
+	tr := tree.SCICluster(4, 4, 16, 8)
+	n, ne := tr.Len(), tr.NumEdges()
+	leaves := tr.Leaves()
+	objects := (1<<14)/n + 16
+
+	sw := workload.New(objects, n)
+	for x := 0; x < objects; x++ {
+		for v := 0; v < n; v++ {
+			sw.Set(x, tree.NodeID(v), workload.Access{Reads: int64((x*31+v*7)%97 + 1), Writes: int64((x + v) % 3)})
+		}
+	}
+	sw.Set(1, leaves[0], workload.Access{Reads: 1 << 7, Writes: 1 << 14})
+	sw.Set(2, leaves[1], workload.Access{Reads: 1 << 14, Writes: 1<<7 - 1})
+	sw.Set(objects-1, leaves[2], workload.Access{Reads: 1 << 35, Writes: 1<<35 + 5})
+	pw := workload.New(objects, n)
+	for x := 0; x < 150; x++ {
+		pw.AddReads(x, leaves[x%len(leaves)], int64(x)<<8)
+	}
+	tw0 := workload.New(objects, n)
+	for x := 0; x < 5; x++ {
+		tw0.AddWrites(2*x, leaves[x], 1<<14+int64(x))
+	}
+	tw1 := workload.New(objects, n)
+
+	nearest := make([]tree.NodeID, n)
+	ndist := make([]int32, n)
+	for v := range nearest {
+		nearest[v] = leaves[3]
+		ndist[v] = int32(v*37) % 200
+	}
+	nearest[leaves[4]] = leaves[4]
+
+	objs := make([]dynamic.ObjectState, objects)
+	objs[0] = dynamic.ObjectState{Present: true, Copies: []tree.NodeID{leaves[0]}, AnchorTop: leaves[0],
+		Counters: []dynamic.EdgeCounter{{Edge: 1, Count: 3}, {Edge: tree.EdgeID(ne - 2), Count: 200}}}
+	objs[3] = dynamic.ObjectState{Present: true, Copies: []tree.NodeID{leaves[4], leaves[3]}, TableValid: true,
+		Nearest: nearest, NDist: ndist, WriteStreak: 130}
+	objs[objects-1] = dynamic.ObjectState{Present: true, Copies: []tree.NodeID{leaves[2]}, AnchorTop: leaves[2]}
+
+	el, ml := seqLoads(ne, 1<<20), seqLoads(ne, 1<<7)
+	el[0] = 1 << 40
+	return &State{
+		Seq:                1 << 35,
+		Tree:               tr,
+		NumObjects:         objects,
+		EpochRequests:      20000,
+		Threshold:          8,
+		DriftCheckRequests: 2500,
+		Solved:             true,
+		Served:             1 << 33,
+		Epochs:             300,
+		DriftEpochs:        12,
+		DriftedTotal:       300 * 1000,
+		AdoptMoved:         1 << 20,
+		ResolveTimeNs:      1 << 36,
+		EpochLog: []EpochRec{
+			{Epoch: 1, Requests: 20000, Drifted: 900, Moved: 1 << 15, StaticCongestion: 17.5, MaxEdgeLoad: 1 << 22,
+				ResolveNs: 1 << 25, Trigger: "cadence"},
+			{Epoch: 2, Requests: 40000, Drifted: 1000, Moved: 3, StaticCongestion: 9, MaxEdgeLoad: 1 << 23,
+				ResolveNs: 1 << 24, Trigger: "manual", DriftMagnitude: 1.5},
+		},
+		SolverW: sw,
+		PrevW:   pw,
+		ShardStates: []ShardState{
+			{EdgeLoad: el, MoveLoad: ml, Requests: 1 << 32, Cost: 1 << 34, TrackerW: tw0, Drift: []int{0, 2, objects - 2}},
+			{EdgeLoad: seqLoads(ne, 2), MoveLoad: make([]int64, ne), Requests: 1 << 32, Cost: 5, TrackerW: tw1},
+		},
+		Objects: objs,
+	}
+}
+
+// The goldens were written by the two-scan encoder this package used
+// before its writer became one scan per table; Encode must still
+// reproduce them byte for byte, and they must decode and re-encode
+// unchanged. The dense image's section counts take 1, 2 and 3 bytes.
+func TestEncodeGolden(t *testing.T) {
+	for _, tc := range []struct {
+		file string
+		st   *State
+	}{
+		{"mkstate3.snap", mkState(3)},
+		{"dense.snap", mkDenseState()},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := Encode(tc.st)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("Encode differs from the golden: %d vs %d bytes", len(got), len(want))
+			}
+			st, err := Decode(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(Encode(st), want) {
+				t.Fatal("decoded golden does not re-encode to itself")
+			}
+		})
+	}
+}

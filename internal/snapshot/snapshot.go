@@ -82,10 +82,12 @@ func corrupt(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
-// State is the full serializable cluster image. The serving layer
-// captures one under its write gate (serve.Cluster.Snapshot) and rebuilds
-// a warm cluster from one (serve.Restore); restore takes ownership of the
-// slices and workloads, so a decoded State must not be reused afterwards.
+// State is the full serializable cluster image. The serving layer's cut
+// encodes one whose tables and slices are its live state, under its write
+// gate (serve.Cluster.Snapshot, through AppendEncode), and rebuilds a warm
+// cluster from a decoded one (serve.Restore); restore takes ownership of
+// the slices and workloads, so a decoded State must not be reused
+// afterwards.
 type State struct {
 	// Seq is the monotone snapshot sequence number of the source cluster —
 	// the generation identity the crash harness asserts restores land on.

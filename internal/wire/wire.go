@@ -702,10 +702,14 @@ func ParseStats(body []byte) (*DaemonStats, error) {
 // ---- Snapshot reply ----
 
 // SnapshotResult is a TSnapshotOK body: the committed generation and the
-// serving stall the cut cost.
+// serving stall the snapshot cost.
 type SnapshotResult struct {
-	Seq        uint64
-	Bytes      int64
+	Seq   uint64
+	Bytes int64
+	// CutStallNs is how long the daemon's applier was paused for the
+	// snapshot: the cluster's cut and in-memory encode, the write, fsync
+	// and rename, and the tail truncate. No batch is applied in that
+	// window.
 	CutStallNs int64
 }
 
