@@ -10,7 +10,6 @@
 //	hbnbench -experiment all -markdown  # EXPERIMENTS.md body on stdout
 //	hbnbench -experiment all -json      # machine-readable, for BENCH_*.json
 //	hbnbench -experiment none -solverbench -json  # solver benchmarks only
-//	hbnbench -experiment none -serve    # trace-driven serving benchmark
 //	hbnbench -experiment none -reconfig # live topology churn (failover/scale-out/brownout)
 //	hbnbench -experiment none -ratio    # competitive ratio vs the clairvoyant static optimum
 //	hbnbench -experiment none -ratio -ratioguard BENCH_pr8.json  # fail on >10% ratio regression
@@ -62,7 +61,6 @@ type jsonOutput struct {
 	GoMaxProcs int              `json:"gomaxprocs"`
 	Results    []jsonResult     `json:"results"`
 	Benchmarks []jsonBench      `json:"benchmarks,omitempty"`
-	Serving    []jsonServe      `json:"serving,omitempty"`
 	Reconfig   []jsonReconfig   `json:"reconfig,omitempty"`
 	Ratio      []jsonRatio      `json:"ratio,omitempty"`
 	Daemon     *jsonDaemonBench `json:"daemon,omitempty"`
@@ -76,7 +74,6 @@ func main() {
 		jsonOut    = flag.Bool("json", false, "emit JSON instead of aligned text")
 		seed       = flag.Int64("seed", 2000, "base random seed")
 		solverB    = flag.Bool("solverbench", false, "measure the solver benchmarks (warm/cold Solve, Resolve) and emit them in -json mode")
-		serveB     = flag.Bool("serve", false, "run the trace-driven serving benchmark (sharded cluster, epoch re-solve vs baseline vs clairvoyant static)")
 		reconfigB  = flag.Bool("reconfig", false, "run the live-reconfiguration benchmark (failover, scale-out, brownout: reconfigure latency, req/s during churn, congestion vs a cold restart)")
 		ratioB     = flag.Bool("ratio", false, "run the competitive-ratio benchmark (online congestion over the clairvoyant static optimum, pre-PR-8 flat strategy vs bandwidth-aware budgets with drift-triggered epochs)")
 		ratioGuard = flag.String("ratioguard", "", "baseline BENCH json to compare -ratio post_ratio values against; exit nonzero if any scenario regresses by more than 10% (implies -ratio)")
@@ -135,14 +132,6 @@ func main() {
 	var benches []jsonBench
 	if *solverB {
 		benches = solverBenchmarks()
-	}
-	var serving []jsonServe
-	if *serveB {
-		var err error
-		serving, err = runServeBench(*quick, *seed)
-		if err != nil {
-			fatal(err)
-		}
 	}
 	var reconfig []jsonReconfig
 	if *reconfigB {
@@ -212,7 +201,6 @@ func main() {
 			GoMaxProcs: runtime.GOMAXPROCS(0),
 			Results:    timed,
 			Benchmarks: benches,
-			Serving:    serving,
 			Reconfig:   reconfig,
 			Ratio:      ratios,
 			Daemon:     daemonRes,
@@ -233,9 +221,6 @@ func main() {
 		for _, b := range benches {
 			fmt.Printf("%-36s %12.0f ns/op %10d B/op %8d allocs/op  %s\n",
 				b.Name, b.NsPerOp, b.BytesPerOp, b.AllocsPerOp, b.Note)
-		}
-		if len(serving) > 0 {
-			printServeBench(serving)
 		}
 		if len(reconfig) > 0 {
 			printReconfigBench(reconfig)

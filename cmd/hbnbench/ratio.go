@@ -38,6 +38,29 @@ import (
 // fires within a fraction of an epoch.
 const ratioDriftThreshold = 0.15
 
+// serveScenario is one named trace generator at benchmark scale.
+type serveScenario struct {
+	name string
+	gen  func(rng *rand.Rand, t *tree.Tree, numObjects, n int) []workload.TraceEvent
+}
+
+func serveScenarios() []serveScenario {
+	return []serveScenario{
+		{"drifting-zipf", func(rng *rand.Rand, t *tree.Tree, o, n int) []workload.TraceEvent {
+			return workload.DriftingZipf(rng, t, o, n, 6, 1.0, 0.03)
+		}},
+		{"diurnal", func(rng *rand.Rand, t *tree.Tree, o, n int) []workload.TraceEvent {
+			return workload.Diurnal(rng, t, o, n, n/5, 0.05)
+		}},
+		{"hotspot-migration", func(rng *rand.Rand, t *tree.Tree, o, n int) []workload.TraceEvent {
+			return workload.HotspotMigration(rng, t, o, n, 5, 0.7, 0.05)
+		}},
+		{"write-storm", func(rng *rand.Rand, t *tree.Tree, o, n int) []workload.TraceEvent {
+			return workload.WriteStorm(rng, t, o, n, 4, 0.05)
+		}},
+	}
+}
+
 // jsonRatio is one scenario's competitive-ratio outcome in -json mode.
 type jsonRatio struct {
 	Scenario         string  `json:"scenario"`
@@ -95,8 +118,8 @@ func ratioRun(t, scoreT *tree.Tree, objects int, opts serve.Options,
 
 // runRatioBench runs every scenario through the pre-PR-8 and the
 // bandwidth-aware configurations and scores both against the static
-// optimum. Scale, traces and seeds match -serve exactly so the two
-// benchmarks stay comparable.
+// optimum, on the four phase-shifting trace scenarios at a fixed scale
+// and seed.
 func runRatioBench(quick bool, seed int64) ([]jsonRatio, error) {
 	t := tree.SCICluster(8, 8, 32, 16)
 	requests := 200000

@@ -45,8 +45,8 @@ func main() {
 	flag.Int64Var(&cfg.EpochRequests, "epoch", 4096, "cold start: requests per epoch re-solve")
 	flag.IntVar(&cfg.Threshold, "threshold", 3, "cold start: read-replication threshold")
 	flag.IntVar(&cfg.Shards, "shards", 4, "cold start: serving shards")
-	flag.IntVar(&cfg.Parallelism, "parallelism", 0, "worker bound for batch serving and the solver (0 = GOMAXPROCS)")
-	flag.IntVar(&cfg.QueueCap, "queue", 64, "admission queue capacity (full queue sheds)")
+	flag.IntVar(&cfg.Parallelism, "parallelism", 0, "worker bound for batch serving and the solver (0 = GOMAXPROCS); a batch fans out to more than one worker only at 512+ events per worker")
+	flag.IntVar(&cfg.QueueCap, "queue", 64, "admission queue capacity: batches waiting to apply (full queue sheds)")
 	flag.BoolVar(&cfg.Standby, "standby", false, "start as a warm standby awaiting a live handoff")
 	metricsAddr := flag.String("metrics", "", "HTTP listen address for /metrics (empty disables)")
 	pprofOn := flag.Bool("pprof", false, "also serve /debug/pprof on the -metrics listener")
@@ -86,7 +86,7 @@ func main() {
 	}
 
 	// SIGTERM/SIGINT → graceful drain: stop accepting, apply the admitted
-	// queue, final snapshot, exit 0. A second signal force-exits. The
+	// batches, final snapshot, exit 0. A second signal force-exits. The
 	// metrics listener closes FIRST: no scrape can race the final
 	// snapshot and observe a half-drained ledger.
 	sigc := make(chan os.Signal, 2)

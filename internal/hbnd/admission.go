@@ -10,46 +10,66 @@ import (
 	"hbn/internal/wire"
 )
 
-// enqueue admits one batch or sheds it. Shedding is a non-blocking
-// decision at the queue: a full queue means the applier is already
-// behind by QueueCap batches, and accepting more would turn bounded
-// admission latency into unbounded queue growth — the daemon's core
-// overload stance is that the client hears "no, retry in ~T" instead.
-func (d *Daemon) enqueue(t *task) error {
+// ingest admits one parsed batch or sheds it, then applies it on the
+// calling connection goroutine under applyMu. A batch that finds applyMu
+// free takes it without entering the queue; one that must wait is
+// counted in waiting until it holds the lock, and shed if QueueCap
+// batches already wait. The read side of drainMu is held from the
+// draining check until the batch is applied or expired, so stopAdmission
+// returns only after every admitted batch is done.
+func (d *Daemon) ingest(events []serve.Request, budget time.Duration) (cost int64, expired bool, err error) {
 	d.drainMu.RLock()
 	defer d.drainMu.RUnlock()
 	if d.draining.Load() {
-		return &wire.RemoteError{Code: wire.CodeBusy, Msg: "draining"}
+		return 0, false, &wire.RemoteError{Code: wire.CodeBusy, Msg: "draining"}
 	}
-	select {
-	case d.queue <- t:
-		n := int64(len(d.queue))
+	admitted := time.Now()
+	locked := admitted
+	if !d.applyMu.TryLock() {
+		if err := d.admit(len(events)); err != nil {
+			return 0, false, err
+		}
+		d.applyMu.Lock()
+		d.waiting.Add(-1)
+		locked = time.Now()
+	}
+	defer d.applyMu.Unlock()
+	return d.applyLocked(events, admitted, locked, budget)
+}
+
+// admit counts one batch into the admission queue or sheds it. Shedding
+// is a non-blocking decision: QueueCap batches already waiting for
+// applyMu means the daemon is behind by that many applies, and accepting
+// more would turn bounded admission latency into unbounded queue growth —
+// the daemon's core overload stance is that the client hears "no, retry
+// in ~T" instead.
+func (d *Daemon) admit(events int) error {
+	n := d.waiting.Add(1)
+	if n <= int64(d.cfg.QueueCap) {
 		for {
 			hw := d.queueHighWater.Load()
 			if n <= hw || d.queueHighWater.CompareAndSwap(hw, n) {
-				break
+				return nil
 			}
 		}
-		return nil
-	default:
-		d.shedBatches.Add(1)
-		d.shedEvents.Add(int64(len(t.events)))
-		// Flight-record the burst, coalesced: only the first shed of each
-		// ~10ms window lands an event (a losing CAS means a concurrent
-		// shedder already recorded this window).
-		if o := d.obsReg(); o != nil {
-			now := time.Now().UnixNano()
-			if last := d.lastShedNs.Load(); now-last > 10*int64(time.Millisecond) &&
-				d.lastShedNs.CompareAndSwap(last, now) {
-				o.Flight.RecordAt(now, obs.EvShed, -1,
-					int64(len(d.queue)), int64(cap(d.queue)), d.shedBatches.Load())
-			}
+	}
+	n = d.waiting.Add(-1)
+	d.shedBatches.Add(1)
+	d.shedEvents.Add(int64(events))
+	// Flight-record the burst, coalesced: only the first shed of each
+	// ~10ms window lands an event (a losing CAS means a concurrent
+	// shedder already recorded this window).
+	if o := d.obsReg(); o != nil {
+		now := time.Now().UnixNano()
+		if last := d.lastShedNs.Load(); now-last > 10*int64(time.Millisecond) &&
+			d.lastShedNs.CompareAndSwap(last, now) {
+			o.Flight.RecordAt(now, obs.EvShed, -1, n, int64(d.cfg.QueueCap), d.shedBatches.Load())
 		}
-		return &wire.OverloadedError{
-			RetryAfter: d.retryAfter(),
-			QueueLen:   len(d.queue),
-			QueueCap:   cap(d.queue),
-		}
+	}
+	return &wire.OverloadedError{
+		RetryAfter: d.retryAfter(),
+		QueueLen:   int(n),
+		QueueCap:   d.cfg.QueueCap,
 	}
 }
 
@@ -68,7 +88,7 @@ func (d *Daemon) obsReg() *obs.Registry {
 // batch is measured (the client falls back to its own backoff).
 func (d *Daemon) retryAfter() time.Duration {
 	per := d.ewmaApplyNs.Load()
-	return time.Duration(per*int64(len(d.queue))) * time.Nanosecond
+	return time.Duration(per*d.waiting.Load()) * time.Nanosecond
 }
 
 // SetApplyDelay injects an artificial per-batch apply delay — the
@@ -79,40 +99,32 @@ func (d *Daemon) SetApplyDelay(delay time.Duration) {
 	d.applyDelayNs.Store(int64(delay))
 }
 
-// applier is the single sequential apply loop — the daemon's total
-// order. It exits when Drain/Close closes the queue, after applying
-// everything already admitted (drain semantics: admitted work is never
-// dropped, only un-admitted work is shed).
-func (d *Daemon) applier() {
-	defer close(d.applierDone)
-	for t := range d.queue {
-		d.applyMu.Lock()
-		d.applyOne(t)
-		d.applyMu.Unlock()
+// applyLocked applies one admitted batch; the caller holds applyMu,
+// which it took at locked after admitting the batch at admitted. It runs
+// the deadline gate, the cluster call, the tail append and the counters.
+// Expired batches are dropped here — after admission, before
+// Cluster.Ingest — so a backlog of dead work costs queue slots but never
+// serving capacity. The batch is ingested in place: its events are not
+// touched again until the handler returns.
+func (d *Daemon) applyLocked(events []serve.Request, admitted, locked time.Time, budget time.Duration) (int64, bool, error) {
+	wait := locked.Sub(admitted)
+	o := d.obsReg()
+	if o != nil {
+		o.AdmitWait.Observe(wait.Nanoseconds())
 	}
-}
-
-// applyOne applies one admitted batch under applyMu: the deadline gate,
-// the cluster call, the tail append, the counters. Expired batches are
-// dropped here — after admission, before Cluster.Ingest — so a backlog
-// of dead work costs queue slots but never serving capacity.
-func (d *Daemon) applyOne(t *task) {
-	if !t.deadline.IsZero() && time.Now().After(t.deadline) {
+	if budget > 0 && wait > budget {
 		d.expiredBatches.Add(1)
-		d.expiredEvents.Add(int64(len(t.events)))
-		t.reply <- taskResult{expired: true}
-		return
+		d.expiredEvents.Add(int64(len(events)))
+		return 0, true, nil
 	}
-	t0 := time.Now()
 	if delay := d.applyDelayNs.Load(); delay > 0 {
 		time.Sleep(time.Duration(delay))
 	}
-	cost, err := d.cl.Ingest(t.events)
+	cost, err := d.cl.Ingest(events)
 	if err != nil {
-		t.reply <- taskResult{err: err}
-		return
+		return 0, false, err
 	}
-	elapsed := time.Since(t0).Nanoseconds()
+	elapsed := time.Since(locked).Nanoseconds()
 	if old := d.ewmaApplyNs.Load(); old == 0 {
 		d.ewmaApplyNs.Store(elapsed)
 	} else {
@@ -120,18 +132,19 @@ func (d *Daemon) applyOne(t *task) {
 	}
 	// The EWMA's elapsed doubles as the apply-histogram sample — the
 	// telemetry costs no extra clock read on the apply path.
-	if o := d.obsReg(); o != nil {
+	if o != nil {
 		o.Apply.Observe(elapsed)
 	}
 	seq := d.appliedSeq.Add(1)
-	if err := d.tail.AppendBatch(seq, wire.AppendEvents(nil, t.events)); err != nil {
+	d.tailBuf = wire.AppendEvents(d.tailBuf[:0], events)
+	if err := d.tail.AppendBatch(seq, d.tailBuf); err != nil {
 		// The batch IS applied; a tail write failure degrades restart
 		// durability, not serving correctness. Log it, keep serving.
 		d.cfg.Logf("hbnd: tail append seq %d: %v", seq, err)
 	}
 	d.acceptedBatches.Add(1)
-	d.acceptedEvents.Add(int64(len(t.events)))
-	t.reply <- taskResult{cost: cost}
+	d.acceptedEvents.Add(int64(len(events)))
+	return cost, false, nil
 }
 
 // handleConn speaks the protocol on one connection: handshake, then a
@@ -232,26 +245,15 @@ func (d *Daemon) handleIngest(f wire.Frame, body []byte, events []serve.Request)
 		return t, b, events
 	}
 	events = evs
-	t := &task{reply: make(chan taskResult, 1)}
-	// The applier owns the events until it replies, and the read buffer
-	// this batch aliases is reused for the next frame — copy.
-	t.events = append(make([]serve.Request, 0, len(evs)), evs...)
-	if budget > 0 {
-		t.deadline = time.Now().Add(budget)
-	}
-	if err := d.enqueue(t); err != nil {
+	cost, expired, err := d.ingest(events, budget)
+	switch {
+	case err != nil:
 		typ, b := errorReply(body, err)
 		return typ, b, events
-	}
-	res := <-t.reply
-	switch {
-	case res.expired:
+	case expired:
 		return wire.TExpired, body[:0], events
-	case res.err != nil:
-		typ, b := errorReply(body, res.err)
-		return typ, b, events
 	default:
-		return wire.TIngestOK, wire.AppendCost(body[:0], res.cost), events
+		return wire.TIngestOK, wire.AppendCost(body[:0], cost), events
 	}
 }
 
@@ -296,15 +298,12 @@ func (d *Daemon) handleReconfig(f wire.Frame, body []byte) (wire.Type, []byte) {
 	return wire.TReconfigOK, wire.AppendReconfigResult(body[:0], res)
 }
 
-// drainQueueForHandoff sheds new work and waits for the applier to
-// finish everything admitted (the handoff twin of Drain's first half —
-// the daemon object stays alive to stream its state).
-func (d *Daemon) drainQueueForHandoff() {
+// stopAdmission sets draining under drainMu's write side, which every
+// admitted batch holds the read side of until it is applied or expired:
+// it returns once the admitted work is done, and no batch is admitted
+// after it. It reports whether draining was already set.
+func (d *Daemon) stopAdmission() (already bool) {
 	d.drainMu.Lock()
-	already := d.draining.Swap(true)
-	d.drainMu.Unlock()
-	if !already {
-		close(d.queue)
-	}
-	<-d.applierDone
+	defer d.drainMu.Unlock()
+	return d.draining.Swap(true)
 }

@@ -5,16 +5,26 @@
 // restart from snapshot + tail log, and live process-to-process handoff.
 //
 // The one structural decision everything else leans on: batches are
-// applied by a single sequential applier goroutine (parallelism lives
-// inside Cluster.Ingest's shard-parallel path, not across batches), and
-// every epoch pass runs inline on the Ingest call that crosses it. That
-// gives every applied batch a place in one total order, recorded in the
-// sequence-numbered tail log, and every epoch pass a fixed place in it —
-// which is what makes restart and handoff bit-identical: snapshot +
-// ordered tail replay reproduces exactly the serving state of the
-// uninterrupted process (the serve.TestSnapshotRestoreIdentity
-// contract). A concurrent applier would be faster on paper and
-// unreplayable in practice.
+// applied one at a time under applyMu, each on the connection goroutine
+// that read it (parallelism lives inside Cluster.Ingest, not across
+// batches), and every epoch pass runs inline on the Ingest call that
+// crosses it. The apply sequence number and the tail append are taken
+// under the same lock, so the tail log's order is the lock order: every
+// applied batch has a place in one total order, and every epoch pass a
+// fixed place in it. That is what makes restart and handoff
+// bit-identical: snapshot + ordered tail replay reproduces exactly the
+// serving state of the uninterrupted process (the
+// serve.TestSnapshotRestoreIdentity contract). Concurrent applies would
+// be faster on paper and unreplayable in practice.
+//
+// Admission is an atomic count of admitted batches still waiting for
+// applyMu; a batch arriving with QueueCap already waiting is shed. The
+// wait is not FIFO: sync.Mutex lets a newly arriving goroutine take the
+// lock ahead of a waiting one, until a waiter has waited more than 1 ms;
+// from then on the mutex hands itself to its waiters in arrival order.
+// A waiting batch can therefore be overtaken only during its first ~1 ms
+// of waiting, and the overload tests bound accepted-request latency end
+// to end.
 package hbnd
 
 import (
@@ -58,8 +68,9 @@ type Config struct {
 	Shards        int
 	Parallelism   int
 
-	// QueueCap bounds the admission queue; a batch arriving with the
-	// queue full is shed with a typed overload reply, never queued. <= 0
+	// QueueCap bounds the admission queue: the batches admitted but still
+	// waiting for the one in apply. A batch arriving with QueueCap already
+	// waiting is shed with a typed overload reply, never queued. <= 0
 	// means 64.
 	QueueCap int
 
@@ -129,18 +140,23 @@ type Daemon struct {
 	cl   *serve.Cluster
 	tail *wire.Log
 
-	queue       chan *task
-	applierDone chan struct{}
-	// applyMu pauses the applier between batches; control operations
+	// applyMu serializes applies: an admitted batch holds it from its
+	// deadline check through its tail append. Control operations
 	// (snapshot, reconfigure, handoff cut) hold it so their cluster calls
 	// never interleave with an apply, and so consistency points (tail
 	// truncation vs snapshot) are atomic with respect to the total order.
 	applyMu    sync.Mutex
 	appliedSeq atomic.Uint64
+	tailBuf    []byte // tail frame body of the batch in apply; guarded by applyMu
+	// tailClosed is set by whichever of Drain and Close closes the tail.
+	tailClosed atomic.Bool
 
-	// drainMu fences enqueue against queue close: enqueuers hold the read
-	// side across the draining check and the send, Drain sets the flag
-	// under the write side before closing the channel.
+	// waiting counts admitted batches that do not hold applyMu yet: the
+	// admission queue QueueCap bounds.
+	waiting atomic.Int64
+	// drainMu fences admission against drain: a batch holds the read side
+	// from its draining check until it is applied or expired, and
+	// stopAdmission sets the flag under the write side.
 	drainMu  sync.RWMutex
 	draining atomic.Bool
 
@@ -168,19 +184,6 @@ type Daemon struct {
 	quit   chan struct{}
 }
 
-// task is one admitted ingest batch awaiting the applier.
-type task struct {
-	events   []serve.Request
-	deadline time.Time // zero = no budget
-	reply    chan taskResult
-}
-
-type taskResult struct {
-	cost    int64
-	expired bool
-	err     error
-}
-
 // New builds a daemon: restore from the snapshot ladder when one exists,
 // replay the tail log on top, cold-start otherwise. Standby daemons
 // skip all of it and wait for a handoff.
@@ -190,10 +193,8 @@ func New(cfg Config) (*Daemon, error) {
 		return nil, errors.New("hbnd: Config.SnapshotPath is required")
 	}
 	d := &Daemon{
-		cfg:         cfg,
-		queue:       make(chan *task, cfg.QueueCap),
-		applierDone: make(chan struct{}),
-		quit:        make(chan struct{}),
+		cfg:  cfg,
+		quit: make(chan struct{}),
 	}
 	d.standby.Store(cfg.Standby)
 	if !cfg.Standby {
@@ -201,7 +202,6 @@ func New(cfg Config) (*Daemon, error) {
 			return nil, err
 		}
 	}
-	go d.applier()
 	return d, nil
 }
 
@@ -314,8 +314,8 @@ func (d *Daemon) Stats() *wire.DaemonStats {
 		ShedEvents:      d.shedEvents.Load(),
 		ExpiredBatches:  d.expiredBatches.Load(),
 		ExpiredEvents:   d.expiredEvents.Load(),
-		QueueLen:        int64(len(d.queue)),
-		QueueCap:        int64(cap(d.queue)),
+		QueueLen:        d.waiting.Load(),
+		QueueCap:        int64(d.cfg.QueueCap),
 		QueueHighWater:  d.queueHighWater.Load(),
 		Draining:        d.draining.Load(),
 	}
@@ -338,28 +338,16 @@ func (d *Daemon) Stats() *wire.DaemonStats {
 }
 
 // Drain is the graceful shutdown: stop accepting connections, shed new
-// batches, let the applier finish the admitted queue, write a final
-// snapshot (waiting out any reconfiguration in flight), truncate the now
-// redundant tail, and close the cluster. Safe to call once; returns the
-// final snapshot's stats.
+// batches, wait until every admitted batch is applied or expired, write a
+// final snapshot (waiting out any reconfiguration in flight), truncate
+// the now redundant tail, and close the tail and the cluster. Safe to
+// call once; returns the final snapshot's stats.
 func (d *Daemon) Drain() (serve.SnapshotStats, error) {
 	var ss serve.SnapshotStats
-	select {
-	case <-d.quit:
-	default:
-		close(d.quit)
-	}
-	if d.ln != nil {
-		d.ln.Close()
-	}
-	d.drainMu.Lock()
-	already := d.draining.Swap(true)
-	d.drainMu.Unlock()
-	if already {
+	d.stopServing()
+	if d.stopAdmission() {
 		return ss, errors.New("hbnd: already draining")
 	}
-	close(d.queue)
-	<-d.applierDone
 	if d.standby.Load() {
 		return ss, nil
 	}
@@ -370,14 +358,26 @@ func (d *Daemon) Drain() (serve.SnapshotStats, error) {
 	if err := d.tail.Truncate(); err != nil {
 		return ss, err
 	}
-	d.tail.Close()
+	tailErr := d.closeTail()
 	d.cfg.Logf("hbnd: drained; final snapshot seq %d (%d bytes)", ss.Seq, ss.Bytes)
-	return ss, d.cl.Close()
+	return ss, errors.Join(tailErr, d.cl.Close())
 }
 
 // Close shuts down abruptly: no final snapshot (the tail log preserves
-// everything applied since the last one — the crash-restart path).
+// everything applied since the last one — the crash-restart path). It
+// still waits for the admitted batches, and returns the tail's sync and
+// close errors with the cluster's.
 func (d *Daemon) Close() error {
+	d.stopServing()
+	d.stopAdmission()
+	if d.standby.Load() {
+		return nil
+	}
+	return errors.Join(d.closeTail(), d.cl.Close())
+}
+
+// stopServing closes the listener, so no new connection is accepted.
+func (d *Daemon) stopServing() {
 	select {
 	case <-d.quit:
 	default:
@@ -386,19 +386,15 @@ func (d *Daemon) Close() error {
 	if d.ln != nil {
 		d.ln.Close()
 	}
-	d.drainMu.Lock()
-	already := d.draining.Swap(true)
-	d.drainMu.Unlock()
-	if !already {
-		close(d.queue)
-	}
-	<-d.applierDone
-	if d.standby.Load() {
+}
+
+// closeTail syncs and closes the tail log the first time it is called;
+// later calls return nil.
+func (d *Daemon) closeTail() error {
+	if d.tailClosed.Swap(true) {
 		return nil
 	}
-	d.tail.Sync()
-	d.tail.Close()
-	return d.cl.Close()
+	return errors.Join(d.tail.Sync(), d.tail.Close())
 }
 
 // Cluster exposes the underlying cluster for in-process inspection
@@ -410,12 +406,12 @@ func (d *Daemon) Cluster() *serve.Cluster {
 	return d.cl
 }
 
-// snapshotNow is the TSnapshot handler: pause the applier at a batch
+// snapshotNow is the TSnapshot handler: take applyMu at a batch
 // boundary, snapshot, truncate the tail (its frames are all included in
-// the image now). The applier stays paused through the cut, the write,
-// fsync and rename, and the truncate, and that pause is the stall the
-// reply reports: no batch is applied while the daemon holds applyMu,
-// however short the cluster's own cut.
+// the image now). Applies stay paused through the cut, the write, fsync
+// and rename, and the truncate, and that pause is the stall the reply
+// reports: no batch is applied while the daemon holds applyMu, however
+// short the cluster's own cut.
 func (d *Daemon) snapshotNow() (*wire.SnapshotResult, error) {
 	d.applyMu.Lock()
 	defer d.applyMu.Unlock()
@@ -435,7 +431,7 @@ func (d *Daemon) snapshotNow() (*wire.SnapshotResult, error) {
 // the tail log's replayability (its events reference the old topology),
 // so it commits a fresh snapshot and truncates the tail before
 // returning — a reconfigure the client saw acknowledged survives a
-// restart. The applier is paused for all three steps, and that pause is
+// restart. Applies are paused for all three steps, and that pause is
 // the stall the reply reports: the cluster's own rolling stall bound
 // does not apply while the daemon holds applyMu.
 func (d *Daemon) reconfigure(req *wire.ReconfigRequest) (*wire.ReconfigResult, error) {

@@ -396,3 +396,76 @@ func TestStandbyRejectsServing(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// raceEnabled is set by raceenabled_test.go in -race builds.
+var raceEnabled bool
+
+// An acknowledged batch costs the daemon no allocation once warm: the
+// handler parses into the connection's event buffer, applies on its own
+// goroutine, encodes the tail frame into the daemon's reused buffer and
+// replies into the connection's body buffer. Epochs are off, because an
+// epoch pass allocates.
+func TestIngestHandlerSteadyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	cfg := testConfig(t)
+	cfg.EpochRequests = 1 << 40
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	const batch, frames = 16, 256
+	trace := testTrace(batch * frames)
+	fs := make([]wire.Frame, frames)
+	for i := range fs {
+		fs[i] = wire.Frame{
+			Type: wire.TIngest,
+			Seq:  uint64(i + 1),
+			Body: wire.AppendIngestBody(nil, 0, trace[i*batch:(i+1)*batch]),
+		}
+	}
+	var body []byte
+	var events []serve.Request
+	i := 0
+	ingest := func() {
+		var typ wire.Type
+		typ, body, events = d.handleIngest(fs[i%frames], body, events)
+		i++
+		if typ != wire.TIngestOK {
+			t.Fatalf("reply %v, want %v", typ, wire.TIngestOK)
+		}
+	}
+	for range 4 * frames {
+		ingest()
+	}
+	if allocs := testing.AllocsPerRun(1000, ingest); allocs != 0 {
+		t.Errorf("acknowledged 16-event batch allocates %.2f objects, want 0", allocs)
+	}
+}
+
+// Close reports a tail log that cannot be synced or closed instead of
+// dropping the error; after a Drain, which closes the tail itself, Close
+// returns nil.
+func TestCloseReportsTailErrors(t *testing.T) {
+	d := startDaemon(t, testConfig(t))
+	cl := dialTest(t, d.Addr())
+	if _, err := cl.Ingest(testTrace(64), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.tail.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err == nil {
+		t.Fatal("Close returned nil with the tail log already closed")
+	}
+
+	d2 := startDaemon(t, testConfig(t))
+	if _, err := d2.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d2.Close(); err != nil {
+		t.Fatalf("Close after Drain: %v", err)
+	}
+}

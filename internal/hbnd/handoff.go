@@ -20,11 +20,11 @@ const maxHandoffImage = 1 << 30
 // the standby at the address in the body, then retire. The protocol is
 // phased to keep the serving gap to the tail length:
 //
-//  1. Cut: pause the applier, snapshot to our own path, truncate the
-//     tail. BaseSeq is the apply sequence at the cut. Serving resumes.
+//  1. Cut: take applyMu, snapshot to our own path, truncate the tail.
+//     BaseSeq is the apply sequence at the cut. Serving resumes.
 //  2. Stream: send the snapshot image (as committed on disk) in chunks
 //     while we keep serving — the expensive transfer costs no downtime.
-//  3. Drain: shed new work, finish the admitted queue. From here we
+//  3. Drain: shed new work, wait out the admitted batches. From here we
 //     serve nothing.
 //  4. Tail: stream every batch applied since the cut, in apply order,
 //     then a commit carrying the final sequence and the cluster ledger
@@ -109,10 +109,10 @@ func (d *Daemon) handoffTo(addr string) error {
 
 	span(tStream, obs.PhaseShard, int64(numChunks))
 
-	// Phase 3: drain. After this the admitted queue is applied and the
-	// applier has exited — appliedSeq and the tail log are final.
+	// Phase 3: drain. After this every admitted batch is applied or
+	// expired and none is admitted — appliedSeq and the tail log are final.
 	tDrain := time.Now()
-	d.drainQueueForHandoff()
+	d.stopAdmission()
 
 	// Phase 4: stream the tail in apply order and commit.
 	if err := d.tail.Sync(); err != nil {

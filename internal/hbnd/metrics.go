@@ -23,8 +23,8 @@ import (
 // gauges are populated.
 func (d *Daemon) MsgStats() *wire.MsgStats {
 	m := &wire.MsgStats{
-		QueueLen:       int64(len(d.queue)),
-		QueueCap:       int64(cap(d.queue)),
+		QueueLen:       d.waiting.Load(),
+		QueueCap:       int64(d.cfg.QueueCap),
 		QueueHighWater: d.queueHighWater.Load(),
 		EwmaApplyNs:    d.ewmaApplyNs.Load(),
 	}
@@ -97,8 +97,8 @@ func (d *Daemon) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("hbn_accepted_batches_total", "batches admitted and applied", d.acceptedBatches.Load())
 	counter("hbn_shed_batches_total", "batches shed at the admission queue", d.shedBatches.Load())
 	counter("hbn_expired_batches_total", "batches dropped past their deadline budget", d.expiredBatches.Load())
-	gauge("hbn_queue_len", "admission queue occupancy", int64(len(d.queue)))
-	gauge("hbn_queue_cap", "admission queue capacity", int64(cap(d.queue)))
+	gauge("hbn_queue_len", "admitted batches waiting to apply", d.waiting.Load())
+	gauge("hbn_queue_cap", "admission queue capacity", int64(d.cfg.QueueCap))
 	gauge("hbn_queue_high_water", "admission queue high-water mark", d.queueHighWater.Load())
 	gauge("hbn_apply_ewma_ns", "EWMA per-batch apply time (retry-after basis)", d.ewmaApplyNs.Load())
 

@@ -1,12 +1,16 @@
 package hbnd
 
 import (
+	"errors"
+	"fmt"
 	"io"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"hbn/internal/obs"
+	"hbn/internal/wire"
 )
 
 // The MsgStats export must be the same ledger the wire Stats frame
@@ -78,6 +82,69 @@ func TestMsgStatsMatchesDaemonStats(t *testing.T) {
 	}
 	if epochEvents != st.Epochs {
 		t.Fatalf("flight recorder holds %d epoch events, stats says %d epochs", epochEvents, st.Epochs)
+	}
+}
+
+// The admit_wait histogram books exactly one sample per admitted batch
+// that reaches the apply lock: with no Ingest errors, its count at
+// quiescence equals AcceptedBatches + ExpiredBatches, and the MsgStats
+// frame and the Prometheus text carry that count.
+func TestAdmitWaitCountsEveryAdmittedBatch(t *testing.T) {
+	d := startDaemon(t, testConfig(t))
+	defer d.Close()
+	cl := dialTest(t, d.Addr())
+	trace := testTrace(2000)
+	for lo := 0; lo < len(trace); lo += 100 {
+		if _, err := cl.Ingest(trace[lo:lo+100], 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// One batch waits behind a held apply lock past its budget.
+	d.applyMu.Lock()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := cl.Ingest(trace[:8], time.Millisecond)
+		errc <- err
+	}()
+	for i := 0; d.Stats().QueueLen == 0; i++ {
+		if i == 2000 {
+			d.applyMu.Unlock()
+			t.Fatal("the budgeted batch never queued behind the held lock")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // well past the 1 ms budget
+	d.applyMu.Unlock()
+	if err := <-errc; !errors.Is(err, wire.ErrExpired) {
+		t.Fatalf("err = %v, want ErrExpired", err)
+	}
+
+	st := d.Stats()
+	want := st.AcceptedBatches + st.ExpiredBatches
+	if st.ExpiredBatches != 1 || st.AcceptedBatches != 20 {
+		t.Fatalf("accepted %d, expired %d batches, want 20 and 1", st.AcceptedBatches, st.ExpiredBatches)
+	}
+	if got := d.Cluster().Obs().AdmitWait.Snapshot().Count; got != want {
+		t.Fatalf("admit_wait count %d != accepted + expired %d", got, want)
+	}
+	ms, err := cl.MsgStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exported int64 = -1
+	for _, h := range ms.Hists {
+		if h.Name == "admit_wait" {
+			exported = h.Count
+		}
+	}
+	if exported != want {
+		t.Fatalf("MsgStats admit_wait count %d, want %d", exported, want)
+	}
+	rec := httptest.NewRecorder()
+	d.MetricsHandler(false).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if line := fmt.Sprintf("hbn_admit_wait_ns_count %d\n", want); !strings.Contains(rec.Body.String(), line) {
+		t.Fatalf("metrics text lacks %q", line)
 	}
 }
 

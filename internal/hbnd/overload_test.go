@@ -134,10 +134,10 @@ func TestOverloadReplyCarriesHint(t *testing.T) {
 	cl := dialTest(t, d.Addr())
 
 	// Measure an apply to warm the EWMA, then stretch applies so the
-	// applier is provably busy while we overflow the queue. (The applier
-	// POPS a task before applying it, so blocking the applier alone empties
-	// the queue — it takes one in-flight batch AND one queued batch to make
-	// a cap-1 queue reject the third.)
+	// daemon is provably busy while we overflow the queue. (A batch leaves
+	// the queue when it takes the apply lock, so one batch in apply leaves
+	// the queue empty — it takes one in-flight batch AND one waiting batch
+	// to make a cap-1 queue reject the third.)
 	if _, err := cl.Ingest(testTrace(256), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +161,10 @@ func TestOverloadReplyCarriesHint(t *testing.T) {
 	time.Sleep(50 * time.Millisecond) // first batch is now inside the 300ms apply
 	second := bg(3)
 	// Wait until the second batch occupies the queue slot.
-	for i := 0; len(d.queue) == 0 && i < 200; i++ {
+	for i := 0; d.Stats().QueueLen == 0 && i < 200; i++ {
 		time.Sleep(time.Millisecond)
 	}
-	if len(d.queue) != 1 {
+	if d.Stats().QueueLen != 1 {
 		t.Fatal("queue never filled behind the stretched apply")
 	}
 	cl3, err := wire.Dial(d.Addr(), wire.ClientOptions{Seed: 4, MaxRetries: -1})

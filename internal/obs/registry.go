@@ -18,10 +18,15 @@ type Registry struct {
 	ReconfigStall Histogram // per-shard ingest stall during reconfiguration
 	SnapshotCut   Histogram // snapshot cut stall (ingest paused)
 	Handoff       Histogram // live handoff phase durations
-	// Apply is the daemon's per-batch apply time: the clock starts after
-	// the batch is dequeued and passes its deadline check, and stops when
-	// Cluster.Ingest returns, before the tail append. Queue wait is not
-	// included.
+	// AdmitWait is the daemon's per-batch admission wait: the clock
+	// starts when the batch is admitted and stops when it acquires the
+	// apply lock. Every admitted batch that reaches the lock is counted,
+	// including those that then expire.
+	AdmitWait Histogram
+	// Apply is the daemon's per-batch apply time: the clock starts when
+	// the batch acquires the apply lock, before its deadline check, and
+	// stops when Cluster.Ingest returns, before the tail append. Expired
+	// batches are not counted, and the admission wait is not included.
 	Apply     Histogram
 	RoundTrip Histogram // client-observed request round-trip latency
 
@@ -53,6 +58,7 @@ func (r *Registry) Hists() []NamedHist {
 		{"reconfig_stall", &r.ReconfigStall},
 		{"snapshot_cut", &r.SnapshotCut},
 		{"handoff", &r.Handoff},
+		{"admit_wait", &r.AdmitWait},
 		{"apply", &r.Apply},
 		{"round_trip", &r.RoundTrip},
 	}

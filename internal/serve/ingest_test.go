@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"hbn/internal/tree"
@@ -21,8 +22,10 @@ func TestIngestSteadyAllocs(t *testing.T) {
 	trace := workload.DriftingZipf(rng, tr, objects, 40960, 2, 1.0, 0.05)
 	// Parallelism 1 keeps par.ForEach on the caller's goroutine — the
 	// guard measures the serving path, not goroutine spawn plumbing.
-	// EpochRequests 0 keeps the (allocating, once-per-epoch) re-solve out
-	// of the steady-state measurement.
+	// testing.AllocsPerRun runs at GOMAXPROCS 1 anyway, so it could not
+	// see a fan-out; TestIngestSmallBatchAllocsMultiCore guards that at
+	// GOMAXPROCS 2. EpochRequests 0 keeps the (allocating,
+	// once-per-epoch) re-solve out of the steady-state measurement.
 	c, err := NewCluster(tr, objects, Options{Shards: 2, Threshold: 4, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -53,6 +56,45 @@ func TestIngestSteadyAllocs(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Errorf("steady-state Ingest allocates %.1f allocs/op, want ~0 (<= 2)", allocs)
+	}
+}
+
+// raceEnabled is set by raceenabled_test.go in -race builds.
+var raceEnabled bool
+
+// A small batch on a multi-core host is served on the calling goroutine:
+// at the default Parallelism and GOMAXPROCS 2, a warm 2-shard cluster
+// serves 16-event batches with no allocation, because it starts no worker
+// goroutine for them. The mallocs come from runtime.ReadMemStats, since
+// testing.AllocsPerRun would pin GOMAXPROCS to 1.
+func TestIngestSmallBatchAllocsMultiCore(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	tr := tree.SCICluster(4, 4, 16, 8)
+	const objects, batch, batches = 32, 16, 2000
+	trace := workload.DriftingZipf(rand.New(rand.NewSource(43)), tr, objects, 2*batch*batches, 2, 1.0, 0.05)
+	c, err := NewCluster(tr, objects, Options{Shards: 2, Threshold: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, steady := trace[:len(trace)/2], trace[len(trace)/2:]
+	for lo := 0; lo+batch <= len(warm); lo += batch {
+		if _, err := c.Ingest(warm[lo : lo+batch]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < batches; i++ {
+		if _, err := c.Ingest(steady[i*batch : (i+1)*batch]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := float64(after.Mallocs-before.Mallocs) / batches; per >= 1 {
+		t.Errorf("16-event Ingest at GOMAXPROCS 2 allocates %.2f objects per batch, want < 1", per)
 	}
 }
 

@@ -8,10 +8,13 @@
 // sharding is exact: aggregate loads are identical to a single strategy
 // serving the whole sequence). Batches ingested by Ingest are partitioned
 // by owner (counting-sorted into pooled scratch: the steady-state request
-// hot path allocates nothing, guarded by TestIngestSteadyAllocs) and
-// served shard-parallel through Strategy.ServeBatch, which serves each
-// shard's partition request by request; each shard's OfflineTracker
-// records the observed frequencies in bulk as it serves.
+// hot path allocates nothing, guarded by TestIngestSteadyAllocs and
+// TestIngestSmallBatchAllocsMultiCore) and served through
+// Strategy.ServeBatch, which serves each shard's partition request by
+// request; each shard's OfflineTracker records the observed frequencies
+// in bulk as it serves. A batch large enough to give every worker at
+// least minFanOutShare events is served shard-parallel; a smaller one is
+// served shard by shard on the calling goroutine.
 //
 // Every EpochRequests served requests, an epoch pass feeds the objects
 // whose frequencies drifted since the previous pass into a shared
@@ -109,9 +112,18 @@ type Options struct {
 	// zero) while DriftThreshold is set. Negative values are rejected.
 	DriftCheckRequests int64
 	// Parallelism bounds the workers serving shards of one batch and the
-	// solver's object-parallel stages. <= 0 means GOMAXPROCS.
+	// solver's object-parallel stages. <= 0 means GOMAXPROCS. A batch is
+	// served on more than one worker only when each gets at least
+	// minFanOutShare (512) events.
 	Parallelism int
 }
+
+// minFanOutShare is the fewest events per worker for which Ingest serves a
+// batch's shards on parallel workers. Below it the shards are served one
+// after another on the calling goroutine: waking a second worker takes
+// longer than serving the batch. The crossover was measured on a 2-vCPU
+// host; DESIGN.md has the table, under "No fan-out for small batches".
+const minFanOutShare = 512
 
 // flightRecorderSize bounds the obs flight recorder: the most recent 1024
 // structural events.
@@ -483,9 +495,12 @@ func (c *Cluster) dynOpts() dynamic.Options {
 }
 
 // Ingest serves one batch of requests and returns its total service cost.
-// Requests are partitioned onto their owner shards and served in parallel;
-// concurrent Ingest calls are safe (shards serialize internally). If the
-// batch crosses an epoch boundary (or a drift check that clears
+// Requests are partitioned onto their owner shards, which are served in
+// parallel when each worker's share of the batch is at least
+// minFanOutShare events and one after another on the calling goroutine
+// otherwise; the choice changes only timing, because shards share no
+// state. Concurrent Ingest calls are safe (shards serialize internally).
+// If the batch crosses an epoch boundary (or a drift check that clears
 // DriftThreshold), this call runs the epoch pass before returning. While a
 // staged reconfiguration is in flight the inline pass is skipped — the
 // roll itself ends with a full re-solve and adoption, and blocking a
@@ -538,7 +553,13 @@ func (c *Cluster) serveGated(batch []Request) (total int64, crossed, driftCheck 
 	}
 	sc := c.scratch.Get().(*ingestScratch)
 	sc.partition(batch)
-	par.ForEach(c.opts.Parallelism, len(c.shards), sc.serve)
+	if w := min(par.Workers(c.opts.Parallelism), len(c.shards)); w > 1 && len(batch) >= w*minFanOutShare {
+		par.ForEach(w, len(c.shards), sc.serve)
+	} else {
+		for si := range c.shards {
+			sc.serveShard(0, si)
+		}
+	}
 	for _, ct := range sc.costs {
 		total += ct
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"hbn/internal/dynamic"
@@ -34,47 +35,49 @@ func testTrees(rng *rand.Rand) []struct {
 // shard count serves any request sequence with aggregate loads identical
 // to one plain dynamic.Strategy serving it sequentially (all per-object
 // state is per-object, and per-object request order is preserved). This
-// subsumes the acceptance criterion's shards=1, epoch=∞ case.
+// subsumes the acceptance criterion's shards=1, epoch=∞ case. It runs at
+// GOMAXPROCS >= 2 with batches below and at or above
+// Shards × minFanOutShare, so both the inline and the fanned-out serving
+// paths must match.
 func TestClusterMatchesPlainStrategy(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	rng := rand.New(rand.NewSource(301))
 	for _, inst := range testTrees(rng) {
 		const objects = 9
-		reqs := dynamic.RandomSequence(rng, inst.tr, objects, 1500, 0.2)
+		reqs := dynamic.RandomSequence(rng, inst.tr, objects, 8000, 0.2)
 
 		ref := dynamic.MustNew(inst.tr, objects, dynamic.Options{Threshold: 2})
 		refCost := ref.ServeAll(reqs)
 
 		for _, shards := range []int{1, 2, 4, 7} {
-			c, err := NewCluster(inst.tr, objects, Options{Shards: shards, Threshold: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var cost int64
-			for i := 0; i < len(reqs); i += 97 { // uneven batches
-				end := i + 97
-				if end > len(reqs) {
-					end = len(reqs)
-				}
-				got, err := c.Ingest(reqs[i:end])
+			for _, batch := range []int{97, shards * minFanOutShare, shards*minFanOutShare + 131} {
+				c, err := NewCluster(inst.tr, objects, Options{Shards: shards, Threshold: 2})
 				if err != nil {
 					t.Fatal(err)
 				}
-				cost += got
-			}
-			if cost != refCost {
-				t.Fatalf("%s shards=%d: service cost %d != plain strategy %d", inst.name, shards, cost, refCost)
-			}
-			edge, service := c.EdgeLoad(), c.ServiceLoad()
-			refService := ref.ServiceLoad()
-			for e := range edge {
-				if edge[e] != ref.EdgeLoad[e] || service[e] != refService[e] {
-					t.Fatalf("%s shards=%d edge %d: cluster (%d,%d) != plain (%d,%d)",
-						inst.name, shards, e, edge[e], service[e], ref.EdgeLoad[e], refService[e])
+				var cost int64
+				for i := 0; i < len(reqs); i += batch { // uneven batches
+					got, err := c.Ingest(reqs[i:min(i+batch, len(reqs))])
+					if err != nil {
+						t.Fatal(err)
+					}
+					cost += got
 				}
-			}
-			st := c.Stats()
-			if st.Requests != int64(len(reqs)) || st.ServiceCost != refCost || st.Epochs != 0 {
-				t.Fatalf("%s shards=%d: stats %+v", inst.name, shards, st)
+				if cost != refCost {
+					t.Fatalf("%s shards=%d batch=%d: service cost %d != plain strategy %d", inst.name, shards, batch, cost, refCost)
+				}
+				edge, service := c.EdgeLoad(), c.ServiceLoad()
+				refService := ref.ServiceLoad()
+				for e := range edge {
+					if edge[e] != ref.EdgeLoad[e] || service[e] != refService[e] {
+						t.Fatalf("%s shards=%d batch=%d edge %d: cluster (%d,%d) != plain (%d,%d)",
+							inst.name, shards, batch, e, edge[e], service[e], ref.EdgeLoad[e], refService[e])
+					}
+				}
+				st := c.Stats()
+				if st.Requests != int64(len(reqs)) || st.ServiceCost != refCost || st.Epochs != 0 {
+					t.Fatalf("%s shards=%d batch=%d: stats %+v", inst.name, shards, batch, st)
+				}
 			}
 		}
 	}

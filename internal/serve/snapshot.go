@@ -37,7 +37,9 @@ type SnapshotStats struct {
 // affects serving decisions travels inside the snapshot; only the
 // scheduling knob — which never changes results — is chosen here.
 type RestoreOptions struct {
-	// Parallelism bounds batch-serving and solver workers (as in Options).
+	// Parallelism bounds batch-serving and solver workers (as in
+	// Options: batches below minFanOutShare events per worker are served
+	// on the calling goroutine).
 	Parallelism int
 }
 

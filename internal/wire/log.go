@@ -68,9 +68,9 @@ func (l *Log) AppendBatch(seq uint64, body []byte) error {
 // Sync flushes the log to stable storage (used at drain).
 func (l *Log) Sync() error { return l.f.Sync() }
 
-// Truncate discards all frames — called under applier pause when a
-// snapshot cut makes the prefix redundant — and fsyncs so a crash after
-// the snapshot commit cannot resurrect pre-snapshot frames.
+// Truncate discards all frames — called under the daemon's apply lock
+// when a snapshot cut makes the prefix redundant — and fsyncs so a crash
+// after the snapshot commit cannot resurrect pre-snapshot frames.
 func (l *Log) Truncate() error {
 	if err := l.f.Truncate(int64(HeaderSize)); err != nil {
 		return fmt.Errorf("wire: tail truncate: %w", err)

@@ -706,7 +706,7 @@ func ParseStats(body []byte) (*DaemonStats, error) {
 type SnapshotResult struct {
 	Seq   uint64
 	Bytes int64
-	// CutStallNs is how long the daemon's applier was paused for the
+	// CutStallNs is how long the daemon held its apply lock for the
 	// snapshot: the cluster's cut and in-memory encode, the write, fsync
 	// and rename, and the tail truncate. No batch is applied in that
 	// window.
@@ -850,7 +850,7 @@ func ParseReconfig(body []byte) (*ReconfigRequest, error) {
 
 // ReconfigResult is a TReconfigOK body.
 type ReconfigResult struct {
-	// MaxIngestStallNs is how long the daemon's applier was paused: from
+	// MaxIngestStallNs is how long the daemon's applies were paused: from
 	// taking the apply lock to releasing it, a window that covers the
 	// reconfiguration, the commit snapshot and the tail truncate. No
 	// admitted batch is applied during it.
