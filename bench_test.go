@@ -12,6 +12,7 @@ package hbn
 //	go test -bench=. -benchmem
 
 import (
+	"math/rand"
 	"testing"
 
 	"hbn/internal/core"
@@ -21,7 +22,6 @@ import (
 	"hbn/internal/mapping"
 	"hbn/internal/nibble"
 	"hbn/internal/placement"
-	"hbn/internal/solverbench"
 	"hbn/internal/tree"
 	"hbn/internal/workload"
 )
@@ -78,8 +78,14 @@ func BenchmarkE11Dynamic(b *testing.B) { benchExperiment(b, "E11") }
 
 // --- Micro-benchmarks for the Theorem 4.3 runtime terms ---
 
+// benchInstance builds the deterministic benchmark instance (seed 99,
+// random tree, uniform workload). The solver benchmarks use
+// benchInstance(1000, 64).
 func benchInstance(nodes, objects int) (*tree.Tree, *workload.W) {
-	return solverbench.Instance(nodes, objects)
+	rng := rand.New(rand.NewSource(99))
+	t := tree.Random(rng, nodes, 6, 0.4, 16)
+	w := workload.Uniform(rng, t, objects, workload.DefaultGen)
+	return t, w
 }
 
 func BenchmarkNibblePlace100x16(b *testing.B) {
@@ -130,35 +136,96 @@ func BenchmarkMapping1000x64(b *testing.B) {
 	}
 }
 
-// The solver benchmark bodies live in internal/solverbench, shared with
-// cmd/hbnbench -solverbench so both emit identical measurements under
-// these names (the BENCH_*.json trajectory depends on that).
-
 // BenchmarkSolveEndToEnd1000x64 runs the full pipeline at the default
 // parallelism (GOMAXPROCS) on a warm Solver — the steady path of a server
 // solving repeatedly. NOTE: re-pointed at the reusable Solver in PR 2 (the
 // one-shot measurement continues under BenchmarkSolveEndToEndCold1000x64);
 // do not benchstat this name across the PR boundary.
-func BenchmarkSolveEndToEnd1000x64(b *testing.B) { solverbench.WarmSolve(b, 0) }
+func BenchmarkSolveEndToEnd1000x64(b *testing.B) { benchWarmSolve(b, 0) }
 
 // BenchmarkSolveEndToEnd1000x64Seq pins Parallelism=1 (the sequential
 // reference the equivalence tests compare against).
-func BenchmarkSolveEndToEnd1000x64Seq(b *testing.B) { solverbench.WarmSolve(b, 1) }
+func BenchmarkSolveEndToEnd1000x64Seq(b *testing.B) { benchWarmSolve(b, 1) }
 
 // BenchmarkSolveEndToEnd1000x64P8 pins Parallelism=8.
-func BenchmarkSolveEndToEnd1000x64P8(b *testing.B) { solverbench.WarmSolve(b, 8) }
+func BenchmarkSolveEndToEnd1000x64P8(b *testing.B) { benchWarmSolve(b, 8) }
 
 // BenchmarkSolveEndToEndCold1000x64 measures the one-shot convenience
 // entry point (a fresh Solver per call, PR 1's measurement methodology).
-func BenchmarkSolveEndToEndCold1000x64(b *testing.B) { solverbench.ColdSolve(b) }
+func BenchmarkSolveEndToEndCold1000x64(b *testing.B) {
+	t, w := benchInstance(1000, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Solve(t, w, core.DefaultOptions()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkResolve1000x64Delta1 measures the incremental re-solve after a
 // single object's frequencies drifted (~1.6% of the workload).
-func BenchmarkResolve1000x64Delta1(b *testing.B) { solverbench.Resolve(b, 1) }
+func BenchmarkResolve1000x64Delta1(b *testing.B) { benchResolve(b, 1) }
 
 // BenchmarkResolve1000x64Delta8 measures the incremental re-solve after 8
 // of the 64 objects drifted per round.
-func BenchmarkResolve1000x64Delta8(b *testing.B) { solverbench.Resolve(b, 8) }
+func BenchmarkResolve1000x64Delta8(b *testing.B) { benchResolve(b, 8) }
+
+// warmSolver returns a solver warmed with two full solves, so all scratch
+// and arenas sit at their high-water mark.
+func warmSolver(b *testing.B, t *tree.Tree, w *workload.W, opts core.Options) *core.Solver {
+	b.Helper()
+	s, err := core.NewSolver(t, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := s.Solve(w); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return s
+}
+
+// benchWarmSolve measures the steady path: a warm reusable Solver
+// re-solving the 1000x64 instance at the given Parallelism.
+func benchWarmSolve(b *testing.B, parallelism int) {
+	t, w := benchInstance(1000, 64)
+	opts := core.DefaultOptions()
+	opts.Parallelism = parallelism
+	s := warmSolver(b, t, w, opts)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Solve(w); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchResolve measures the incremental re-solve: each iteration drifts
+// delta distinct objects (one read bump on a rotating leaf each) and
+// calls Solver.Resolve with exactly that change list.
+func benchResolve(b *testing.B, delta int) {
+	t, w := benchInstance(1000, 64)
+	s := warmSolver(b, t, w, core.DefaultOptions())
+	leaves := t.Leaves()
+	changed := make([]int, delta)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for d := 0; d < delta; d++ {
+			x := (i*delta + d) % w.NumObjects()
+			v := leaves[(i+d)%len(leaves)]
+			a := w.At(x, v)
+			w.Set(x, v, workload.Access{Reads: a.Reads + 1, Writes: a.Writes})
+			changed[d] = x
+		}
+		if _, err := s.Resolve(changed); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkEvaluate1000x64 measures the steady evaluation path: a reused
 // Evaluator writing into a reused Report — the configuration a server

@@ -9,8 +9,6 @@
 //	hbnbench -experiment E5 -quick      # one experiment, small sweeps
 //	hbnbench -experiment all -markdown  # EXPERIMENTS.md body on stdout
 //	hbnbench -experiment all -json      # machine-readable, for BENCH_*.json
-//	hbnbench -experiment none -solverbench -json  # solver benchmarks only
-//	hbnbench -experiment none -reconfig # live topology churn (failover/scale-out/brownout)
 //	hbnbench -experiment none -ratio    # competitive ratio vs the clairvoyant static optimum
 //	hbnbench -experiment none -ratio -ratioguard BENCH_pr8.json  # fail on >10% ratio regression
 //	hbnbench -experiment none -daemon 127.0.0.1:7070    # drive a live hbnd daemon over the wire, verify its ledger
@@ -25,11 +23,9 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"testing"
 	"time"
 
 	"hbn/internal/experiments"
-	"hbn/internal/solverbench"
 	"hbn/internal/stats"
 )
 
@@ -44,24 +40,12 @@ type jsonResult struct {
 	Table     *stats.Table `json:"table"`
 }
 
-// jsonBench is one solver micro-benchmark measurement in -json mode
-// (mirrors the root bench_test.go benchmarks, runnable without go test).
-type jsonBench struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	Note        string  `json:"note,omitempty"`
-}
-
 type jsonOutput struct {
 	Timestamp  string           `json:"timestamp"`
 	Seed       int64            `json:"seed"`
 	Quick      bool             `json:"quick"`
 	GoMaxProcs int              `json:"gomaxprocs"`
 	Results    []jsonResult     `json:"results"`
-	Benchmarks []jsonBench      `json:"benchmarks,omitempty"`
-	Reconfig   []jsonReconfig   `json:"reconfig,omitempty"`
 	Ratio      []jsonRatio      `json:"ratio,omitempty"`
 	Daemon     *jsonDaemonBench `json:"daemon,omitempty"`
 }
@@ -73,8 +57,6 @@ func main() {
 		markdown   = flag.Bool("markdown", false, "emit Markdown instead of aligned text")
 		jsonOut    = flag.Bool("json", false, "emit JSON instead of aligned text")
 		seed       = flag.Int64("seed", 2000, "base random seed")
-		solverB    = flag.Bool("solverbench", false, "measure the solver benchmarks (warm/cold Solve, Resolve) and emit them in -json mode")
-		reconfigB  = flag.Bool("reconfig", false, "run the live-reconfiguration benchmark (failover, scale-out, brownout: reconfigure latency, req/s during churn, congestion vs a cold restart)")
 		ratioB     = flag.Bool("ratio", false, "run the competitive-ratio benchmark (online congestion over the clairvoyant static optimum, pre-PR-8 flat strategy vs bandwidth-aware budgets with drift-triggered epochs)")
 		ratioGuard = flag.String("ratioguard", "", "baseline BENCH json to compare -ratio post_ratio values against; exit nonzero if any scenario regresses by more than 10% (implies -ratio)")
 		daemonAddr = flag.String("daemon", "", "address of a running hbnd daemon: drive it over the wire and verify the conservation ledger externally (see cmd/hbnd)")
@@ -129,18 +111,6 @@ func main() {
 		})
 	}
 
-	var benches []jsonBench
-	if *solverB {
-		benches = solverBenchmarks()
-	}
-	var reconfig []jsonReconfig
-	if *reconfigB {
-		var err error
-		reconfig, err = runReconfigBench(*quick, *seed)
-		if err != nil {
-			fatal(err)
-		}
-	}
 	var ratios []jsonRatio
 	if *ratioB || *ratioGuard != "" {
 		var err error
@@ -200,8 +170,6 @@ func main() {
 			Quick:      *quick,
 			GoMaxProcs: runtime.GOMAXPROCS(0),
 			Results:    timed,
-			Benchmarks: benches,
-			Reconfig:   reconfig,
 			Ratio:      ratios,
 			Daemon:     daemonRes,
 		}); err != nil {
@@ -217,13 +185,6 @@ func main() {
 			fmt.Printf("claim: %s\n\n", r.Claim)
 			fmt.Print(r.Table.String())
 			fmt.Printf("\n%s\n\n", r.Verdict)
-		}
-		for _, b := range benches {
-			fmt.Printf("%-36s %12.0f ns/op %10d B/op %8d allocs/op  %s\n",
-				b.Name, b.NsPerOp, b.BytesPerOp, b.AllocsPerOp, b.Note)
-		}
-		if len(reconfig) > 0 {
-			printReconfigBench(reconfig)
 		}
 		if len(ratios) > 0 {
 			printRatioBench(ratios)
@@ -242,39 +203,6 @@ func main() {
 		if !r.OK {
 			os.Exit(1)
 		}
-	}
-}
-
-// solverBenchmarks measures the solver micro-benchmarks via
-// testing.Benchmark, so the trajectory recorded in the BENCH_*.json files
-// can be regenerated without the go test harness. The benchmark bodies
-// live in internal/solverbench, shared with the root bench_test.go, so
-// both paths measure exactly the same instances and drift patterns.
-func solverBenchmarks() []jsonBench {
-	measure := func(name, note string, f func(b *testing.B)) jsonBench {
-		r := testing.Benchmark(f)
-		if r.N == 0 {
-			// b.Fatal inside testing.Benchmark discards the message and
-			// yields a zero result; N==0 is the only observable signal.
-			fatal(fmt.Errorf("solver benchmark %s failed to run", name))
-		}
-		return jsonBench{
-			Name:        name,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-			Note:        note,
-		}
-	}
-	return []jsonBench{
-		measure("BenchmarkSolveEndToEnd1000x64", "warm reusable Solver, default parallelism",
-			func(b *testing.B) { solverbench.WarmSolve(b, 0) }),
-		measure("BenchmarkSolveEndToEndCold1000x64", "one-shot core.Solve (fresh solver per call)",
-			solverbench.ColdSolve),
-		measure("BenchmarkResolve1000x64Delta1", "incremental re-solve, 1 of 64 objects drifted",
-			func(b *testing.B) { solverbench.Resolve(b, 1) }),
-		measure("BenchmarkResolve1000x64Delta8", "incremental re-solve, 8 of 64 objects drifted",
-			func(b *testing.B) { solverbench.Resolve(b, 8) }),
 	}
 }
 

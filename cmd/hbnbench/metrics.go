@@ -1,19 +1,12 @@
 package main
 
-import (
-	"time"
-
-	"hbn/internal/tree"
-)
-
-// Shared metric helpers for every benchmark mode. The competitive-ratio
-// harness and the reconfiguration benchmark both score load vectors with
-// the same congestion definition — keeping it in one place (with a unit
-// test pinning the cost model) is what makes their numbers comparable.
+import "hbn/internal/tree"
 
 // congestionOf is the serving-side congestion of a load vector: the
 // maximum relative load over switches and buses (a bus carries half the
-// sum of its incident switch loads, as in the paper's cost model).
+// sum of its incident switch loads, as in the paper's cost model). The
+// competitive-ratio harness scores every load vector with it, and
+// TestCongestionOf pins the cost model.
 func congestionOf(t *tree.Tree, loads []int64) float64 {
 	var c float64
 	for e := 0; e < t.NumEdges(); e++ {
@@ -31,24 +24,4 @@ func congestionOf(t *tree.Tree, loads []int64) float64 {
 		}
 	}
 	return c
-}
-
-// rate converts an event count over a duration to events/second.
-func rate(events int, d time.Duration) float64 {
-	if d <= 0 {
-		return 0
-	}
-	return float64(events) / d.Seconds()
-}
-
-// maxOf returns the largest element (0 for an empty or all-negative
-// vector — loads are non-negative).
-func maxOf(xs []int64) int64 {
-	var m int64
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

@@ -2,16 +2,15 @@ package main
 
 import (
 	"testing"
-	"time"
 
 	"hbn/internal/tree"
 )
 
 // congestionOf matches the paper's cost model on a hand-checked star:
 // edges divide by switch bandwidth, the bus carries half the incident
-// sum divided by its bandwidth. Every benchmark mode (and the -ratio
-// harness in particular) scores load vectors through this one function,
-// so the pin here is what keeps their numbers comparable.
+// sum divided by its bandwidth. The -ratio harness scores every load
+// vector through this one function, so the pin here is what keeps its
+// numbers comparable.
 func TestCongestionOf(t *testing.T) {
 	tr := tree.Star(3, 4) // hub bw 4, three unit switches
 	loads := []int64{6, 2, 2}
@@ -43,20 +42,5 @@ func TestCongestionOf(t *testing.T) {
 	tr3 := b2.MustBuildHBN()
 	if got := congestionOf(tr3, []int64{8, 2, 0}); got != 2 {
 		t.Fatalf("congestion %v, want 2 (8/4 == 2/1)", got)
-	}
-}
-
-func TestMetricHelpers(t *testing.T) {
-	if maxOf([]int64{3, 9, 1}) != 9 {
-		t.Fatal("maxOf arithmetic broken")
-	}
-	if maxOf(nil) != 0 {
-		t.Fatal("maxOf of nothing must be 0")
-	}
-	if rate(100, 0) != 0 {
-		t.Fatal("rate must guard zero durations")
-	}
-	if got := rate(100, 2*time.Second); got != 50 {
-		t.Fatalf("rate %v, want 50", got)
 	}
 }

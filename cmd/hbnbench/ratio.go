@@ -24,10 +24,10 @@ import (
 // budget, and drift-triggered epochs with a slow fallback cadence (the
 // trigger replaces most cadence passes, and every cadence adoption
 // churns copy sets whether or not traffic moved). The gap the fix closes
-// is measured directly, not inferred. The fifth scenario is the brownout
-// churn event from -reconfig: the hot region loses 3/4 of its bandwidth
-// mid-trace, and the post-diff tree prices both the online runs and the
-// static optimum (IDs are untouched by the diff).
+// is measured directly, not inferred. The fifth scenario is a brownout
+// churn event: the hot region loses 3/4 of its bandwidth mid-trace, and
+// the post-diff tree prices both the online runs and the static optimum
+// (IDs are untouched by the diff).
 
 // ratioDriftThreshold arms the drift-triggered epoch pass in the fixed
 // configuration. The trigger fires when the noise-floored L1 distance
@@ -148,10 +148,11 @@ func runRatioBench(quick bool, seed int64) ([]jsonRatio, error) {
 		trace := sc.gen(rand.New(rand.NewSource(seed+int64(i))), t, objects, requests)
 		scenarios = append(scenarios, ratioScenario{sc.name, trace, t, nil})
 	}
-	// Brownout churn: same construction as -reconfig's brownout scenario.
-	// The diff only reduces bandwidths, so trace IDs carry across it and
-	// the whole trace is priced on the post-diff tree — the regime the
-	// online strategy must adapt to and the static optimum plans for.
+	// Brownout churn: ring 1 and its uplink drop to a quarter of their
+	// bandwidth. The diff only reduces bandwidths, so trace IDs carry
+	// across it and the whole trace is priced on the post-diff tree — the
+	// regime the online strategy must adapt to and the static optimum
+	// plans for.
 	{
 		ring := tree.NodeID(1)
 		uplink, ok := t.EdgeBetween(0, ring)

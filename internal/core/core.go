@@ -120,40 +120,3 @@ func SolveFromNibble(t *tree.Tree, w *workload.W, nib *nibble.Result, opts Optio
 	}
 	return s.solve(w, nib)
 }
-
-// LowerBound computes the certified lower bound on the optimum leaf-only
-// congestion used by Theorem 4.3's proof: the nibble congestion (nibble
-// loads are per-edge minima over ALL placements, leaf-only ones included),
-// strengthened by min(κ_x̂, h_x̂/2) for the object x̂ of maximum write
-// contention among objects with inner-node copies (every optimal placement
-// either replicates x̂ — paying κ_x̂ on a unit-bandwidth leaf switch — or
-// routes at least half of x̂'s requests over one leaf switch).
-func LowerBound(t *tree.Tree, w *workload.W, nib *nibble.Result, nibReport *placement.Report) ratio.R {
-	lb := nibReport.Congestion
-	var bestKappa, bestH int64 = -1, 0
-	for x := 0; x < w.NumObjects(); x++ {
-		inner := false
-		for _, v := range nib.Objects[x].Copies {
-			if !t.IsLeaf(v) {
-				inner = true
-				break
-			}
-		}
-		if !inner {
-			continue
-		}
-		if k := w.Kappa(x); k > bestKappa {
-			bestKappa = k
-			bestH = w.TotalWeight(x)
-		}
-	}
-	if bestKappa > 0 {
-		// min(κ, h/2) = min(2κ, h)/2, kept exact as a rational.
-		num := 2 * bestKappa
-		if bestH < num {
-			num = bestH
-		}
-		lb = ratio.Max(lb, ratio.New(num, 2))
-	}
-	return lb
-}

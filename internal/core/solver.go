@@ -8,6 +8,7 @@ import (
 	"hbn/internal/nibble"
 	"hbn/internal/par"
 	"hbn/internal/placement"
+	"hbn/internal/ratio"
 	"hbn/internal/tree"
 	"hbn/internal/workload"
 )
@@ -247,7 +248,7 @@ func (s *Solver) solve(w *workload.W, nib *nibble.Result) (*Result, error) {
 	}
 	res.Final = &s.finalP
 	res.Report = s.finEval.EvaluateTrackedInto(&s.finRep, &s.finalP, workers)
-	res.LowerBound = LowerBound(s.t, w, res.Nibble, res.NibbleReport)
+	res.LowerBound = s.lowerBound(res.Nibble, res.NibbleReport)
 	s.ready = true
 	return res, nil
 }
@@ -367,7 +368,7 @@ func (s *Solver) Resolve(changed []int) (*Result, error) {
 		}
 	}
 	res.Report = s.finEval.ReevaluateInto(&s.finRep, &s.finalP, cf, workers)
-	res.LowerBound = LowerBound(s.t, s.w, res.Nibble, res.NibbleReport)
+	res.LowerBound = s.lowerBound(res.Nibble, res.NibbleReport)
 	s.ready = true
 	return res, nil
 }
@@ -416,6 +417,36 @@ func (s *Solver) stageA(wk, x int, nib *nibble.Result) error {
 	}
 	s.leafOnly[x] = leafOnly
 	return nil
+}
+
+// lowerBound computes the certified lower bound on the optimum leaf-only
+// congestion used by Theorem 4.3's proof: the nibble congestion (nibble
+// loads are per-edge minima over ALL placements, leaf-only ones included),
+// strengthened by min(κ_x̂, h_x̂/2) for the object x̂ of maximum write
+// contention among objects with inner-node copies, the first in object
+// order on ties (every optimal placement either replicates x̂ — paying
+// κ_x̂ on a unit-bandwidth leaf switch — or routes at least half of x̂'s
+// requests over one leaf switch). κ comes from s.kappa, which stageA keeps
+// current for every object whose row changed, so only x̂'s row is scanned.
+func (s *Solver) lowerBound(nib *nibble.Result, nibReport *placement.Report) ratio.R {
+	lb := nibReport.Congestion
+	best, bestKappa := -1, int64(-1)
+	for x, k := range s.kappa {
+		if k <= bestKappa {
+			continue
+		}
+		for _, v := range nib.Objects[x].Copies {
+			if !s.t.IsLeaf(v) {
+				best, bestKappa = x, k
+				break
+			}
+		}
+	}
+	if bestKappa > 0 {
+		// min(κ, h/2) = min(2κ, h)/2, kept exact as a rational.
+		lb = ratio.Max(lb, ratio.New(min(2*bestKappa, s.w.TotalWeight(best)), 2))
+	}
+	return lb
 }
 
 // runMapping is the shared Step-3 call of Solve and Resolve.

@@ -191,14 +191,15 @@ func (ev *Evaluator) Reevaluate(p *P, changed []int) *Report {
 }
 
 // ReevaluateInto is Reevaluate writing into rep (reusing its slices) and
-// sharding the per-object accumulation over workers (<= 0 means
-// GOMAXPROCS), like EvaluateTrackedInto: the changed list is deduplicated
-// and each object's old contribution subtracted sequentially, the objects
-// are re-accumulated in parallel into their own per-object slots, and the
-// new contributions are added back sequentially. Integer sums are exact,
-// so the result is bit-identical for any worker count. The steady path
-// allocates nothing but the bottleneck string and, with several workers,
-// the goroutine plumbing.
+// sharding the refresh over workers (<= 0 means GOMAXPROCS), like
+// EvaluateTrackedInto. The changed list is deduplicated first; then, for
+// each object, a worker subtracts the old per-object row into its own
+// partial edge-load array, clears the row, re-accumulates it and adds the
+// new row to the same partial array, and the partials are merged into the
+// tracked loads once. Integer sums are exact, so the report, the tracked
+// loads and every per-object row are bit-identical for any worker count.
+// The steady path allocates nothing but the bottleneck string and, with
+// several workers, the goroutine plumbing.
 func (ev *Evaluator) ReevaluateInto(rep *Report, p *P, changed []int, workers int) *Report {
 	if ev.perObj == nil || len(ev.perObj) != p.NumObjects {
 		panic("placement: Reevaluate without matching EvaluateTracked")
@@ -210,33 +211,46 @@ func (ev *Evaluator) ReevaluateInto(rep *Report, p *P, changed []int, workers in
 		}
 		ev.dirty[x] = true
 		uniq = append(uniq, x)
-		row := ev.perObj[x]
-		for e, l := range row {
-			ev.tracked[e] -= l
-		}
-		clear(row)
 	}
 	for _, x := range uniq {
 		ev.dirty[x] = false
 	}
 	ev.uniq = uniq[:0]
-	workers = par.Workers(workers)
-	if workers <= 1 || len(uniq) <= 1 {
+	workers = min(par.Workers(workers), len(uniq))
+	if workers <= 1 {
 		for _, x := range uniq {
-			ev.accumulateObject(p, x, ev.perObj[x])
+			ev.refreshObject(p, x, ev.perObj[x], ev.tracked)
 		}
 	} else {
 		ev.growPool(workers)
+		for _, part := range ev.partial[:workers] {
+			clear(part)
+		}
 		par.ForEach(workers, len(uniq), func(w, i int) {
-			ev.pool[w].accumulateObject(p, uniq[i], ev.perObj[uniq[i]])
+			ev.pool[w].refreshObject(p, uniq[i], ev.perObj[uniq[i]], ev.partial[w])
 		})
-	}
-	for _, x := range uniq {
-		for e, l := range ev.perObj[x] {
-			ev.tracked[e] += l
+		for _, part := range ev.partial[:workers] {
+			for e, l := range part {
+				ev.tracked[e] += l
+			}
 		}
 	}
 	return ev.trackedReportInto(rep)
+}
+
+// refreshObject replaces row, object x's tracked contribution, with its
+// contribution under p and moves the difference into loads: the old row
+// is subtracted, the row re-accumulated with ev's scratch, and the new
+// row added.
+func (ev *Evaluator) refreshObject(p *P, x int, row, loads []int64) {
+	for e, l := range row {
+		loads[e] -= l
+	}
+	clear(row)
+	ev.accumulateObject(p, x, row)
+	for e, l := range row {
+		loads[e] += l
+	}
 }
 
 // growPool grows the per-worker evaluators and partial edge-load arrays

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"hbn/internal/tree"
@@ -194,5 +196,38 @@ func TestFoldAgesDriftedRows(t *testing.T) {
 	}
 	if passes < 4 || aged == 0 || kept == 0 {
 		t.Fatalf("%d passes, %d aged cells, %d kept rows: the trace no longer exercises the fold", passes, aged, kept)
+	}
+}
+
+// A fold that would give the solver a negative frequency panics, and the
+// panic leaves no lock held: the cluster serves and folds afterwards. The
+// corrupt c.prev row stands in for a bug in the fold's bookkeeping.
+func TestFoldNegativeFrequencyPanics(t *testing.T) {
+	tr := tree.SCICluster(4, 6, 16, 8)
+	const objects = 24
+	trace := workload.DriftingZipf(rand.New(rand.NewSource(5)), tr, objects, 3000, 2, 1.0, 0.05)
+	c := driftServeAll(t, tr, objects, trace[:2000], Options{Shards: 3, Threshold: 6, Parallelism: 2})
+	x, v := trace[0].Object, trace[0].Node
+	c.prev.Set(x, v, workload.Access{Reads: 1 << 40})
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "negative") {
+				t.Fatalf("fold with a negative delta recovered %v, want a negative-frequency panic", r)
+			}
+		}()
+		_ = c.ResolveNow()
+	}()
+	for si, sh := range c.shards {
+		if !sh.mu.TryLock() {
+			t.Fatalf("shard %d still locked after the panic", si)
+		}
+		sh.mu.Unlock()
+	}
+	c.prev.Set(x, v, workload.Access{})
+	if _, err := c.Ingest(trace[2000:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ResolveNow(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -85,3 +85,43 @@ func timelessImage(c *Cluster) []byte {
 	}
 	return snapshot.Encode(st)
 }
+
+// BenchmarkEpochPass times one epoch pass on the bench's ingest-drift
+// shape — SCICluster(8, 8, 32, 16), 1024 objects, 2 shards, threshold 8,
+// Parallelism following -cpu — with the cadence off: each iteration
+// serves the next 20000 events of a drifting-Zipf trace untimed, in
+// 1024-event batches, then times ResolveNow (drift fold, Resolve,
+// adoption). The first pass, a full Solve, runs before the timer starts.
+// The trace wraps after 20 passes.
+func BenchmarkEpochPass(b *testing.B) {
+	tr := tree.SCICluster(8, 8, 32, 16)
+	const objects, batch, epoch = 1024, 1024, 20000
+	trace := workload.DriftingZipf(rand.New(rand.NewSource(1)), tr, objects, 20*epoch, 6, 1.0, 0.03)
+	c, err := NewCluster(tr, objects, Options{Shards: 2, Threshold: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	next := 0
+	servePass := func() {
+		for lo := next; lo < next+epoch; lo += batch {
+			if _, err := c.Ingest(trace[lo:min(lo+batch, next+epoch)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		next = (next + epoch) % len(trace)
+	}
+	servePass()
+	if err := c.ResolveNow(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		servePass()
+		b.StartTimer()
+		if err := c.ResolveNow(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -111,10 +111,11 @@ type Options struct {
 	// and is rejected with ErrBadOptions if that leaves no cadence (both
 	// zero) while DriftThreshold is set. Negative values are rejected.
 	DriftCheckRequests int64
-	// Parallelism bounds the workers serving shards of one batch and the
-	// solver's object-parallel stages. <= 0 means GOMAXPROCS. A batch is
-	// served on more than one worker only when each gets at least
-	// minFanOutShare (512) events.
+	// Parallelism bounds the workers serving shards of one batch, the
+	// epoch pass's drift fold (over objects) and adoption (over shards),
+	// and the solver's object-parallel stages. <= 0 means GOMAXPROCS. A
+	// batch is served on more than one worker only when each gets at
+	// least minFanOutShare (512) events.
 	Parallelism int
 }
 
@@ -372,8 +373,10 @@ type Cluster struct {
 	w          *workload.W
 	prev       *workload.W // per-object tracker rows as of the last fold
 	solved     bool
-	changedBuf []int
+	changedBuf []int       // the ascending drifted-object list of the last fold
 	fold       []shardFold // per-shard scratch of the epoch pass
+	drifted    []bool      // per object: drained by this fold (sorts the list)
+	drift      []objDrift  // per object: the drift measured by the last fold
 	stats      Stats
 	epochLog   []EpochStat
 	snapSeq    uint64 // monotone snapshot sequence number (see Snapshot)
@@ -612,12 +615,11 @@ func (c *Cluster) maybeDriftEpoch() error {
 }
 
 // shardFold is one shard's scratch of the epoch pass: the objects drained
-// from its tracker, their measured drift (parallel to changed), and its
-// adoption node buffer and movement total. Each shard's entry is written
-// only by the worker handling that shard.
+// from its tracker in queue order, and its adoption node buffer and
+// movement total. Adoption writes each shard's entry only from the worker
+// handling that shard.
 type shardFold struct {
 	changed []int
-	drift   []objDrift
 	nodes   []tree.NodeID
 	moved   int64
 }
@@ -722,66 +724,85 @@ func (c *Cluster) objectDriftLocked(row []workload.Access, x int, leaves []tree.
 }
 
 // collectDriftLocked drains every shard tracker's drift into the solver
-// workload (caller holds epochMu) and returns the drifted object list —
-// concatenated in shard order, aliasing c.changedBuf's backing array and
-// valid until the next collection — together with the drift magnitude of
-// the drained traffic (see driftMagnitudeLocked), measured in the same
-// pass before the fold overwrites c.prev.
+// workload (caller holds epochMu) and returns the drifted objects in
+// ascending ID order — aliasing c.changedBuf, valid until the next
+// collection — together with the drift magnitude of the drained traffic
+// (see driftMagnitudeLocked), measured in the same pass before the fold
+// overwrites c.prev.
 //
-// Shards fold in parallel, each under its own lock. Object rows are
-// partitioned (object x only ever recorded by shard x % Shards), so a
-// shard's worker reads only its own tracker and writes only its own
-// objects' rows of c.w and c.prev: the workers touch disjoint memory. The
-// per-object drift is computed once and kept per shard, and the magnitude
-// sums it afterwards in shard order and queue order — the order
-// driftMagnitudeLocked uses — so the float result is the same bit for bit.
-// Each drifted object's solver row is halved once, then absorbs the delta
-// observed since the last fold (frequency' = frequency>>1 + delta), so
-// the solver tracks the current phase rather than the all-time average.
-// Objects with no new traffic keep their rows, which preserves the
-// incremental Resolve contract.
+// Every shard lock is taken, in index order, for the drain and the fold.
+// The fold splits the ascending list into contiguous chunks over the
+// workers, so each worker reads and writes runs of adjacent rows of c.w
+// and c.prev rather than rows interleaved with another worker's (object x
+// belongs to shard x % Shards); every object's row is written by exactly
+// one worker. The per-object drift is kept by object ID, and the
+// magnitude sums it afterwards in shard order and queue order — the order
+// driftMagnitudeLocked uses — so the float result is the same bit for
+// bit. Each drifted object's solver row is halved once, then absorbs the
+// delta observed since the last fold (frequency' = frequency>>1 + delta),
+// so the solver tracks the current phase rather than the all-time
+// average. Objects with no new traffic keep their rows, which preserves
+// the incremental Resolve contract.
 func (c *Cluster) collectDriftLocked() ([]int, float64) {
 	if len(c.fold) != len(c.shards) {
 		c.fold = make([]shardFold, len(c.shards))
 	}
-	par.ForEach(c.opts.Parallelism, len(c.shards), c.foldShard)
-	changed := c.changedBuf[:0]
-	var num, den float64
-	for i := range c.fold {
-		f := &c.fold[i]
-		changed = append(changed, f.changed...)
-		for _, od := range f.drift {
-			num, den = addDrift(num, den, od.dTot, od.d)
+	if len(c.drifted) != c.numObjects {
+		c.drifted = make([]bool, c.numObjects)
+		c.drift = make([]objDrift, c.numObjects)
+	}
+	for si, sh := range c.shards {
+		sh.mu.Lock()
+		f := &c.fold[si]
+		f.changed = sh.tracker.DrainDrifted(f.changed[:0])
+		for _, x := range f.changed {
+			c.drifted[x] = true
 		}
 	}
-	c.changedBuf = changed[:0] // keep capacity; the list itself is consumed by the caller
+	defer func() {
+		for _, sh := range c.shards {
+			sh.mu.Unlock()
+		}
+	}()
+	changed := c.changedBuf[:0]
+	for x, d := range c.drifted {
+		if d {
+			changed = append(changed, x)
+			c.drifted[x] = false
+		}
+	}
+	c.changedBuf = changed
+	par.ForEach(c.opts.Parallelism, len(changed), c.foldObject)
+	var num, den float64
+	for i := range c.fold {
+		for _, x := range c.fold[i].changed {
+			num, den = addDrift(num, den, c.drift[x].dTot, c.drift[x].d)
+		}
+	}
 	return changed, driftMean(num, den)
 }
 
-// foldShard is collectDriftLocked's per-shard body.
-func (c *Cluster) foldShard(_, si int) {
-	sh, f := c.shards[si], &c.fold[si]
+// foldObject is collectDriftLocked's body for the i-th object of
+// c.changedBuf (caller holds epochMu and every shard lock).
+func (c *Cluster) foldObject(_, i int) {
+	x := c.changedBuf[i]
 	leaves := c.t.Leaves()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	f.changed = sh.tracker.DrainDrifted(f.changed[:0])
-	f.drift = f.drift[:0]
-	shw := sh.tracker.Workload()
-	for _, x := range f.changed {
-		row := shw.Row(x)
-		dTot, d := c.objectDriftLocked(row, x, leaves)
-		f.drift = append(f.drift, objDrift{dTot, d})
-		prev, solved := c.prev.Row(x), c.w.Row(x)
-		for _, v := range leaves {
-			// Both reads precede the writes below, which update the very
-			// rows they were read from.
-			cur, old, was := row[v], prev[v], solved[v]
-			c.w.Set(x, v, workload.Access{
-				Reads:  was.Reads>>1 + cur.Reads - old.Reads,
-				Writes: was.Writes>>1 + cur.Writes - old.Writes,
-			})
-			c.prev.Set(x, v, cur)
+	row := c.shards[x%len(c.shards)].tracker.Workload().Row(x)
+	dTot, d := c.objectDriftLocked(row, x, leaves)
+	c.drift[x] = objDrift{dTot, d}
+	prev, solved := c.prev.Row(x), c.w.Row(x)
+	for _, v := range leaves {
+		// All three reads precede the writes below, which update the very
+		// rows they were read from.
+		cur, old, was := row[v], prev[v], solved[v]
+		a := workload.Access{
+			Reads:  was.Reads>>1 + cur.Reads - old.Reads,
+			Writes: was.Writes>>1 + cur.Writes - old.Writes,
 		}
+		if a.Reads < 0 || a.Writes < 0 {
+			panic("serve: negative folded frequency")
+		}
+		solved[v], prev[v] = a, cur
 	}
 }
 

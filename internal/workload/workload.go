@@ -58,9 +58,10 @@ func (w *W) idx(x int, v tree.NodeID) int {
 func (w *W) At(x int, v tree.NodeID) Access { return w.acc[w.idx(x, v)] }
 
 // Row returns object x's dense per-node access row, indexed by NodeID.
-// The returned slice aliases the workload's storage and must not be
-// modified; it exists so per-object hot loops avoid the per-node index
-// arithmetic of At.
+// The returned slice aliases the workload's storage; it exists so
+// per-object hot loops avoid the per-node index arithmetic of At. A
+// caller that writes through it bypasses Set's check and must keep every
+// frequency non-negative itself.
 func (w *W) Row(x int) []Access {
 	if x < 0 || x >= w.objects {
 		panic(fmt.Sprintf("workload: object %d out of range [0,%d)", x, w.objects))
