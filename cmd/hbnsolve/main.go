@@ -57,7 +57,7 @@ func main() {
 	fmt.Printf("workload: %d objects\n", w.NumObjects())
 	fmt.Printf("congestion:          %s (%.3f) at %s\n",
 		res.Report.Congestion, res.Report.Congestion.Float(), res.Report.Bottleneck)
-	fmt.Printf("lower bound on OPT:  %s (%.3f)\n", res.LowerBound, res.LowerBound.Float())
+	fmt.Printf("lower bound on OPT:  %s (%.3f)\n", res.LowerBound(), res.LowerBound().Float())
 	fmt.Printf("ratio vs bound:      %.3f (Theorem 4.3 guarantees ≤ 7 vs OPT)\n", res.ApproxRatio())
 	fmt.Printf("total load:          %d\n", res.Report.TotalLoad)
 	fmt.Printf("copies placed:       %d (deletion removed %d, splits %d)\n",

@@ -67,7 +67,7 @@ func main() {
 		fmt.Printf("  object %d -> copies on %v\n", x, names)
 	}
 	fmt.Printf("congestion: %s at %s\n", res.Report.Congestion, res.Report.Bottleneck)
-	fmt.Printf("certified lower bound on the optimum: %s\n", res.LowerBound)
+	fmt.Printf("certified lower bound on the optimum: %s\n", res.LowerBound())
 	fmt.Printf("ratio: %.2f (Theorem 4.3 guarantees <= 7)\n", res.ApproxRatio())
 
 	// Expectation: the read-mostly config object is replicated into both

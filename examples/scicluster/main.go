@@ -42,7 +42,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nextended-nibble congestion: %s (lower bound %s, ratio %.2f)\n",
-		res.Report.Congestion, res.LowerBound, res.ApproxRatio())
+		res.Report.Congestion, res.LowerBound(), res.ApproxRatio())
 
 	// Replay on the concrete rings: the bus model is load-exact.
 	ringLoads, err := ring.LoadsFromPlacement(net, m, res.Final)

@@ -30,7 +30,8 @@
 // practice far closer (see EXPERIMENTS.md). The intermediate products —
 // the nibble placement (a congestion lower bound), the deletion-trimmed
 // placement and the mapping trace — are exposed on the Result for
-// analysis.
+// analysis; the nibble placement, its report and the certified lower
+// bound are methods that compute their value on first call.
 //
 // # Performance
 //
@@ -46,13 +47,13 @@
 //
 // Workloads that solve repeatedly hold a Solver, the reusable form of
 // Solve. A Solver owns all per-stage scratch — nibble state, deletion
-// buffers, the mapping runner, merge/validation tallies, tracked
-// evaluators — and a record store that gives every object its own
-// exact-size slabs for its placement records, so a warm Solve, and a warm
-// Resolve whose objects keep their sizes, allocate a small constant (tens
-// of allocations instead of the >11k of a cold run), and Resolve
-// re-solves after a few objects' frequencies changed at cost proportional
-// to the change:
+// buffers, the mapping runner, merge/validation tallies, the tracked
+// evaluator of the final placement — and a record store that gives every
+// object its own exact-size slabs for its placement records, so a warm
+// Solve, and a warm Resolve whose objects keep their sizes, allocate a
+// small constant (tens of allocations instead of the >11k of a cold run),
+// and Resolve re-solves after a few objects' frequencies changed at cost
+// proportional to the change:
 //
 //	s, _ := hbn.NewSolver(t)
 //	res, _ := s.Solve(w)        // full pipeline, scratch retained
@@ -61,17 +62,23 @@
 //	    res, _ = s.Resolve(drift.Objects) // Steps 1-2 only for those objects
 //	}
 //
-// What is cached: per-object nibble placements, nearest-copy assignments
-// and deletion outputs (Steps 1–2 are per-object decomposable), plus every
-// object's tracked load contribution. What a Resolve invalidates: exactly
-// the changed objects' Step 1–2 state, the global Step-3 run (it is cheap
-// and re-runs in full — its load budgets couple all mapped objects), and
-// the load contributions of objects whose final copies actually moved.
-// Resolve's Result is bit-identical to a fresh Solve on the mutated
-// workload, at every Parallelism setting. Results returned by a Solver are
-// backed by its record store and are invalidated by its next Solve/Resolve
-// call; the one-shot hbn.Solve has no such aliasing (its solver is
-// discarded).
+// What is cached: per-object nibble copy sets and deletion outputs (Steps
+// 1–2 are per-object decomposable), plus every object's tracked load
+// contribution to the final report. Each per-object step — nibble
+// placement, nearest-copy assignment, the load fold and validation —
+// works on the closure of the object's support (the processors that
+// request it, plus their ancestors), so re-solving an object costs in
+// proportion to its traffic rather than to the network. The Step-1
+// report is not kept at all: Result.NibblePlacement, NibbleReport and
+// LowerBound compute it on first call, from the run's workload. What a
+// Resolve invalidates: exactly the changed objects' Step 1–2 state, the
+// global Step-3 run (it is cheap and re-runs in full — its load budgets
+// couple all mapped objects), and the load contributions of objects whose
+// final copies actually moved. Resolve's Result is bit-identical to a
+// fresh Solve on the mutated workload, at every Parallelism setting.
+// Results returned by a Solver are backed by its record store and are
+// invalidated by its next Solve/Resolve call; the one-shot hbn.Solve has
+// no such aliasing (its solver is discarded).
 //
 // Evaluation is allocation-free on the steady path: callers that score
 // many placements hold an Evaluator, whose rooted orientation (with its
@@ -85,10 +92,11 @@
 //	    ...
 //	}
 //
-// Evaluator.EvaluateMany scores a batch, EvaluateTracked/Reevaluate keep
-// per-object load contributions so re-scoring after a few objects changed
-// costs O(changed·|V|), and the package-level Evaluate remains the
-// convenience one-shot entry point.
+// Each object's load fold touches only its copy and share nodes and their
+// ancestors. Evaluator.EvaluateMany scores a batch, EvaluateTracked and
+// Reevaluate keep dense per-object load rows so re-scoring after a few
+// objects changed costs O(changed·|V|), and the package-level Evaluate
+// remains the convenience one-shot entry point.
 //
 // The online serving layer (NewCluster) is built around batches: Ingest
 // partitions each batch onto its owner shards with pooled, reusable

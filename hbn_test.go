@@ -228,10 +228,10 @@ func TestQuickSolveBounds(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if res.Report.Congestion.Less(res.LowerBound) {
+		if res.Report.Congestion.Less(res.LowerBound()) {
 			return false
 		}
-		if res.LowerBound.Num > 0 && res.ApproxRatio() > 7.0+1e-9 {
+		if res.LowerBound().Num > 0 && res.ApproxRatio() > 7.0+1e-9 {
 			return false
 		}
 		return true

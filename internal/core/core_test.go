@@ -83,8 +83,8 @@ func TestApproximationRatioVsExactOptimum(t *testing.T) {
 			}
 		}
 		// The certified lower bound must not exceed the true optimum.
-		if sol.Congestion.Less(res.LowerBound) {
-			t.Fatalf("trial %d: lower bound %v > optimum %v", trials, res.LowerBound, sol.Congestion)
+		if sol.Congestion.Less(res.LowerBound()) {
+			t.Fatalf("trial %d: lower bound %v > optimum %v", trials, res.LowerBound(), sol.Congestion)
 		}
 	}
 	t.Logf("worst observed ratio vs exact optimum: %.3f", worst)
@@ -100,7 +100,7 @@ func TestApproximationRatioVsLowerBoundAtScale(t *testing.T) {
 		tr := tree.Random(rng, 30+rng.Intn(200), 6, 0.4, 16)
 		w := workload.Zipf(rng, tr, 20, 1.1, workload.DefaultGen)
 		res := solve(t, tr, w, DefaultOptions())
-		if res.LowerBound.Num == 0 {
+		if res.LowerBound().Num == 0 {
 			continue
 		}
 		r := res.ApproxRatio()
@@ -120,9 +120,9 @@ func TestNibbleCongestionIsLowerBound(t *testing.T) {
 		tr := tree.Random(rng, 10+rng.Intn(40), 5, 0.4, 8)
 		w := workload.Uniform(rng, tr, 4, workload.DefaultGen)
 		res := solve(t, tr, w, DefaultOptions())
-		if res.Report.Congestion.Less(res.NibbleReport.Congestion) {
+		if res.Report.Congestion.Less(res.NibbleReport().Congestion) {
 			t.Fatalf("trial %d: final congestion %v below the nibble lower bound %v",
-				trial, res.Report.Congestion, res.NibbleReport.Congestion)
+				trial, res.Report.Congestion, res.NibbleReport().Congestion)
 		}
 	}
 }
@@ -184,8 +184,8 @@ func TestLeafOnlyNibbleSkipsMapping(t *testing.T) {
 		t.Fatal("mapping ran unnecessarily")
 	}
 	// The placement must equal the nibble optimum.
-	if !res.Report.Congestion.Eq(res.NibbleReport.Congestion) {
-		t.Fatalf("congestion %v ≠ nibble %v", res.Report.Congestion, res.NibbleReport.Congestion)
+	if !res.Report.Congestion.Eq(res.NibbleReport().Congestion) {
+		t.Fatalf("congestion %v ≠ nibble %v", res.Report.Congestion, res.NibbleReport().Congestion)
 	}
 }
 

@@ -84,8 +84,8 @@ func FuzzSolve(f *testing.F) {
 			t.Fatal("final placement has copies on inner nodes")
 		}
 		// The certified lower bound can never exceed what was achieved.
-		if !res.LowerBound.LessEq(res.Report.Congestion) {
-			t.Fatalf("lower bound %v exceeds achieved congestion %v", res.LowerBound, res.Report.Congestion)
+		if !res.LowerBound().LessEq(res.Report.Congestion) {
+			t.Fatalf("lower bound %v exceeds achieved congestion %v", res.LowerBound(), res.Report.Congestion)
 		}
 
 		// E2 structure per object.
@@ -122,7 +122,7 @@ func FuzzSolve(f *testing.F) {
 			}
 			// Load structure: ≤ κ_x everywhere, = κ_x strictly inside.
 			kappa := w.Kappa(x)
-			loads := placement.PerObjectEdgeLoads(tr, res.NibblePlacement, x)
+			loads := placement.PerObjectEdgeLoads(tr, res.NibblePlacement(), x)
 			for e, l := range loads {
 				if l > kappa {
 					t.Fatalf("object %d edge %d: nibble load %d > κ %d", x, e, l, kappa)

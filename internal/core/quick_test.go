@@ -28,10 +28,10 @@ func TestQuickPipelineInvariants(t *testing.T) {
 		if err := res.Final.Validate(tr, w); err != nil {
 			return false
 		}
-		if res.Report.Congestion.Less(res.NibbleReport.Congestion) {
+		if res.Report.Congestion.Less(res.NibbleReport().Congestion) {
 			return false
 		}
-		if res.LowerBound.Num > 0 && res.ApproxRatio() > 7.0+1e-9 {
+		if res.LowerBound().Num > 0 && res.ApproxRatio() > 7.0+1e-9 {
 			return false
 		}
 		var tauMax int64
@@ -39,7 +39,7 @@ func TestQuickPipelineInvariants(t *testing.T) {
 			tauMax = res.MappingTrace.TauMax
 		}
 		for e := range res.Report.EdgeLoad {
-			if res.Report.EdgeLoad[e] > 4*res.NibbleReport.EdgeLoad[e]+tauMax {
+			if res.Report.EdgeLoad[e] > 4*res.NibbleReport().EdgeLoad[e]+tauMax {
 				return false
 			}
 		}

@@ -7,18 +7,18 @@ import (
 )
 
 // objRecords is a record slab one object owns: the Copy records, Share
-// entries and copy-list pointers of one or more of its placement lists
-// (sections), each kind in one exact-size backing array (see resize). The
-// solver builds a list in its worker's scratch arena (reset for every
-// object) and compacts it here, so the records that outlive the call never
-// come from a shared arena, and a warm pass whose per-object sizes are
-// unchanged allocates nothing.
+// entries and copy-list pointers of one of its placement lists, each kind
+// in one exact-size backing array (see resize). The solver builds a list
+// in its worker's scratch arena (reset for every object) and compacts it
+// here, so the records that outlive the call never come from a shared
+// arena, and a warm pass whose per-object sizes are unchanged allocates
+// nothing.
 //
 // Every object owns two slabs, because its lists are rewritten at two
-// different times: Steps 1–2 rewrite the nibble and modified lists
-// together, the per-object finish rewrites the final list. Each rewrite
-// touches only its own slab, so a change in the final placement's size
-// never moves the modified records that the Step-3 output aliases.
+// different times: Steps 1–2 rewrite the modified list, the per-object
+// finish rewrites the final list. Each rewrite touches only its own slab,
+// so a change in the final placement's size never moves the modified
+// records that the Step-3 output aliases.
 //
 // Ownership: the placements the solver hands out point into the slabs and
 // stay valid until the object's next rewrite. A rewrite that fits the
@@ -27,54 +27,41 @@ import (
 // still aliasing them — the previous Step-3 output shares the modified
 // list's Share entries — keep their contents.
 type objRecords struct {
-	copies  []placement.Copy
-	shares  []placement.Share
-	lists   []*placement.Copy // lists[i] == &copies[i]
-	nCopies [2]int            // per section
+	copies []placement.Copy
+	shares []placement.Share
+	lists  []*placement.Copy // lists[i] == &copies[i]
 }
 
-// section returns the stored copy list of section sec (nil when empty).
-func (r *objRecords) section(sec int) []*placement.Copy {
-	off := 0
-	for i := 0; i < sec; i++ {
-		off += r.nCopies[i]
-	}
-	n := r.nCopies[sec]
+// list returns the stored copy list (nil when empty).
+func (r *objRecords) list() []*placement.Copy {
+	n := len(r.lists)
 	if n == 0 {
 		return nil
 	}
-	return r.lists[off : off+n : off+n]
+	return r.lists[:n:n]
 }
 
-// store replaces the slab's sections with the given lists, whose records
-// must live outside the slab. A backing array is reallocated only when its
-// object's size no longer fits it (see resize).
-func (r *objRecords) store(lists ...[]*placement.Copy) {
-	r.nCopies = [2]int{}
-	totCopies, totShares := 0, 0
-	for i, l := range lists {
-		r.nCopies[i] = len(l)
-		totCopies += len(l)
-		for _, c := range l {
-			totShares += len(c.Shares)
-		}
+// store replaces the slab's list with l, whose records must live outside
+// the slab. A backing array is reallocated only when its object's size no
+// longer fits it (see resize).
+func (r *objRecords) store(l []*placement.Copy) {
+	totShares := 0
+	for _, c := range l {
+		totShares += len(c.Shares)
 	}
-	r.copies = resize(r.copies, totCopies)
-	r.lists = resize(r.lists, totCopies)
+	r.copies = resize(r.copies, len(l))
+	r.lists = resize(r.lists, len(l))
 	r.shares = resize(r.shares, totShares)
-	co, so := 0, 0
-	for _, l := range lists {
-		for _, c := range l {
-			var sh []placement.Share
-			if n := len(c.Shares); n > 0 {
-				sh = r.shares[so : so+n : so+n]
-				copy(sh, c.Shares)
-				so += n
-			}
-			r.copies[co] = placement.Copy{Object: c.Object, Node: c.Node, Shares: sh}
-			r.lists[co] = &r.copies[co]
-			co++
+	so := 0
+	for i, c := range l {
+		var sh []placement.Share
+		if n := len(c.Shares); n > 0 {
+			sh = r.shares[so : so+n : so+n]
+			copy(sh, c.Shares)
+			so += n
 		}
+		r.copies[i] = placement.Copy{Object: c.Object, Node: c.Node, Shares: sh}
+		r.lists[i] = &r.copies[i]
 	}
 }
 

@@ -8,18 +8,18 @@ import (
 	"hbn/internal/nibble"
 	"hbn/internal/par"
 	"hbn/internal/placement"
-	"hbn/internal/ratio"
 	"hbn/internal/tree"
 	"hbn/internal/workload"
 )
 
 // Solver is a reusable instance of the extended-nibble pipeline bound to
-// one network. It owns every piece of per-stage scratch — nibble state,
-// deletion buffers, nearest-assignment tallies, the mapping runner
-// (orientation, level order, dense copy state, free-edge heap), per-object
-// merge/validation scratch, two tracked evaluators, per-worker scratch
-// arenas for per-object intermediates — and the record store: per-object
-// exact-size slabs holding the live placement records (see objRecords).
+// one network. It owns every piece of per-stage scratch — row supports,
+// nibble state, deletion buffers, nearest-assignment tallies, the mapping
+// runner (orientation, level order, dense copy state, free-edge heap),
+// per-object merge/validation scratch, the tracked evaluator of the final
+// placement, per-worker scratch arenas for per-object intermediates — and
+// the record store: per-object exact-size slabs holding the live
+// placement records (see objRecords).
 // Solve and Resolve fill the store the same way, so a warm Solve, and a
 // warm Resolve whose objects keep their sizes, allocate only a small
 // constant, and Resolve recomputes only the objects a caller declares
@@ -35,15 +35,18 @@ import (
 // Incremental contract (Resolve): after a successful Solve(w), the caller
 // may mutate w's frequencies for some objects and call Resolve with the
 // list of every object it touched. Steps 1–2 are per-object, so only the
-// changed objects are re-nibbled, re-assigned and re-deleted; the global
-// Step 3 re-runs on the refreshed modified placement (it is cheap —
-// O(copies·log degree)), and the reports are refreshed through the tracked
-// evaluators in O(touched·|V|) where touched = changed objects plus the
-// mapped objects whose Step-3 output actually moved. The Result is
-// bit-identical to a fresh Solve on the mutated workload. Objects mutated
-// but omitted from the changed list yield undefined results; after an
-// error the solver state is unspecified and the next call must be a full
-// Solve.
+// changed objects are re-nibbled, re-assigned and re-deleted, each at a
+// cost that follows the closure of its support (its requesting nodes and
+// their ancestors) rather than |V|; the global Step 3 re-runs on the
+// refreshed modified placement (it is cheap — O(copies·log degree)), and
+// the final report is refreshed through the tracked evaluator for the
+// touched objects: the changed ones plus the mapped objects whose Step-3
+// output actually moved. The Step-1 report is not maintained at all; the
+// Result computes it when first asked (see Result.NibbleReport). The
+// Result is bit-identical to a fresh Solve on the mutated workload.
+// Objects mutated but omitted from the changed list yield undefined
+// results; after an error the solver state is unspecified and the next
+// call must be a full Solve.
 type Solver struct {
 	t    *tree.Tree
 	opts Options
@@ -51,7 +54,8 @@ type Solver struct {
 	// Per-worker scratch, grown to the resolved worker count on demand.
 	// arenas hold one object's intermediates at a time: each per-object
 	// step resets its worker's arena and compacts its outputs into the
-	// record store.
+	// record store; sups hold the row support of the worker's object.
+	sups        []workload.Support
 	nibScr      []*nibble.Scratch
 	delRun      []*deletion.Runner
 	asgScr      []*placement.AssignScratch
@@ -63,25 +67,24 @@ type Solver struct {
 	nodeScr     [][]tree.NodeID
 
 	mapRun  *mapping.Runner
-	nibEval *placement.Evaluator
 	finEval *placement.Evaluator
 
 	// Owned result storage, reused across runs.
 	res    Result
+	view   nibbleView
 	nibRes nibble.Result
-	nibP   placement.P
 	modP   placement.P
 	finalP placement.P
-	nibRep placement.Report
 	finRep placement.Report
 
 	// The record store: per object, the slab of its Steps 1–2 records
-	// (nibP and modP point into it) and the slab of its final records
-	// (finalP points into it).
+	// (modP points into it) and the slab of its final records (finalP
+	// points into it).
 	stepRecs  []objRecords
 	finalRecs []objRecords
 	leafOnly  []bool
 	kappa     []int64 // per-object write contention, maintained by stageA
+	support   []int32 // per-object support size, maintained by stageA
 	perObj    []deletion.Stats
 	errs      []error
 
@@ -111,7 +114,6 @@ func NewSolver(t *tree.Tree, opts Options) (*Solver, error) {
 		t:        t,
 		opts:     opts,
 		mapRun:   mapping.NewRunner(t, opts.MappingRoot),
-		nibEval:  placement.NewEvaluator(t),
 		finEval:  placement.NewEvaluator(t),
 		mapArena: [2]*placement.Arena{{}, {}},
 	}, nil
@@ -126,6 +128,7 @@ func (s *Solver) Options() Options { return s.opts }
 func (s *Solver) ensure(workers, numObjects int) {
 	n := s.t.Len()
 	for len(s.nibScr) < workers {
+		s.sups = append(s.sups, workload.Support{})
 		s.nibScr = append(s.nibScr, nibble.NewScratch(s.t))
 		s.delRun = append(s.delRun, deletion.NewRunner(s.t))
 		s.asgScr = append(s.asgScr, placement.NewAssignScratch(s.t))
@@ -141,12 +144,12 @@ func (s *Solver) ensure(workers, numObjects int) {
 		s.finalRecs = make([]objRecords, numObjects)
 		s.leafOnly = make([]bool, numObjects)
 		s.kappa = make([]int64, numObjects)
+		s.support = make([]int32, numObjects)
 		s.perObj = make([]deletion.Stats, numObjects)
 		s.errs = make([]error, numObjects)
 		s.seen = make([]bool, numObjects)
 		s.seenFinal = make([]bool, numObjects)
 		s.nibRes.Objects = make([]nibble.ObjectPlacement, numObjects)
-		s.nibP.Copies = make([][]*placement.Copy, numObjects)
 		s.modP.Copies = make([][]*placement.Copy, numObjects)
 		s.finalP.Copies = make([][]*placement.Copy, numObjects)
 	}
@@ -154,15 +157,14 @@ func (s *Solver) ensure(workers, numObjects int) {
 	s.finalRecs = s.finalRecs[:numObjects]
 	s.leafOnly = s.leafOnly[:numObjects]
 	s.kappa = s.kappa[:numObjects]
+	s.support = s.support[:numObjects]
 	s.perObj = s.perObj[:numObjects]
 	s.errs = s.errs[:numObjects]
 	s.seen = s.seen[:numObjects]
 	s.seenFinal = s.seenFinal[:numObjects]
 	s.nibRes.Objects = s.nibRes.Objects[:numObjects]
-	s.nibP.Copies = s.nibP.Copies[:numObjects]
 	s.modP.Copies = s.modP.Copies[:numObjects]
 	s.finalP.Copies = s.finalP.Copies[:numObjects]
-	s.nibP.NumObjects = numObjects
 	s.modP.NumObjects = numObjects
 	s.finalP.NumObjects = numObjects
 }
@@ -211,12 +213,8 @@ func (s *Solver) solve(w *workload.W, nib *nibble.Result) (*Result, error) {
 	} else {
 		res.Nibble = &s.nibRes
 	}
-	res.NibblePlacement = &s.nibP
-	res.NibbleReport = s.nibEval.EvaluateTrackedInto(&s.nibRep, &s.nibP, workers)
-	if s.opts.SkipDeletion {
-		res.Modified = res.NibblePlacement
-	} else {
-		res.Modified = &s.modP
+	res.Modified = &s.modP
+	if !s.opts.SkipDeletion {
 		res.DeletionStats = s.sumDeletionStats()
 	}
 	for x := 0; x < numObjects; x++ {
@@ -248,7 +246,7 @@ func (s *Solver) solve(w *workload.W, nib *nibble.Result) (*Result, error) {
 	}
 	res.Final = &s.finalP
 	res.Report = s.finEval.EvaluateTrackedInto(&s.finRep, &s.finalP, workers)
-	res.LowerBound = s.lowerBound(res.Nibble, res.NibbleReport)
+	s.attachView(res)
 	s.ready = true
 	return res, nil
 }
@@ -311,7 +309,6 @@ func (s *Solver) Resolve(changed []int) (*Result, error) {
 		}
 	}
 
-	res.NibbleReport = s.nibEval.ReevaluateInto(&s.nibRep, &s.nibP, list, workers)
 	res.DeletionStats = deletion.Stats{}
 	if !s.opts.SkipDeletion {
 		res.DeletionStats = s.sumDeletionStats()
@@ -368,46 +365,45 @@ func (s *Solver) Resolve(changed []int) (*Result, error) {
 		}
 	}
 	res.Report = s.finEval.ReevaluateInto(&s.finRep, &s.finalP, cf, workers)
-	res.LowerBound = s.lowerBound(res.Nibble, res.NibbleReport)
+	s.attachView(res)
 	s.ready = true
 	return res, nil
 }
 
-// stageA runs Steps 1+2 for one object: nibble placement (unless an
-// external result was provided), nearest-copy assignment, deletion, and
-// the leaf/inner partition flag. The intermediates live in the worker's
-// arena; the assigned and modified copies are compacted into the object's
-// slab.
+// stageA runs Steps 1+2 for one object: one scan of its row yields the
+// support (the nodes with demand), κ and the total; then nibble placement
+// (unless an external result was provided), nearest-copy assignment,
+// deletion, and the leaf/inner partition flag, each on the closure of the
+// support. The intermediates live in the worker's arena; the modified
+// copies are compacted into the object's slab.
 func (s *Solver) stageA(wk, x int, nib *nibble.Result) error {
 	a := s.arenas[wk]
 	a.Reset()
+	sup := &s.sups[wk]
+	s.w.SupportInto(x, sup)
+	s.kappa[x] = sup.Kappa
+	s.support[x] = int32(len(sup.Nodes))
 	var op nibble.ObjectPlacement
 	if nib != nil {
 		op = nib.Objects[x]
 	} else {
-		op = nibble.PlaceObjectScratchInto(s.nibScr[wk], s.t, s.w, x, s.nibRes.Objects[x].Copies)
+		op = nibble.PlaceSupportInto(s.nibScr[wk], s.t, sup, s.nibRes.Objects[x].Copies)
 		s.nibRes.Objects[x] = op
 	}
-	s.kappa[x] = s.w.Kappa(x)
-	copies, err := s.asgScr[wk].NearestObject(s.t, s.w, x, op.Copies, a)
+	mod, err := s.asgScr[wk].NearestObject(s.t, x, sup, op.Copies, a)
 	if err != nil {
 		return fmt.Errorf("core: nibble placement: %w", err)
 	}
-
-	mod := copies
-	r := &s.stepRecs[x]
-	if s.opts.SkipDeletion {
-		r.store(copies)
-	} else {
+	if !s.opts.SkipDeletion {
 		s.perObj[x] = deletion.Stats{}
-		mod, err = s.delRun[wk].RunObject(s.w, x, op, copies, s.opts.SkipSplitting, a, &s.perObj[x])
+		mod, err = s.delRun[wk].RunObject(x, op, sup.Kappa, mod, s.opts.SkipSplitting, a, &s.perObj[x])
 		if err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
-		r.store(copies, mod)
 	}
-	s.nibP.Copies[x] = r.section(0)
-	s.modP.Copies[x] = r.section(1)
+	r := &s.stepRecs[x]
+	r.store(mod)
+	s.modP.Copies[x] = r.list()
 	leafOnly := true
 	for _, c := range mod {
 		if !s.t.IsLeaf(c.Node) {
@@ -419,34 +415,11 @@ func (s *Solver) stageA(wk, x int, nib *nibble.Result) error {
 	return nil
 }
 
-// lowerBound computes the certified lower bound on the optimum leaf-only
-// congestion used by Theorem 4.3's proof: the nibble congestion (nibble
-// loads are per-edge minima over ALL placements, leaf-only ones included),
-// strengthened by min(κ_x̂, h_x̂/2) for the object x̂ of maximum write
-// contention among objects with inner-node copies, the first in object
-// order on ties (every optimal placement either replicates x̂ — paying
-// κ_x̂ on a unit-bandwidth leaf switch — or routes at least half of x̂'s
-// requests over one leaf switch). κ comes from s.kappa, which stageA keeps
-// current for every object whose row changed, so only x̂'s row is scanned.
-func (s *Solver) lowerBound(nib *nibble.Result, nibReport *placement.Report) ratio.R {
-	lb := nibReport.Congestion
-	best, bestKappa := -1, int64(-1)
-	for x, k := range s.kappa {
-		if k <= bestKappa {
-			continue
-		}
-		for _, v := range nib.Objects[x].Copies {
-			if !s.t.IsLeaf(v) {
-				best, bestKappa = x, k
-				break
-			}
-		}
-	}
-	if bestKappa > 0 {
-		// min(κ, h/2) = min(2κ, h)/2, kept exact as a rational.
-		lb = ratio.Max(lb, ratio.New(min(2*bestKappa, s.w.TotalWeight(best)), 2))
-	}
-	return lb
+// attachView points res at a fresh Step-1 view of the run that produced
+// it (see nibbleView).
+func (s *Solver) attachView(res *Result) {
+	s.view = nibbleView{t: s.t, w: s.w, kappa: s.kappa}
+	res.view = &s.view
 }
 
 // runMapping is the shared Step-3 call of Solve and Resolve.
@@ -480,8 +453,10 @@ func (s *Solver) finishObject(wk, x int) error {
 			nodes = append(nodes, c.Node)
 		}
 		s.nodeScr[wk] = nodes
+		sup := &s.sups[wk]
+		s.w.SupportInto(x, sup)
 		var err error
-		merged, err = s.asgScr[wk].NearestObject(s.t, s.w, x, nodes, a)
+		merged, err = s.asgScr[wk].NearestObject(s.t, x, sup, nodes, a)
 		if err != nil {
 			return fmt.Errorf("core: reassign: %w", err)
 		}
@@ -493,8 +468,8 @@ func (s *Solver) finishObject(wk, x int) error {
 	}
 	r := &s.finalRecs[x]
 	r.store(merged)
-	s.finalP.Copies[x] = r.section(0)
-	if err := s.finalP.ValidateObject(s.t, s.w, x, s.valReads[wk], s.valWrites[wk]); err != nil {
+	s.finalP.Copies[x] = r.list()
+	if err := s.finalP.ValidateObject(s.t, s.w, x, int(s.support[x]), s.valReads[wk], s.valWrites[wk]); err != nil {
 		return fmt.Errorf("core: internal error: %w", err)
 	}
 	return nil

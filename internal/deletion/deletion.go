@@ -100,20 +100,14 @@ func NewRunner(t *tree.Tree) *Runner {
 	return &Runner{t: t, s: newScratch(t.Len())}
 }
 
-// RunObject runs Step 2 for a single object: base is the object's
-// nearest-copy nibble placement (it is cloned, not mutated), op its nibble
-// output, and stats accumulates what the pass did. Records are allocated
-// from a (nil falls back to the heap). This is the per-object entry point
-// the incremental solver re-runs for changed objects.
-func (r *Runner) RunObject(w *workload.W, x int, op nibble.ObjectPlacement, base []*placement.Copy, skipSplitting bool, a *placement.Arena, stats *Stats) ([]*placement.Copy, error) {
-	return r.runOwned(w, x, op, cloneCopies(base, a), skipSplitting, a, stats)
-}
-
-// runOwned is RunObject on a copy list the caller already owns (survivors
-// may be re-sliced; nothing else is mutated since the two-phase loop works
-// on counters) — the shared body of RunObject and the batch path.
-func (r *Runner) runOwned(w *workload.W, x int, op nibble.ObjectPlacement, copies []*placement.Copy, skipSplitting bool, a *placement.Arena, stats *Stats) ([]*placement.Copy, error) {
-	kappa := w.Kappa(x)
+// RunObject runs Step 2 for a single object x: copies is the object's
+// nearest-copy nibble placement, which the pass takes over (survivors may
+// be re-sliced and get new share lists; the caller must not use the list
+// afterwards), op its nibble output, kappa its write contention κ_x, and
+// stats accumulates what the pass did. Records are allocated from a (nil
+// falls back to the heap). This is the per-object entry point the
+// incremental solver re-runs for changed objects.
+func (r *Runner) RunObject(x int, op nibble.ObjectPlacement, kappa int64, copies []*placement.Copy, skipSplitting bool, a *placement.Arena, stats *Stats) ([]*placement.Copy, error) {
 	out, err := runObject(r.t, copies, op, kappa, stats, r.s, a)
 	if err != nil {
 		return nil, fmt.Errorf("deletion: object %d: %w", x, err)
@@ -156,15 +150,12 @@ func runOnBase(t *tree.Tree, w *workload.W, nib *nibble.Result, base *placement.
 			r = NewRunner(t)
 			scr[wk] = r
 		}
-		baseCopies := base.Copies[x]
-		var copies []*placement.Copy
-		var err error
+		copies := base.Copies[x]
 		if cloneBase {
-			copies, err = r.RunObject(w, x, nib.Objects[x], baseCopies, opts.SkipSplitting, nil, &perObj[x])
-		} else {
-			// Run built the base itself and owns it; skip the clone.
-			copies, err = r.runOwned(w, x, nib.Objects[x], baseCopies, opts.SkipSplitting, nil, &perObj[x])
+			copies = cloneCopies(copies, nil)
 		}
+		// Otherwise Run built the base itself and owns it; no clone.
+		copies, err := r.RunObject(x, nib.Objects[x], w.Kappa(x), copies, opts.SkipSplitting, nil, &perObj[x])
 		if err != nil {
 			errs[x] = err
 			return

@@ -323,7 +323,7 @@ func E5Approx(cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			if r.LowerBound.Num == 0 {
+			if r.LowerBound().Num == 0 {
 				continue
 			}
 			f := r.ApproxRatio()

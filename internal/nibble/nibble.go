@@ -44,13 +44,20 @@ func (r *Result) CopySets() [][]tree.NodeID {
 }
 
 // Scratch holds the reusable per-worker state of the nibble strategy: the
-// shared (read-only) 0-rooted orientation and the weight/subtree buffers.
-// One Scratch serves many PlaceObject calls without allocating; it is not
-// safe for concurrent use.
+// shared (read-only) 0-rooted orientation, the closure builder and the
+// subtree buffers. One Scratch serves many placements without allocating;
+// it is not safe for concurrent use.
+//
+// Every placement works on the closure of the object's support (the nodes
+// with demand and their ancestors towards node 0), so its cost follows
+// the object's traffic rather than |V|: a node outside the closure has no
+// demand below it, which settles its part of the answer without a visit.
 type Scratch struct {
 	r0  *tree.Rooted
-	h   []int64
-	sub []int64
+	cl  *tree.Closure
+	sub []int64 // subtree sums, valid on the current closure only
+	big []int64 // largest child subtree sum, valid on the closure only
+	sup workload.Support
 }
 
 // NewScratch returns a Scratch for t. Workers may share r0 (it is only
@@ -58,7 +65,10 @@ type Scratch struct {
 // worker's scratch.
 func NewScratch(t *tree.Tree) *Scratch { return newScratchShared(t.Rooted0()) }
 
-func newScratchShared(r0 *tree.Rooted) *Scratch { return &Scratch{r0: r0} }
+func newScratchShared(r0 *tree.Rooted) *Scratch {
+	n := len(r0.Parent)
+	return &Scratch{r0: r0, cl: tree.NewClosure(r0), sub: make([]int64, n), big: make([]int64, n)}
+}
 
 // GravityCenter returns a gravity center of t under the node weights h:
 // a node whose removal splits the tree into components each of total
@@ -66,13 +76,36 @@ func newScratchShared(r0 *tree.Rooted) *Scratch { return &Scratch{r0: r0} }
 // with the smallest ID is returned (the paper allows an arbitrary choice).
 // If the total weight is zero, the lowest-ID leaf is returned.
 func GravityCenter(t *tree.Tree, h []int64) tree.NodeID {
-	return NewScratch(t).gravityCenter(t, h)
+	s := NewScratch(t)
+	s.supportOf(t, h)
+	g, _, _ := s.gravityCenter(t, s.sup.Nodes, s.sup.H)
+	return g
 }
 
-func (s *Scratch) gravityCenter(t *tree.Tree, h []int64) tree.NodeID {
+// supportOf fills s.sup with the nonzero entries of the dense weight
+// vector h (negative ones included, so the placement rejects them).
+func (s *Scratch) supportOf(t *tree.Tree, h []int64) {
 	if len(h) != t.Len() {
 		panic(fmt.Sprintf("nibble: %d weights for %d nodes", len(h), t.Len()))
 	}
+	nodes, hs := s.sup.Nodes[:0], s.sup.H[:0]
+	for v, x := range h {
+		if x != 0 {
+			nodes = append(nodes, tree.NodeID(v))
+			hs = append(hs, x)
+		}
+	}
+	s.sup.Nodes, s.sup.H = nodes, hs
+}
+
+// gravityCenter returns the gravity center of the object whose support
+// is nodes with weights h, the closure of the support in ID order and the
+// total weight; it leaves the 0-rooted subtree sums of the closure in
+// s.sub. Outside the closure a node's own subtree holds no demand, so
+// removing it leaves the whole demand in one component and it never
+// qualifies while the total is positive: the first qualifying closure
+// node in ID order is the first qualifying node of the tree.
+func (s *Scratch) gravityCenter(t *tree.Tree, nodes []tree.NodeID, h []int64) (tree.NodeID, []tree.NodeID, int64) {
 	var total int64
 	for _, v := range h {
 		if v < 0 {
@@ -81,35 +114,38 @@ func (s *Scratch) gravityCenter(t *tree.Tree, h []int64) tree.NodeID {
 		total += v
 	}
 	if total == 0 {
-		return t.Leaves()[0]
+		return t.Leaves()[0], nil, 0
 	}
-	r := s.r0
-	s.sub = r.SubtreeSumsInto(h, s.sub)
-	sub := s.sub
-	best := tree.None
-	for v := 0; v < t.Len(); v++ {
-		id := tree.NodeID(v)
-		// The components created by removing v are the subtrees of its
-		// children plus the "rest of the tree" above it.
-		var maxComp int64 = total - sub[id]
-		for _, h2 := range t.Adj(id) {
-			if h2.To == r.Parent[id] {
-				continue
-			}
-			if sub[h2.To] > maxComp {
-				maxComp = sub[h2.To]
-			}
+	cl := s.cl
+	cl.Reset()
+	for _, v := range nodes {
+		cl.Add(v)
+	}
+	sub, big := s.sub, s.big
+	for _, v := range cl.Nodes() {
+		sub[v], big[v] = 0, 0
+	}
+	for i, v := range nodes {
+		sub[v] += h[i]
+	}
+	steps := s.r0.Steps()
+	order := cl.Preorder()
+	for i := len(order) - 1; i >= 1; i-- {
+		st := steps[order[i]]
+		sv := sub[st.V]
+		sub[st.Parent] += sv
+		big[st.Parent] = max(big[st.Parent], sv)
+	}
+	// The components created by removing v are the subtrees of its
+	// children plus the "rest of the tree" above it.
+	ids := cl.ByID()
+	for _, v := range ids {
+		if 2*max(total-sub[v], big[v]) <= total {
+			return v, ids, total
 		}
-		if 2*maxComp <= total {
-			best = id
-			break // node IDs scanned in increasing order
-		}
 	}
-	if best == tree.None {
-		// Cannot happen: every weighted tree has a gravity center.
-		panic("nibble: no gravity center found")
-	}
-	return best
+	// Cannot happen: every weighted tree has a gravity center.
+	panic("nibble: no gravity center found")
 }
 
 // PlaceObject computes the nibble copy set for a single object given its
@@ -117,30 +153,27 @@ func (s *Scratch) gravityCenter(t *tree.Tree, h []int64) tree.NodeID {
 // at all receive a single copy on the lowest-ID leaf (a documented
 // convention; any node works since such objects induce no load).
 func PlaceObject(t *tree.Tree, h []int64, kappa int64) ObjectPlacement {
-	return NewScratch(t).placeObject(t, h, kappa)
+	s := NewScratch(t)
+	s.supportOf(t, h)
+	return s.place(t, s.sup.Nodes, s.sup.H, kappa, nil)
 }
 
-func (s *Scratch) placeObject(t *tree.Tree, h []int64, kappa int64) ObjectPlacement {
-	return s.placeObjectInto(t, h, kappa, nil)
-}
-
-// placeObjectInto is placeObject appending the copy set into dst[:0]
-// (reusing its capacity; nil allocates) — the zero-allocation warm path of
-// the reusable solver, which recycles each object's previous copy slice.
-func (s *Scratch) placeObjectInto(t *tree.Tree, h []int64, kappa int64, dst []tree.NodeID) ObjectPlacement {
-	g := s.gravityCenter(t, h)
-	var total int64
-	for _, v := range h {
-		total += v
-	}
+// place computes the copy set of the object whose support is nodes with
+// weights h, appending it into dst[:0] (reusing its capacity; nil
+// allocates) — the one implementation behind every entry point.
+func (s *Scratch) place(t *tree.Tree, nodes []tree.NodeID, h []int64, kappa int64, dst []tree.NodeID) ObjectPlacement {
+	g, ids, total := s.gravityCenter(t, nodes, h)
 	if total == 0 {
 		return ObjectPlacement{Gravity: g, Copies: append(dst[:0], g)}
+	}
+	if kappa < 0 {
+		panic("nibble: negative write contention")
 	}
 	// Convert the 0-rooted subtree sums (left in s.sub by gravityCenter)
 	// into g-rooted ones in place instead of re-rooting the whole tree:
 	// re-rooting at g only changes the sums on the ancestor chain of g,
 	// where the g-rooted subtree of a is everything except the 0-rooted
-	// subtree of a's child towards g.
+	// subtree of a's child towards g. The chain lies in the closure.
 	r0 := s.r0
 	sub := s.sub
 	prevOrig := sub[g]
@@ -150,14 +183,15 @@ func (s *Scratch) placeObjectInto(t *tree.Tree, h []int64, kappa int64, dst []tr
 		sub[a] = total - prevOrig
 		prevOrig = orig
 	}
+	// Outside the closure the g-rooted subtree of a node is its 0-rooted
+	// one (the node is no ancestor of g) and holds no demand, so no copy.
 	copies := dst[:0]
 	if copies == nil {
 		copies = make([]tree.NodeID, 0, 8)
 	}
-	for v := 0; v < t.Len(); v++ {
-		id := tree.NodeID(v)
-		if id == g || sub[id] > kappa {
-			copies = append(copies, id)
+	for _, v := range ids {
+		if v == g || sub[v] > kappa {
+			copies = append(copies, v)
 		}
 	}
 	return ObjectPlacement{Gravity: g, Copies: copies}
@@ -167,15 +201,16 @@ func (s *Scratch) placeObjectInto(t *tree.Tree, h []int64, kappa int64, dst []tr
 // reusable Scratch — the per-object entry point for incremental callers
 // that re-place a few objects after their frequencies changed.
 func PlaceObjectScratch(s *Scratch, t *tree.Tree, w *workload.W, x int) ObjectPlacement {
-	return PlaceObjectScratchInto(s, t, w, x, nil)
+	w.SupportInto(x, &s.sup)
+	return PlaceSupportInto(s, t, &s.sup, nil)
 }
 
-// PlaceObjectScratchInto is PlaceObjectScratch appending the copy set into
-// dst[:0] (reusing its capacity; nil allocates), for callers that own the
-// result storage and recycle it across runs.
-func PlaceObjectScratchInto(s *Scratch, t *tree.Tree, w *workload.W, x int, dst []tree.NodeID) ObjectPlacement {
-	s.h = w.WeightsInto(x, s.h)
-	return s.placeObjectInto(t, s.h, w.Kappa(x), dst)
+// PlaceSupportInto computes the nibble copy set of the object whose row
+// has support sup, appending it into dst[:0] (reusing its capacity; nil
+// allocates), for callers that scanned the row already and own the
+// result storage.
+func PlaceSupportInto(s *Scratch, t *tree.Tree, sup *workload.Support, dst []tree.NodeID) ObjectPlacement {
+	return s.place(t, sup.Nodes, sup.H, sup.Kappa, dst)
 }
 
 // Place runs the nibble strategy for every object of w on t.
@@ -201,8 +236,8 @@ func PlaceParallel(t *tree.Tree, w *workload.W, workers int) *Result {
 			s = newScratchShared(r0)
 			scr[wk] = s
 		}
-		s.h = w.WeightsInto(x, s.h)
-		res.Objects[x] = s.placeObject(t, s.h, w.Kappa(x))
+		w.SupportInto(x, &s.sup)
+		res.Objects[x] = s.place(t, s.sup.Nodes, s.sup.H, s.sup.Kappa, nil)
 	})
 	return res
 }

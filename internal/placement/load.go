@@ -57,18 +57,17 @@ func (rep *Report) FormatBottleneck(t *tree.Tree) string {
 }
 
 // Evaluator computes exact loads with reusable scratch state: the rooted
-// orientation (with its O(1) LCA index), the path-difference and subtree
-// buffers, and the copy-node deduplication buffer all persist across
-// calls, so steady-state evaluation allocates nothing beyond the caller's
-// Report. An Evaluator is NOT safe for concurrent use; EvaluateParallel
+// orientation (with its O(1) LCA index), the closure builder and the
+// path-difference and Steiner-count buffers all persist across calls, so
+// steady-state evaluation allocates nothing beyond the caller's Report. An Evaluator is NOT safe for concurrent use; EvaluateParallel
 // shards objects over per-worker Evaluators instead.
 type Evaluator struct {
 	t *tree.Tree
 	r *tree.Rooted
 
-	diff []int64
-	cnt  []int32
-	sums []int64
+	cl   *tree.Closure
+	diff []int64 // by preorder position, valid on the closure only
+	cnt  []int32 // by preorder position, valid on the closure only
 
 	// perObj[x] is object x's edge-load contribution, maintained by
 	// EvaluateTracked/Reevaluate for incremental re-evaluation; flat is the
@@ -100,6 +99,7 @@ func newEvaluatorShared(t *tree.Tree, r *tree.Rooted) *Evaluator {
 	return &Evaluator{
 		t:    t,
 		r:    r,
+		cl:   tree.NewClosure(r),
 		diff: make([]int64, t.Len()),
 		cnt:  make([]int32, t.Len()),
 	}
@@ -300,53 +300,75 @@ func (ev *Evaluator) resetReport(rep *Report) {
 // Path loads are accumulated with the LCA difference trick and folded
 // bottom-up together with the Steiner membership counts in one reverse
 // preorder pass (a node's subtree aggregate is final when the reverse
-// walk reaches it), so the cost is O(|V|) per object rather than
-// O(requests · pathlength).
+// walk reaches it). Only the closure of the share and copy nodes (every
+// LCA included) can hold a nonzero difference or count, so the pass
+// resets and folds those positions alone, in descending order (see
+// tree.Closure.Preorder): the cost follows the closure's size c, not |V|,
+// and the integer sums are the same.
 func (ev *Evaluator) accumulateObject(p *P, x int, edgeLoad []int64) {
-	r := ev.r
-	lca := r.LCAIndex()
-	pos := r.Pos()
+	cs := p.Copies[x]
+	if len(cs) == 0 {
+		return
+	}
+	cl := ev.cl
+	cl.Reset()
 	var kappa int64
 	pathDemand := false
-	clear(ev.diff)
-	// diff and cnt are indexed by preorder POSITION, not node ID, so the
-	// bottom-up fold below reads them sequentially.
-	for _, c := range p.Copies[x] {
-		cpos := pos[c.Node]
+	for _, c := range cs {
+		cl.Add(c.Node)
 		for _, sh := range c.Shares {
 			kappa += sh.Writes
-			n := sh.Total()
-			if n == 0 || sh.Node == c.Node {
-				continue
+			if sh.Total() != 0 && sh.Node != c.Node {
+				cl.Add(sh.Node)
+				pathDemand = true
 			}
-			// Path accumulation: +n at both endpoints, -2n at the LCA;
-			// the edge above v then carries the subtree sum at v.
-			ev.diff[pos[sh.Node]] += n
-			ev.diff[cpos] += n
-			ev.diff[pos[lca.LCA(sh.Node, c.Node)]] -= 2 * n
-			pathDemand = true
+		}
+	}
+	if !pathDemand && (kappa <= 0 || len(cs) == 1) {
+		return
+	}
+	// diff and cnt are indexed by preorder POSITION, not node ID, so the
+	// bottom-up fold below reads them in order.
+	order := cl.Preorder()
+	diff, cnt := ev.diff, ev.cnt
+	for _, i := range order {
+		diff[i], cnt[i] = 0, 0
+	}
+	r := ev.r
+	pos := r.Pos()
+	if pathDemand {
+		lca := r.LCAIndex()
+		for _, c := range cs {
+			cpos := pos[c.Node]
+			for _, sh := range c.Shares {
+				n := sh.Total()
+				if n == 0 || sh.Node == c.Node {
+					continue
+				}
+				// Path accumulation: +n at both endpoints, -2n at the LCA;
+				// the edge above v then carries the subtree sum at v.
+				diff[pos[sh.Node]] += n
+				diff[cpos] += n
+				diff[pos[lca.LCA(sh.Node, c.Node)]] -= 2 * n
+			}
 		}
 	}
 	// Update broadcast: κ_x on every Steiner edge of the copy set. An edge
 	// is a Steiner edge iff both of its sides hold a copy, i.e. the copy
 	// count below it is neither zero nor the size of the (distinct) set.
 	var total int32
-	if kappa > 0 && len(p.Copies[x]) > 1 {
-		clear(ev.cnt)
-		for _, c := range p.Copies[x] {
-			if cp := pos[c.Node]; ev.cnt[cp] == 0 {
-				ev.cnt[cp] = 1
+	if kappa > 0 && len(cs) > 1 {
+		for _, c := range cs {
+			if cp := pos[c.Node]; cnt[cp] == 0 {
+				cnt[cp] = 1
 				total++
 			}
 		}
 	}
-	steiner := total > 1
-	if !pathDemand && !steiner {
-		return
-	}
-	diff, cnt, steps := ev.diff, ev.cnt, r.Steps()
-	if steiner {
-		for i := len(steps) - 1; i >= 1; i-- {
+	steps := r.Steps()
+	if total > 1 {
+		for k := len(order) - 1; k >= 1; k-- {
+			i := order[k]
 			s := steps[i]
 			if l := diff[i]; l != 0 {
 				edgeLoad[s.Edge] += l
@@ -359,8 +381,9 @@ func (ev *Evaluator) accumulateObject(p *P, x int, edgeLoad []int64) {
 				cnt[s.ParentPos] += c
 			}
 		}
-	} else {
-		for i := len(steps) - 1; i >= 1; i-- {
+	} else if pathDemand {
+		for k := len(order) - 1; k >= 1; k-- {
+			i := order[k]
 			if l := diff[i]; l != 0 {
 				s := steps[i]
 				edgeLoad[s.Edge] += l

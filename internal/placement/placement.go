@@ -123,7 +123,13 @@ func (p *P) ValidateParallel(t *tree.Tree, w *workload.W, workers int) error {
 			s = &scratch{reads: make([]int64, size), writes: make([]int64, size)}
 			scr[wk] = s
 		}
-		errs[x] = p.validateObject(t, w, x, s.reads, s.writes)
+		support := 0
+		for _, a := range w.Row(x) {
+			if a.Reads|a.Writes != 0 {
+				support++
+			}
+		}
+		errs[x] = p.validateObject(t, w, x, support, s.reads, s.writes)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -135,20 +141,30 @@ func (p *P) ValidateParallel(t *tree.Tree, w *workload.W, workers int) error {
 
 // ValidateObject checks one object of p against w using caller-provided
 // tally scratch of length >= max(t.Len(), w.NumNodes()), all-zero on entry
-// and re-zeroed before returning. It is the per-object core of
-// ValidateParallel, exported for incremental callers that re-validate only
-// the objects they touched.
-func (p *P) ValidateObject(t *tree.Tree, w *workload.W, x int, reads, writes []int64) error {
-	return p.validateObject(t, w, x, reads, writes)
+// and re-zeroed before returning. support is the number of nodes whose
+// row entry for x is nonzero (the length of its workload.Support). It is
+// the per-object core of ValidateParallel, exported for incremental
+// callers that re-validate only the objects they touched.
+func (p *P) ValidateObject(t *tree.Tree, w *workload.W, x, support int, reads, writes []int64) error {
+	return p.validateObject(t, w, x, support, reads, writes)
 }
 
-// validateObject checks one object against scratch tally arrays of length
-// t.Len(); the arrays must be all-zero on entry and are re-zeroed before
-// returning (on every path).
-func (p *P) validateObject(t *tree.Tree, w *workload.W, x int, reads, writes []int64) (err error) {
+// validateObject checks one object against scratch tally arrays; the
+// arrays must be all-zero on entry and are re-zeroed before returning (on
+// every path). A mismatch can only sit on a share node or a node with
+// demand, so the check reads the row at the share nodes alone and counts
+// the nodes with demand it saw: when all match and none is missing, the
+// object is covered, at a cost that follows its shares rather than |V|.
+// Otherwise the row is scanned in ID order for the lowest mismatch.
+func (p *P) validateObject(t *tree.Tree, w *workload.W, x, support int, reads, writes []int64) (err error) {
 	defer func() {
-		clear(reads)
-		clear(writes)
+		for _, c := range p.Copies[x] {
+			for _, sh := range c.Shares {
+				if sh.Node >= 0 && int(sh.Node) < len(reads) {
+					reads[sh.Node], writes[sh.Node] = 0, 0
+				}
+			}
+		}
 	}()
 	for _, c := range p.Copies[x] {
 		if c.Object != x {
@@ -168,13 +184,40 @@ func (p *P) validateObject(t *tree.Tree, w *workload.W, x int, reads, writes []i
 			writes[sh.Node] += sh.Writes
 		}
 	}
-	for v, a := range w.Row(x) {
-		if reads[v] != a.Reads || writes[v] != a.Writes {
-			return fmt.Errorf("placement: object %d node %d covers (r=%d,w=%d), workload has (r=%d,w=%d)",
-				x, v, reads[v], writes[v], a.Reads, a.Writes)
+	// Check each share node once against the row, flipping its read
+	// tally (non-negative, so the flip is negative) to mark it checked.
+	row := w.Row(x)
+	covered, match := 0, true
+	for _, c := range p.Copies[x] {
+		for _, sh := range c.Shares {
+			v := sh.Node
+			if reads[v] < 0 || int(v) >= len(row) {
+				continue
+			}
+			if a := row[v]; reads[v] != a.Reads || writes[v] != a.Writes {
+				match = false
+			} else if a.Reads|a.Writes != 0 {
+				covered++
+			}
+			reads[v] = ^reads[v]
 		}
 	}
-	if w.TotalWeight(x) > 0 && len(p.Copies[x]) == 0 {
+	if !match || covered != support {
+		for _, c := range p.Copies[x] {
+			for _, sh := range c.Shares {
+				if reads[sh.Node] < 0 {
+					reads[sh.Node] = ^reads[sh.Node]
+				}
+			}
+		}
+		for v, a := range row {
+			if reads[v] != a.Reads || writes[v] != a.Writes {
+				return fmt.Errorf("placement: object %d node %d covers (r=%d,w=%d), workload has (r=%d,w=%d)",
+					x, v, reads[v], writes[v], a.Reads, a.Writes)
+			}
+		}
+	}
+	if len(p.Copies[x]) == 0 && w.TotalWeight(x) > 0 {
 		return fmt.Errorf("placement: object %d has demand but no copies", x)
 	}
 	return nil
@@ -262,11 +305,12 @@ func MergeObject(x int, cs []*Copy, byNode []*Copy, counts []int32, a *Arena) []
 }
 
 // assignObject builds object x's copy list from its copy-node set and a
-// reference assignment (ref[v] names the copy serving node v; ignored when
-// v has no demand). byNode and counts are scratch of length >= t.Len(),
+// reference assignment (ref[v] names the copy serving node v), serving the
+// nodes of sup, the support of x's row, and appending each copy's shares
+// in node ID order. byNode and counts are scratch of length >= t.Len(),
 // all-nil/zero on entry and reset before returning on every path. Records
 // are allocated from a (nil falls back to the heap).
-func assignObject(t *tree.Tree, w *workload.W, x int, copyNodes []tree.NodeID, ref []tree.NodeID, byNode []*Copy, counts []int32, a *Arena) ([]*Copy, error) {
+func assignObject(x int, sup *workload.Support, copyNodes []tree.NodeID, ref []tree.NodeID, byNode []*Copy, counts []int32, a *Arena) ([]*Copy, error) {
 	out := a.NewCopyList(len(copyNodes))
 	reset := func() {
 		for _, c := range out {
@@ -290,9 +334,8 @@ func assignObject(t *tree.Tree, w *workload.W, x int, copyNodes []tree.NodeID, r
 	// The first pass sizes each copy's share list exactly (incrementally
 	// grown share appends dominated this function's cost), the second
 	// fills them.
-	row := w.Row(x)
-	for v, a := range row {
-		if a.Total() == 0 {
+	for i, v := range sup.Nodes {
+		if sup.Acc[i].Total() == 0 {
 			continue
 		}
 		r := ref[v]
@@ -311,12 +354,11 @@ func assignObject(t *tree.Tree, w *workload.W, x int, copyNodes []tree.NodeID, r
 			c.Shares = a.NewShares(int(n))
 		}
 	}
-	for v, a := range row {
-		if a.Total() == 0 {
-			continue
+	for i, v := range sup.Nodes {
+		if acc := sup.Acc[i]; acc.Total() != 0 {
+			c := byNode[ref[v]]
+			c.Shares = append(c.Shares, Share{Node: v, Reads: acc.Reads, Writes: acc.Writes})
 		}
-		c := byNode[ref[v]]
-		c.Shares = append(c.Shares, Share{Node: tree.NodeID(v), Reads: a.Reads, Writes: a.Writes})
 	}
 	reset()
 	return out, nil
@@ -329,8 +371,10 @@ func FromAssignment(t *tree.Tree, w *workload.W, copies [][]tree.NodeID, ref [][
 	p := New(w.NumObjects())
 	byNode := make([]*Copy, t.Len())
 	counts := make([]int32, t.Len())
+	var sup workload.Support
 	for x := 0; x < w.NumObjects(); x++ {
-		cs, err := assignObject(t, w, x, copies[x], ref[x], byNode, counts, nil)
+		w.SupportInto(x, &sup)
+		cs, err := assignObject(x, &sup, copies[x], ref[x], byNode, counts, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -349,39 +393,91 @@ func NearestAssignment(t *tree.Tree, w *workload.W, copies [][]tree.NodeID) (*P,
 }
 
 // AssignScratch bundles the reusable state of per-object nearest-copy
-// assignment: the multi-source BFS finder and the by-node/count tallies.
-// One scratch serves many NearestObject calls without allocating beyond the
-// records themselves; it is not safe for concurrent use.
+// assignment: the closure of the object's support and copy nodes, the
+// nearest-copy table of the search over it, its queue, the by-node/count
+// tallies and a support buffer. One scratch serves many NearestObject
+// calls without allocating beyond the records themselves; it is not safe
+// for concurrent use.
 type AssignScratch struct {
-	byNode []*Copy
-	counts []int32
-	finder tree.NearestFinder
+	byNode  []*Copy
+	counts  []int32
+	cl      *tree.Closure
+	nearest []tree.NodeID // valid on the current closure only
+	queue   []tree.NodeID
+	sup     workload.Support
 }
 
 // NewAssignScratch returns an AssignScratch for trees of t's size.
 func NewAssignScratch(t *tree.Tree) *AssignScratch {
-	return &AssignScratch{byNode: make([]*Copy, t.Len()), counts: make([]int32, t.Len())}
+	return &AssignScratch{
+		byNode:  make([]*Copy, t.Len()),
+		counts:  make([]int32, t.Len()),
+		cl:      tree.NewClosure(t.Rooted0()),
+		nearest: make([]tree.NodeID, t.Len()),
+	}
 }
 
-// NearestObject builds object x's copy list with nearest-copy assignment,
-// allocating the records from a (nil falls back to the heap). It is the
-// scratch-reusing per-object core of NearestAssignmentParallel.
-func (s *AssignScratch) NearestObject(t *tree.Tree, w *workload.W, x int, copyNodes []tree.NodeID, a *Arena) ([]*Copy, error) {
+// NearestObject builds object x's copy list with nearest-copy assignment
+// from the support sup of its row, allocating the records from a (nil
+// falls back to the heap). Shares are appended in node ID order, and each
+// requesting node is served by the copy a multi-source BFS from
+// copyNodes, in their order, reaches first — the same copy, ties
+// included, as a BFS over the whole tree (tree.NearestInSet), because
+// the search runs over the closure of the support and the copies, which
+// holds every shortest path between two of its nodes. The cost follows
+// the closure, not |V|. It is the scratch-reusing per-object core of
+// NearestAssignmentParallel.
+func (s *AssignScratch) NearestObject(t *tree.Tree, x int, sup *workload.Support, copyNodes []tree.NodeID, a *Arena) ([]*Copy, error) {
 	if len(copyNodes) == 0 {
-		if w.TotalWeight(x) == 0 {
+		if sup.Total == 0 {
 			return nil, nil
 		}
 		return nil, fmt.Errorf("placement: object %d has demand but no copies", x)
 	}
-	nearest, _ := s.finder.Find(t, copyNodes)
-	return assignObject(t, w, x, copyNodes, nearest, s.byNode, s.counts, a)
+	for _, v := range copyNodes {
+		if v < 0 || int(v) >= len(s.byNode) {
+			return nil, fmt.Errorf("placement: object %d lists out-of-range node %d", x, v)
+		}
+	}
+	cl := s.cl
+	cl.Reset()
+	for _, v := range sup.Nodes {
+		cl.Add(v)
+	}
+	for _, v := range copyNodes {
+		cl.Add(v)
+	}
+	nearest := s.nearest
+	for _, v := range cl.Nodes() {
+		nearest[v] = tree.None
+	}
+	queue := s.queue[:0]
+	for _, v := range copyNodes {
+		if nearest[v] == tree.None {
+			nearest[v] = v
+			queue = append(queue, v)
+		}
+	}
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
+		for _, h := range t.Adj(v) {
+			if cl.Has(h.To) && nearest[h.To] == tree.None {
+				nearest[h.To] = nearest[v]
+				queue = append(queue, h.To)
+			}
+		}
+	}
+	s.queue = queue[:0]
+	return assignObject(x, sup, copyNodes, nearest, s.byNode, s.counts, a)
 }
 
 // NearestObjectAssignment builds a single object's copy list with
 // nearest-copy assignment — the per-object entry point for incremental
 // callers that refresh one object of a larger placement.
 func NearestObjectAssignment(t *tree.Tree, w *workload.W, x int, copyNodes []tree.NodeID) ([]*Copy, error) {
-	return NewAssignScratch(t).NearestObject(t, w, x, copyNodes, nil)
+	s := NewAssignScratch(t)
+	w.SupportInto(x, &s.sup)
+	return s.NearestObject(t, x, &s.sup, copyNodes, nil)
 }
 
 // NearestAssignmentParallel is NearestAssignment sharding the per-object
@@ -399,7 +495,8 @@ func NearestAssignmentParallel(t *tree.Tree, w *workload.W, copies [][]tree.Node
 			s = NewAssignScratch(t)
 			scr[wk] = s
 		}
-		cs, err := s.NearestObject(t, w, x, copies[x], nil)
+		w.SupportInto(x, &s.sup)
+		cs, err := s.NearestObject(t, x, &s.sup, copies[x], nil)
 		if err != nil {
 			errs[x] = err
 			return

@@ -86,17 +86,54 @@ func timelessImage(c *Cluster) []byte {
 	return snapshot.Encode(st)
 }
 
-// BenchmarkEpochPass times one epoch pass on the bench's ingest-drift
-// shape — SCICluster(8, 8, 32, 16), 1024 objects, 2 shards, threshold 8,
-// Parallelism following -cpu — with the cadence off: each iteration
-// serves the next 20000 events of a drifting-Zipf trace untimed, in
+// BenchmarkEpochPass times one epoch pass with the cadence off: each
+// iteration serves the next epoch's events of a trace untimed, in
 // 1024-event batches, then times ResolveNow (drift fold, Resolve,
-// adoption). The first pass, a full Solve, runs before the timer starts.
-// The trace wraps after 20 passes.
+// adoption). The first pass, a full Solve, runs before the timer starts,
+// and the trace wraps after 20 passes (2 for the uniform traffic, which
+// has no phases). Every case runs 1024 objects on 2 shards at threshold
+// 8, Parallelism following -cpu:
+//
+//   - ingest-drift: the bench's ingest-drift shape, SCICluster(8, 8, 32,
+//     16) under drifting-Zipf traffic, 20000 events per pass. A solver row
+//     holds about 4 of the 64 processors.
+//   - dense-rows: the same network under the net-small-batch traffic
+//     (objects and processors uniform, 10% writes), 2^18 events per pass,
+//     so every solver row holds all 64 processors.
+//   - ingest-drift-273: the ingest-drift traffic on SCICluster(16, 16, 32,
+//     16), 273 nodes, where a pass that sweeps |V| per object pays most.
 func BenchmarkEpochPass(b *testing.B) {
-	tr := tree.SCICluster(8, 8, 32, 16)
-	const objects, batch, epoch = 1024, 1024, 20000
-	trace := workload.DriftingZipf(rand.New(rand.NewSource(1)), tr, objects, 20*epoch, 6, 1.0, 0.03)
+	const objects = 1024
+	drift := func(tr *tree.Tree, n int) []workload.TraceEvent {
+		return workload.DriftingZipf(rand.New(rand.NewSource(1)), tr, objects, n, 6, 1.0, 0.03)
+	}
+	uniform := func(tr *tree.Tree, n int) []workload.TraceEvent {
+		rng := rand.New(rand.NewSource(1))
+		leaves := tr.Leaves()
+		out := make([]workload.TraceEvent, n)
+		for i := range out {
+			out[i] = workload.TraceEvent{Object: rng.Intn(objects), Node: leaves[rng.Intn(len(leaves))], Write: rng.Intn(10) == 0}
+		}
+		return out
+	}
+	for _, bc := range []struct {
+		name          string
+		tr            *tree.Tree
+		epoch, passes int
+		gen           func(*tree.Tree, int) []workload.TraceEvent
+	}{
+		{"ingest-drift", tree.SCICluster(8, 8, 32, 16), 20000, 20, drift},
+		{"dense-rows", tree.SCICluster(8, 8, 32, 16), 1 << 18, 2, uniform},
+		{"ingest-drift-273", tree.SCICluster(16, 16, 32, 16), 20000, 20, drift},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			benchEpochPass(b, bc.tr, objects, bc.epoch, bc.gen(bc.tr, bc.passes*bc.epoch))
+		})
+	}
+}
+
+func benchEpochPass(b *testing.B, tr *tree.Tree, objects, epoch int, trace []workload.TraceEvent) {
+	const batch = 1024
 	c, err := NewCluster(tr, objects, Options{Shards: 2, Threshold: 8})
 	if err != nil {
 		b.Fatal(err)

@@ -14,8 +14,12 @@ import (
 // touched, Ingest performs ~0 allocations per batch (partition scratch
 // cycles through a pool, and all per-object tables are already
 // materialized). Mirrors the solver's TestSolverSteadyAllocs; wired into
-// the CI alloc-guard step.
+// the CI alloc-guard step, which runs without -race: under the race
+// detector sync.Pool drops items at random, so the count is noise there.
 func TestIngestSteadyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
 	rng := rand.New(rand.NewSource(41))
 	tr := tree.SCICluster(4, 4, 16, 8)
 	const objects = 32

@@ -60,6 +60,8 @@ func (b *Builder) Build() (*Tree, error) {
 		}
 		if len(t.nodes[v].adj) <= 1 {
 			t.leaves = append(t.leaves, NodeID(v))
+		} else {
+			t.inner = append(t.inner, NodeID(v))
 		}
 		if t.nodes[v].kind == Bus {
 			t.buses = append(t.buses, NodeID(v))

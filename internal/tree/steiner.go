@@ -51,52 +51,30 @@ func SteinerEdgesInto(r *Rooted, members []NodeID, mask []bool) int {
 // first in BFS order, which makes the result deterministic for a given
 // iteration order of set.
 func NearestInSet(t *Tree, set []NodeID) (nearest []NodeID, dist []int32) {
-	var f NearestFinder
-	return f.Find(t, set)
-}
-
-// NearestFinder answers NearestInSet queries with reusable buffers; the
-// zero value is ready to use. The slices returned by Find are owned by the
-// finder and valid only until its next Find call. Not safe for concurrent
-// use — parallel stages hold one finder per worker.
-type NearestFinder struct {
-	nearest []NodeID
-	dist    []int32
-	queue   []NodeID
-}
-
-// Find is NearestInSet against the finder's buffers.
-func (f *NearestFinder) Find(t *Tree, set []NodeID) (nearest []NodeID, dist []int32) {
 	n := t.Len()
-	if cap(f.nearest) < n {
-		f.nearest = make([]NodeID, n)
-		f.dist = make([]int32, n)
-		f.queue = make([]NodeID, 0, n)
+	nearest = make([]NodeID, n)
+	dist = make([]int32, n)
+	for i := range nearest {
+		nearest[i] = None
+		dist[i] = -1
 	}
-	f.nearest = f.nearest[:n]
-	f.dist = f.dist[:n]
-	for i := range f.nearest {
-		f.nearest[i] = None
-		f.dist[i] = -1
-	}
-	queue := f.queue[:0]
+	queue := make([]NodeID, 0, n)
 	for _, s := range set {
-		if f.nearest[s] == None {
-			f.nearest[s] = s
-			f.dist[s] = 0
+		if nearest[s] == None {
+			nearest[s] = s
+			dist[s] = 0
 			queue = append(queue, s)
 		}
 	}
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
 		for _, h := range t.Adj(v) {
-			if f.nearest[h.To] == None {
-				f.nearest[h.To] = f.nearest[v]
-				f.dist[h.To] = f.dist[v] + 1
+			if nearest[h.To] == None {
+				nearest[h.To] = nearest[v]
+				dist[h.To] = dist[v] + 1
 				queue = append(queue, h.To)
 			}
 		}
 	}
-	f.queue = queue[:0]
-	return f.nearest, f.dist
+	return nearest, dist
 }

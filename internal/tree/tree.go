@@ -79,6 +79,7 @@ type Tree struct {
 	nodes  []node
 	edges  []edge
 	leaves []NodeID
+	inner  []NodeID
 	buses  []NodeID
 	maxDeg int
 
@@ -171,6 +172,10 @@ func (t *Tree) IsLeaf(v NodeID) bool { return len(t.nodes[v].adj) <= 1 }
 // Leaves returns the leaf nodes in increasing ID order. The returned slice
 // must not be modified.
 func (t *Tree) Leaves() []NodeID { return t.leaves }
+
+// Inner returns the inner (non-leaf) nodes in increasing ID order. The
+// returned slice must not be modified.
+func (t *Tree) Inner() []NodeID { return t.inner }
 
 // Buses returns the bus nodes in increasing ID order. The returned slice
 // must not be modified.

@@ -124,21 +124,42 @@ func (w *W) TotalWeight(x int) int64 {
 // Weights returns the per-node weight vector h(v) = r(v)+w(v) for object x
 // (freshly allocated, length NumNodes).
 func (w *W) Weights(x int) []int64 {
-	return w.WeightsInto(x, nil)
-}
-
-// WeightsInto is Weights writing into dst (reused when its capacity
-// suffices; nil allocates).
-func (w *W) WeightsInto(x int, dst []int64) []int64 {
-	if cap(dst) < w.nodes {
-		dst = make([]int64, w.nodes)
-	}
-	dst = dst[:w.nodes]
-	base := x * w.nodes
-	for i := range dst {
-		dst[i] = w.acc[base+i].Reads + w.acc[base+i].Writes
+	dst := make([]int64, w.nodes)
+	for v, a := range w.Row(x) {
+		dst[v] = a.Total()
 	}
 	return dst
+}
+
+// Support is the sparse form of one object's row, the input of every
+// per-object step of the solver: the nodes with a nonzero frequency in
+// increasing ID order, their frequencies and weights h(v) = r(v)+w(v),
+// and the row's totals. Steps that touch only these nodes and their
+// ancestors cost in proportion to the object's traffic, not the network.
+type Support struct {
+	Nodes []tree.NodeID
+	Acc   []Access // Acc[i] is the frequency pair of Nodes[i]
+	H     []int64  // H[i] = Acc[i].Total()
+	Kappa int64    // κ_x, the row's write total
+	Total int64    // h(T), the row's read and write total
+}
+
+// SupportInto fills s with object x's support in one scan of its row,
+// reusing s's slices.
+func (w *W) SupportInto(x int, s *Support) {
+	nodes, acc, h := s.Nodes[:0], s.Acc[:0], s.H[:0]
+	var kappa, total int64
+	for v, a := range w.Row(x) {
+		if a.Reads|a.Writes == 0 {
+			continue
+		}
+		nodes = append(nodes, tree.NodeID(v))
+		acc = append(acc, a)
+		h = append(h, a.Total())
+		kappa += a.Writes
+		total += a.Total()
+	}
+	s.Nodes, s.Acc, s.H, s.Kappa, s.Total = nodes, acc, h, kappa, total
 }
 
 // Requesters returns the nodes with nonzero weight for object x, in
@@ -170,11 +191,11 @@ func (w *W) ValidateHBN(t *tree.Tree) error {
 
 // ValidateHBNObject is the per-object core of ValidateHBN (the dimensions
 // must already match t), for incremental callers that re-check only the
-// objects whose frequencies changed.
+// objects whose frequencies changed. It reads the inner nodes only.
 func (w *W) ValidateHBNObject(t *tree.Tree, x int) error {
-	row := w.acc[x*w.nodes : (x+1)*w.nodes]
-	for v, a := range row {
-		if a.Reads|a.Writes != 0 && !t.IsLeaf(tree.NodeID(v)) {
+	row := w.Row(x)
+	for _, v := range t.Inner() {
+		if a := row[v]; a.Reads|a.Writes != 0 {
 			return fmt.Errorf("workload: inner node %d has accesses to object %d; only processors may issue requests", v, x)
 		}
 	}
