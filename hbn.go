@@ -151,10 +151,10 @@
 // # Durability
 //
 // A Cluster checkpoints its entire state — topology, per-object copy
-// sets, per-shard frequency trackers and load accounts, epoch counters
-// and solver arming — into a single versioned, checksummed snapshot
-// file, and a cold process restores it into a warm cluster whose
-// subsequent serving is bit-identical to the original's:
+// sets, the observed frequencies, per-shard load accounts and drift
+// queues, epoch counters and solver arming — into a single versioned,
+// checksummed snapshot file, and a cold process restores it into a warm
+// cluster whose subsequent serving is bit-identical to the original's:
 //
 //	ss, err := cluster.Snapshot("/var/lib/hbn/cluster.hbn")
 //	// ss.CutStall is all the ingest path felt: the cut, which encodes

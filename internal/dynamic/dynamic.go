@@ -977,75 +977,46 @@ func RandomSequence(rng *rand.Rand, t *tree.Tree, numObjects, n int, writeFrac f
 	return reqs
 }
 
-// OfflineTracker maintains the clairvoyant static comparator — the
-// (optimal, inner-nodes-allowed) nibble placement for the aggregated
-// frequencies — incrementally: Record folds requests into the frequency
-// table and marks their objects dirty; Report re-places and re-evaluates
-// only the dirty objects, in O(dirty · |V|) instead of O(|X| · |V|) per
-// request batch. The online strategy's experiments evaluate the
-// comparator after every batch, so this is what keeps them off the
-// full-tree cost path.
+// OfflineTracker records observed access frequencies, the reads and
+// writes per processor per object that the paper's static problem takes
+// as input, together with the queue of objects recorded since the last
+// drain. The serving layer records each shard's traffic through one and
+// feeds its epoch re-solver from the queue (DrainDrifted). The static
+// comparator of the online strategy's experiments is StaticOffline.
+//
+// Trackers that record disjoint sets of objects may share one frequency
+// table (see NewOfflineTrackerWith), so a sharded cluster keeps one table
+// however many shards it has. The drift queue is each tracker's own.
 type OfflineTracker struct {
-	t     *tree.Tree
-	w     *workload.W
-	ev    *placement.Evaluator
-	p     *placement.P
-	scr   *nibble.Scratch
-	dirty []bool
-	queue []int
-
-	// drift/driftQ mirror dirty/queue but are drained by external epoch
-	// re-solvers (DrainDrifted) instead of Report, so the two consumers of
-	// "what changed since I last looked" do not clobber each other.
+	w *workload.W
+	// driftQ holds the objects recorded since the last drain, in
+	// first-touch order; drift marks its members.
 	drift  []bool
 	driftQ []int
 }
 
-// NewOfflineTracker creates a tracker for numObjects objects on t.
+// NewOfflineTracker creates a tracker for numObjects objects on t, over a
+// frequency table of its own.
 func NewOfflineTracker(t *tree.Tree, numObjects int) *OfflineTracker {
 	return NewOfflineTrackerWith(t, workload.New(numObjects, t.Len()))
 }
 
-// NewOfflineTrackerWith creates a tracker that starts from the given
-// already-observed frequencies instead of zero — the serving layer's
-// topology reconfiguration seeds each rebuilt shard tracker with the old
-// tracker's rows remapped onto the new tree. The tracker takes ownership
-// of w, whose node dimension must match t.
+// NewOfflineTrackerWith creates a tracker that records into w, starting
+// from the frequencies w already holds; w's node dimension must match t.
+// Several trackers may share w when they record disjoint objects and each
+// object's row is written under one lock: the serving layer builds every
+// shard's tracker over the cluster's one table, and a shard records only
+// the objects it owns, under its own lock.
 func NewOfflineTrackerWith(t *tree.Tree, w *workload.W) *OfflineTracker {
 	if w.NumNodes() != t.Len() {
 		panic(fmt.Sprintf("dynamic: tracker workload built for %d nodes, tree has %d", w.NumNodes(), t.Len()))
 	}
-	return &OfflineTracker{
-		t:     t,
-		w:     w,
-		ev:    placement.NewEvaluator(t),
-		scr:   nibble.NewScratch(t),
-		dirty: make([]bool, w.NumObjects()),
-		drift: make([]bool, w.NumObjects()),
-	}
+	return &OfflineTracker{w: w, drift: make([]bool, w.NumObjects())}
 }
 
-// Record folds one request into the aggregated frequencies.
-func (ot *OfflineTracker) Record(r Request) {
-	if r.Write {
-		ot.w.AddWrites(r.Object, r.Node, 1)
-	} else {
-		ot.w.AddReads(r.Object, r.Node, 1)
-	}
-	if !ot.dirty[r.Object] {
-		ot.dirty[r.Object] = true
-		ot.queue = append(ot.queue, r.Object)
-	}
-	if !ot.drift[r.Object] {
-		ot.drift[r.Object] = true
-		ot.driftQ = append(ot.driftQ, r.Object)
-	}
-}
-
-// RecordBatch folds a whole batch into the aggregated frequencies — the
-// bulk form of Record, one call per ingested batch instead of one per
-// request, with the same resulting frequencies, dirty set and drift
-// order. Runs of identical events collapse into one frequency addition.
+// RecordBatch folds a batch of requests into the frequencies and queues
+// each object the first time it is recorded since the last drain. Runs of
+// identical events collapse into one frequency addition.
 func (ot *OfflineTracker) RecordBatch(reqs []Request) {
 	for i := 0; i < len(reqs); {
 		r := reqs[i]
@@ -1058,10 +1029,6 @@ func (ot *OfflineTracker) RecordBatch(reqs []Request) {
 		} else {
 			ot.w.AddReads(r.Object, r.Node, int64(j-i))
 		}
-		if !ot.dirty[r.Object] {
-			ot.dirty[r.Object] = true
-			ot.queue = append(ot.queue, r.Object)
-		}
 		if !ot.drift[r.Object] {
 			ot.drift[r.Object] = true
 			ot.driftQ = append(ot.driftQ, r.Object)
@@ -1071,9 +1038,7 @@ func (ot *OfflineTracker) RecordBatch(reqs []Request) {
 }
 
 // DrainDrifted appends to dst the objects recorded since the previous
-// drain (in first-touch order) and resets the drift set. It is independent
-// of Report's own dirty tracking: epoch re-solvers drain drift while the
-// incremental comparator keeps refreshing exactly the objects it must.
+// drain (in first-touch order) and resets the drift set.
 func (ot *OfflineTracker) DrainDrifted(dst []int) []int {
 	dst = append(dst, ot.driftQ...)
 	for _, x := range ot.driftQ {
@@ -1099,51 +1064,16 @@ func (ot *OfflineTracker) MarkDrifted(xs []int) {
 	}
 }
 
-// Workload exposes the aggregated frequencies recorded so far (read-only).
+// Workload exposes the frequency table the tracker records into
+// (read-only). A shared table holds the other trackers' rows as well.
 func (ot *OfflineTracker) Workload() *workload.W { return ot.w }
-
-// Report returns the static comparator's exact loads for the requests
-// recorded so far. The first call places and evaluates every object; later
-// calls refresh only the objects touched since the previous Report.
-func (ot *OfflineTracker) Report() (*placement.Report, error) {
-	if ot.p == nil {
-		nib := nibble.Place(ot.t, ot.w)
-		p, err := nib.Placement(ot.t, ot.w)
-		if err != nil {
-			return nil, err
-		}
-		ot.p = p
-		ot.clearDirty()
-		return ot.ev.EvaluateTracked(p), nil
-	}
-	for _, x := range ot.queue {
-		op := nibble.PlaceObjectScratch(ot.scr, ot.t, ot.w, x)
-		cs, err := placement.NearestObjectAssignment(ot.t, ot.w, x, op.Copies)
-		if err != nil {
-			return nil, err
-		}
-		ot.p.Copies[x] = cs
-	}
-	rep := ot.ev.Reevaluate(ot.p, ot.queue)
-	ot.clearDirty()
-	return rep, nil
-}
-
-func (ot *OfflineTracker) clearDirty() {
-	for _, x := range ot.queue {
-		ot.dirty[x] = false
-	}
-	ot.queue = ot.queue[:0]
-}
 
 // StaticOffline evaluates the clairvoyant static comparator: aggregate the
 // sequence into frequencies, run the (optimal, inner-nodes-allowed) nibble
 // strategy, and return its total load and per-edge loads on the same
 // sequence. This lower-bounds every static placement, so
 // dynamic/static ≥ 1 and the interesting question is how close to 1 the
-// online strategy gets. For one-shot evaluation this computes the report
-// directly; callers re-evaluating after every batch use OfflineTracker,
-// which amortizes via tracked per-object loads.
+// online strategy gets.
 func StaticOffline(t *tree.Tree, numObjects int, reqs []Request) (*placement.Report, error) {
 	w := workload.New(numObjects, t.Len())
 	w.AddTrace(reqs)

@@ -165,43 +165,3 @@ func TestServePanicsOnBadObject(t *testing.T) {
 	}()
 	s.Serve(Request{Object: 7, Node: 1})
 }
-
-// The incremental offline tracker must agree with the one-shot static
-// comparator at every batch boundary — only the objects touched in a
-// batch are re-placed and re-evaluated between Reports.
-func TestOfflineTrackerMatchesStaticOffline(t *testing.T) {
-	rng := rand.New(rand.NewSource(91))
-	for trial := 0; trial < 6; trial++ {
-		tr := tree.Random(rng, 10+rng.Intn(40), 4, 0.4, 8)
-		const objects = 6
-		reqs := RandomSequence(rng, tr, objects, 600, 0.2)
-		ot := NewOfflineTracker(tr, objects)
-		for batch := 0; batch < len(reqs); batch += 150 {
-			end := batch + 150
-			if end > len(reqs) {
-				end = len(reqs)
-			}
-			for _, r := range reqs[batch:end] {
-				ot.Record(r)
-			}
-			got, err := ot.Report()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := StaticOffline(tr, objects, reqs[:end])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.TotalLoad != want.TotalLoad || !got.Congestion.Eq(want.Congestion) {
-				t.Fatalf("trial %d batch ending %d: tracker (%d, %v) != one-shot (%d, %v)",
-					trial, end, got.TotalLoad, got.Congestion, want.TotalLoad, want.Congestion)
-			}
-			for e := range got.EdgeLoad {
-				if got.EdgeLoad[e] != want.EdgeLoad[e] {
-					t.Fatalf("trial %d batch ending %d: edge %d load %d != %d",
-						trial, end, e, got.EdgeLoad[e], want.EdgeLoad[e])
-				}
-			}
-		}
-	}
-}

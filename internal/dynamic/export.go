@@ -211,8 +211,8 @@ func (s *Strategy) RestoreObject(x int, st ObjectState) error {
 // first-touch order) without draining them: the drift trigger measures,
 // and the snapshot cut encodes, the queue the next epoch pass will still
 // consume. The slice is the tracker's own, not a copy: it is valid, and
-// must not be modified, until the next Record, RecordBatch, DrainDrifted
-// or MarkDrifted.
+// must not be modified, until the next RecordBatch, DrainDrifted or
+// MarkDrifted.
 func (ot *OfflineTracker) Drifted() []int {
 	return ot.driftQ
 }

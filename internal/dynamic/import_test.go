@@ -44,7 +44,7 @@ func TestImportLoadsAndTrackerSeed(t *testing.T) {
 		}
 	}
 	// A seeded tracker keeps recording on top of the seed.
-	ot.Record(Request{Object: 0, Node: tr.Leaves()[0]})
+	ot.RecordBatch([]Request{{Object: 0, Node: tr.Leaves()[0]}})
 	want := w.At(0, tr.Leaves()[0])
 	want.Reads++
 	if got := ot.Workload().At(0, tr.Leaves()[0]); got != want {

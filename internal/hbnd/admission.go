@@ -2,6 +2,7 @@ package hbnd
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"time"
 
@@ -265,11 +266,13 @@ func (d *Daemon) handleQuery(f wire.Frame, body []byte) (wire.Type, []byte) {
 	if err != nil {
 		return errReply(body, wire.CodeBadRequest, err.Error())
 	}
-	nodes := d.cl.Copies(x)
-	if nodes == nil {
-		return errReply(body, wire.CodeBadRequest, "object out of range")
+	// The range is the cluster's own: a restored cluster serves the
+	// object count of its image, not Config.NumObjects.
+	if n := d.cl.NumObjects(); x >= n {
+		return errReply(body, wire.CodeBadRequest, fmt.Sprintf("object %d out of range [0,%d)", x, n))
 	}
-	return wire.TQueryOK, wire.AppendNodes(body[:0], nodes)
+	// An object with no copy yet has an empty node list.
+	return wire.TQueryOK, wire.AppendNodes(body[:0], d.cl.Copies(x))
 }
 
 func (d *Daemon) handleSnapshot(body []byte) (wire.Type, []byte) {

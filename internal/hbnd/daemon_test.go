@@ -206,6 +206,47 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 }
 
+// A query for an object the cluster does not serve is a bad request, not
+// a crash: the daemon answers CodeBadRequest and goes on answering and
+// ingesting on the same connection. An object nothing has touched yet has
+// no copies, and its query returns an empty node list.
+func TestDaemonQueryObjectRange(t *testing.T) {
+	d := startDaemon(t, testConfig(t))
+	defer d.Close()
+	cl := dialTest(t, d.Addr())
+
+	for _, x := range []int{tObjects, tObjects + 1, 1 << 20} {
+		_, err := cl.Query(x)
+		var re *wire.RemoteError
+		if !errors.As(err, &re) || re.Code != wire.CodeBadRequest {
+			t.Fatalf("query for object %d: got %v, want a CodeBadRequest remote error", x, err)
+		}
+	}
+	if _, err := cl.Stats(); err != nil {
+		t.Fatalf("stats after out-of-range queries: %v", err)
+	}
+	nodes, err := cl.Query(5)
+	if err != nil || len(nodes) != 0 {
+		t.Fatalf("untouched object: nodes %v, err %v; want none and no error", nodes, err)
+	}
+
+	trace := testTrace(512)
+	if _, err := cl.Ingest(trace, 0); err != nil {
+		t.Fatal(err)
+	}
+	st, err := cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.AcceptedEvents != int64(len(trace)) {
+		t.Fatalf("accepted %d events, want %d", st.AcceptedEvents, len(trace))
+	}
+	x := trace[0].Object
+	if nodes, err := cl.Query(x); err != nil || !reflect.DeepEqual(nodes, d.Cluster().Copies(x)) {
+		t.Fatalf("object %d: wire copies %v (err %v), cluster %v", x, nodes, err, d.Cluster().Copies(x))
+	}
+}
+
 // A TSnapshot reply reports the applier pause: it covers the cluster's
 // cut and also the write, fsync, rename and tail truncate, so it exceeds
 // the cut stall the cluster books into its SnapshotCut histogram for the

@@ -197,14 +197,6 @@ func (s *Scratch) place(t *tree.Tree, nodes []tree.NodeID, h []int64, kappa int6
 	return ObjectPlacement{Gravity: g, Copies: copies}
 }
 
-// PlaceObjectScratch computes the nibble copy set of w's object x using a
-// reusable Scratch — the per-object entry point for incremental callers
-// that re-place a few objects after their frequencies changed.
-func PlaceObjectScratch(s *Scratch, t *tree.Tree, w *workload.W, x int) ObjectPlacement {
-	w.SupportInto(x, &s.sup)
-	return PlaceSupportInto(s, t, &s.sup, nil)
-}
-
 // PlaceSupportInto computes the nibble copy set of the object whose row
 // has support sup, appending it into dst[:0] (reusing its capacity; nil
 // allocates), for callers that scanned the row already and own the

@@ -130,16 +130,18 @@ func TestPlacementMatchesDenseOracle(t *testing.T) {
 	checked := 0
 	for ti, tr := range oracleTrees(rng) {
 		s := NewScratch(tr)
+		var sup workload.Support
 		for round := 0; round < 4; round++ {
 			w := oracleWorkload(rng, tr)
 			res := Place(tr, w)
 			for x := 0; x < w.NumObjects(); x++ {
 				h := w.Weights(x)
 				want := densePlaceObject(tr, h, w.Kappa(x))
+				w.SupportInto(x, &sup)
 				for name, got := range map[string]ObjectPlacement{
-					"Place":              res.Objects[x],
-					"PlaceObject":        PlaceObject(tr, h, w.Kappa(x)),
-					"PlaceObjectScratch": PlaceObjectScratch(s, tr, w, x),
+					"Place":            res.Objects[x],
+					"PlaceObject":      PlaceObject(tr, h, w.Kappa(x)),
+					"PlaceSupportInto": PlaceSupportInto(s, tr, &sup, nil),
 				} {
 					if got.Gravity != want.Gravity || !slices.Equal(got.Copies, want.Copies) {
 						t.Fatalf("tree %d round %d object %d %s: got g=%d %v, dense g=%d %v",
@@ -167,8 +169,10 @@ func TestPlacementScratchReuse(t *testing.T) {
 	for _, tr := range oracleTrees(rng)[:6] {
 		w := oracleWorkload(rng, tr)
 		s := NewScratch(tr)
+		var sup workload.Support
 		for _, x := range rng.Perm(w.NumObjects()) {
-			got := PlaceObjectScratch(s, tr, w, x)
+			w.SupportInto(x, &sup)
+			got := PlaceSupportInto(s, tr, &sup, nil)
 			want := densePlaceObject(tr, w.Weights(x), w.Kappa(x))
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("object %d: reused scratch gives %v, dense %v", x, got, want)

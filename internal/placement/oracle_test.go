@@ -316,6 +316,7 @@ func TestValidateObjectMatchesDenseOracle(t *testing.T) {
 	for ti, tr := range oracleTrees(rng) {
 		reads := make([]int64, tr.Len())
 		writes := make([]int64, tr.Len())
+		as := NewAssignScratch(tr)
 		for round := 0; round < 6; round++ {
 			w := oracleWorkload(rng, tr)
 			for x := 0; x < w.NumObjects(); x++ {
@@ -324,7 +325,7 @@ func TestValidateObjectMatchesDenseOracle(t *testing.T) {
 					w.SupportInto(x, &sup)
 					set := randomCopySet(rng, tr)
 					slices.Sort(set)
-					cs, err := NearestObjectAssignment(tr, w, x, slices.Compact(set))
+					cs, err := as.NearestObject(tr, x, &sup, slices.Compact(set), nil)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -471,15 +471,6 @@ func (s *AssignScratch) NearestObject(t *tree.Tree, x int, sup *workload.Support
 	return assignObject(x, sup, copyNodes, nearest, s.byNode, s.counts, a)
 }
 
-// NearestObjectAssignment builds a single object's copy list with
-// nearest-copy assignment — the per-object entry point for incremental
-// callers that refresh one object of a larger placement.
-func NearestObjectAssignment(t *tree.Tree, w *workload.W, x int, copyNodes []tree.NodeID) ([]*Copy, error) {
-	s := NewAssignScratch(t)
-	w.SupportInto(x, &s.sup)
-	return s.NearestObject(t, x, &s.sup, copyNodes, nil)
-}
-
 // NearestAssignmentParallel is NearestAssignment sharding the per-object
 // multi-source BFS and share assignment over workers (<= 0 means
 // GOMAXPROCS), with per-worker scratch. The output is bit-identical to

@@ -145,7 +145,7 @@ func TestOneForgettingRule(t *testing.T) {
 // Every epoch pass halves each drifted object's solver row once and adds
 // the traffic observed since the previous pass; an object with no new
 // traffic keeps its row untouched. The oracle rebuilds c.w from per-pass
-// deltas of the shard trackers' cumulative counts. Objects x%4 == 0 stop
+// deltas of the cluster's cumulative counts. Objects x%4 == 0 stop
 // receiving traffic halfway through, so later passes exercise both sides.
 func TestFoldAgesDriftedRows(t *testing.T) {
 	tr := tree.SCICluster(4, 6, 16, 8)
@@ -173,7 +173,7 @@ func TestFoldAgesDriftedRows(t *testing.T) {
 		}
 		passes = c.Stats().Epochs
 		for x := 0; x < objects; x++ {
-			cur := c.shards[x%len(c.shards)].tracker.Workload().Row(x)
+			cur := c.freq.Row(x)
 			if slices.Equal(cur, seen.Row(x)) {
 				kept++
 			} else {

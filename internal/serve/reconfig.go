@@ -58,14 +58,14 @@ type ReconfigStats struct {
 
 // Reconfigure applies a topology diff to the live cluster: the network is
 // rebuilt through topo.Apply, and every layer of serving state migrates
-// across the ID remap — observed frequencies (cluster and per-shard
-// tracker rows), per-shard edge-load and request accounting (surviving
-// edges keep their history; removed edges' loads are dropped with the
-// hardware), and every object's copy set. Copies on surviving nodes stay
-// exactly where they are (minimal movement); objects whose copies were
-// all lost are restored at the surviving leaf nearest to the lost set;
-// then one epoch-style pass adopts the placement freshly solved on the
-// remapped frequencies, pricing the migration through the same
+// across the ID remap — observed frequencies (the recorded table and the
+// solver's aged view), per-shard edge-load and request accounting
+// (surviving edges keep their history; removed edges' loads are dropped
+// with the hardware), and every object's copy set. Copies on surviving
+// nodes stay exactly where they are (minimal movement); objects whose
+// copies were all lost are restored at the surviving leaf nearest to the
+// lost set; then one epoch-style pass adopts the placement freshly solved
+// on the remapped frequencies, pricing the migration through the same
 // AdoptCopySet movement account as every epoch pass (Stats.AdoptMoved).
 // The epoch solver is re-armed on the new tree, so subsequent passes
 // continue incrementally with Resolve.
@@ -135,9 +135,12 @@ func (c *Cluster) Reconfigure(d topo.Diff) (ReconfigStats, error) {
 
 	// The commit work that would otherwise sit inside the final quiesce
 	// window is precomputed here, outside any gate: c.prev and c.isLeaf
-	// are only ever written under epochMu, which we hold.
+	// are only ever written under epochMu, which we hold. The new tree's
+	// frequency table is allocated here too; each shard's swap fills in
+	// its own rows.
 	newPrev := mig.Remap.Workload(c.prev)
 	isLeaf := newIsLeaf(mig.Tree)
+	freq := workload.New(c.numObjects, mig.Tree.Len())
 
 	// Publish the roll. From here every gated reader sees the
 	// double-buffered state: partition stops aliasing caller batches,
@@ -173,7 +176,7 @@ func (c *Cluster) Reconfigure(d topo.Diff) (ReconfigStats, error) {
 	for si, sh := range c.shards {
 		t0 = time.Now()
 		sh.mu.Lock()
-		c.migrateShard(sh, si, mig, proj, &rs)
+		c.migrateShard(sh, si, mig, proj, freq, &rs)
 		sh.onNew = true
 		sh.mu.Unlock()
 		stall(t0, obs.PhaseShard, int32(si))
@@ -187,7 +190,7 @@ func (c *Cluster) Reconfigure(d topo.Diff) (ReconfigStats, error) {
 	// shard locks): gated readers synchronize via the gate itself.
 	t0 = time.Now()
 	c.quiesce(func() {
-		c.installEpochState(mig, newPrev, isLeaf)
+		c.installEpochState(mig, newPrev, freq, isLeaf)
 		c.roll = nil
 		for _, sh := range c.shards {
 			sh.onNew = false
@@ -235,12 +238,13 @@ func (rs *ReconfigStats) fillPlan(c *Cluster, mig *topo.Migration) {
 	rs.AddedNodes = added
 }
 
-// installEpochState swaps the epoch machinery onto the migration's tree
-// (caller holds epochMu and the full ingest gate: Reconfigure runs it
-// inside the commit quiesce).
-func (c *Cluster) installEpochState(mig *topo.Migration, prev *workload.W, isLeaf []bool) {
+// installEpochState swaps the epoch machinery and the frequency table
+// onto the migration's tree (caller holds epochMu and the full ingest
+// gate: Reconfigure runs it inside the commit quiesce).
+func (c *Cluster) installEpochState(mig *topo.Migration, prev, freq *workload.W, isLeaf []bool) {
 	c.t = mig.Tree
 	c.solver = mig.Solver
+	c.freq = freq
 	c.w = mig.W
 	c.prev = prev
 	c.solved = true
@@ -256,14 +260,18 @@ func newIsLeaf(t *tree.Tree) []bool {
 }
 
 // migrateShard rebuilds one shard on the migration's tree (caller holds
-// sh.mu and epochMu): a fresh strategy and tracker with the old load
-// history, request counts, frequency rows and un-drained drift flags
-// carried across the remap, then the two-phase adoption — the projected
-// live copy set first (first-touch, free: the data is physically there),
-// the re-solved target second (priced movement from the survivors).
+// sh.mu and epochMu): a fresh strategy with the old load history and
+// request counts, and a tracker over freq, the new tree's table, with the
+// shard's frequency rows and un-drained drift flags carried across the
+// remap. Only the shard's own rows of freq are written, under sh.mu, and
+// only its own rows of the old table are read: shards not yet migrated
+// keep recording into the old table. Then comes the two-phase adoption —
+// the projected live copy set first (first-touch, free: the data is
+// physically there), the re-solved target second (priced movement from
+// the survivors).
 // Loads on removed edges are dropped with the hardware and accounted in
 // rs.DroppedLoad / rs.DroppedServiceLoad.
-func (c *Cluster) migrateShard(sh *shard, si int, mig *topo.Migration, proj *topo.Projector, rs *ReconfigStats) {
+func (c *Cluster) migrateShard(sh *shard, si int, mig *topo.Migration, proj *topo.Projector, freq *workload.W, rs *ReconfigStats) {
 	edgeLoad := sh.strat.EdgeLoad
 	moveLoad := sh.strat.MoveLoad()
 	var dl, dc int64
@@ -290,9 +298,11 @@ func (c *Cluster) migrateShard(sh *shard, si int, mig *topo.Migration, proj *top
 	)
 	ns.ImportOps(sh.strat.Ops())
 	carried := sh.tracker.DrainDrifted(nil)
-	nt := dynamic.NewOfflineTrackerWith(mig.Tree, mig.Remap.Workload(sh.tracker.Workload()))
+	old := sh.tracker.Workload()
+	nt := dynamic.NewOfflineTrackerWith(mig.Tree, freq)
 	nt.MarkDrifted(carried)
 	for x := si; x < c.numObjects; x += len(c.shards) {
+		mig.Remap.Row(freq.Row(x), old.Row(x))
 		p, recovered := proj.Project(sh.strat.Copies(x))
 		if len(p) > 0 {
 			ns.AdoptCopySet(x, p)

@@ -38,11 +38,12 @@ func (c *Cluster) reconfigureStopTheWorld(d topo.Diff) (ReconfigStats, error) {
 	}
 	rs.PlanElapsed = time.Since(start)
 	rs.fillPlan(c, mig)
-	c.installEpochState(mig, mig.Remap.Workload(c.prev), newIsLeaf(mig.Tree))
+	freq := workload.New(c.numObjects, mig.Tree.Len())
+	c.installEpochState(mig, mig.Remap.Workload(c.prev), freq, newIsLeaf(mig.Tree))
 	proj := topo.NewProjector(oldTree, mig.Tree, mig.Remap)
 	for si, sh := range c.shards {
 		sh.mu.Lock()
-		c.migrateShard(sh, si, mig, proj, &rs)
+		c.migrateShard(sh, si, mig, proj, freq, &rs)
 		sh.mu.Unlock()
 	}
 

@@ -12,9 +12,12 @@
 // TestIngestSmallBatchAllocsMultiCore) and served through
 // Strategy.ServeBatch, which serves each shard's partition request by
 // request; each shard's OfflineTracker records the observed frequencies
-// in bulk as it serves. A batch large enough to give every worker at
-// least minFanOutShare events is served shard-parallel; a smaller one is
-// served shard by shard on the calling goroutine.
+// in bulk as it serves, into the one frequency table the cluster keeps
+// (a shard writes only its own objects' rows, under its own lock, so the
+// table's size does not grow with the shard count). A batch large enough
+// to give every worker at least minFanOutShare events is served
+// shard-parallel; a smaller one is served shard by shard on the calling
+// goroutine.
 //
 // Every EpochRequests served requests, an epoch pass feeds the objects
 // whose frequencies drifted since the previous pass into a shared
@@ -364,14 +367,19 @@ type Cluster struct {
 	isLeaf     []bool    // per node, precomputed: batch validation is one byte load per event
 	scratch    sync.Pool // of *ingestScratch; see Ingest
 
+	// freq is the observed-frequency table every shard's tracker records
+	// into: shard si writes the rows of objects x ≡ si (mod Shards), under
+	// its own lock, and the epoch pass reads them under every shard lock.
+	// The pointer changes only in a reconfiguration's commit quiesce.
+	freq *workload.W
+
 	// Epoch machinery: epochMu serializes passes and guards everything
-	// below it. The solver's workload w aggregates the observed
-	// frequencies of all shards (rows are copied in under shard locks, so
-	// the partitioned per-shard trackers and w never race).
+	// below it. The solver's workload w holds the aged frequencies the
+	// epoch pass folds out of freq (see collectDriftLocked).
 	epochMu    sync.Mutex
 	solver     *core.Solver
 	w          *workload.W
-	prev       *workload.W // per-object tracker rows as of the last fold
+	prev       *workload.W // freq's rows as of each object's last fold
 	solved     bool
 	changedBuf []int       // the ascending drifted-object list of the last fold
 	fold       []shardFold // per-shard scratch of the epoch pass
@@ -458,6 +466,7 @@ func newCluster(t *tree.Tree, numObjects int, opts Options, telemetry bool) (*Cl
 		numObjects: numObjects,
 		shards:     make([]*shard, opts.Shards),
 		solver:     solver,
+		freq:       workload.New(numObjects, t.Len()),
 		w:          workload.New(numObjects, t.Len()),
 		prev:       workload.New(numObjects, t.Len()),
 	}
@@ -468,7 +477,7 @@ func newCluster(t *tree.Tree, numObjects int, opts Options, telemetry bool) (*Cl
 		// Threshold validity was checked above, so New cannot fail here.
 		c.shards[i] = &shard{
 			strat:   dynamic.MustNew(t, numObjects, c.dynOpts()),
-			tracker: dynamic.NewOfflineTracker(t, numObjects),
+			tracker: dynamic.NewOfflineTrackerWith(t, c.freq),
 		}
 		if c.obs != nil {
 			c.shards[i].obsb = c.obs.Shards.Block(i)
@@ -649,9 +658,8 @@ func (c *Cluster) driftMagnitudeLocked() float64 {
 	var num, den float64
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		shw := sh.tracker.Workload()
 		for _, x := range sh.tracker.Drifted() {
-			dTot, d := c.objectDriftLocked(shw.Row(x), x, leaves)
+			dTot, d := c.objectDriftLocked(c.freq.Row(x), x, leaves)
 			num, den = addDrift(num, den, dTot, d)
 		}
 		sh.mu.Unlock()
@@ -787,7 +795,7 @@ func (c *Cluster) collectDriftLocked() ([]int, float64) {
 func (c *Cluster) foldObject(_, i int) {
 	x := c.changedBuf[i]
 	leaves := c.t.Leaves()
-	row := c.shards[x%len(c.shards)].tracker.Workload().Row(x)
+	row := c.freq.Row(x)
 	dTot, d := c.objectDriftLocked(row, x, leaves)
 	c.drift[x] = objDrift{dTot, d}
 	prev, solved := c.prev.Row(x), c.w.Row(x)
@@ -1068,6 +1076,10 @@ func (c *Cluster) EpochLog() []EpochStat {
 
 // Shards returns the shard count.
 func (c *Cluster) Shards() int { return len(c.shards) }
+
+// NumObjects returns the number of objects the cluster serves (after a
+// Restore, the count the image carried).
+func (c *Cluster) NumObjects() int { return c.numObjects }
 
 // Obs returns the cluster's telemetry registry (nil only for the bare
 // baseline cluster of the telemetry overhead benchmark). The registry is

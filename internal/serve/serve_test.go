@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"hbn/internal/dynamic"
 	"hbn/internal/tree"
@@ -278,5 +279,37 @@ func TestClusterValidationAndClose(t *testing.T) {
 	}
 	if err := c.ResolveNow(); err == nil {
 		t.Fatal("resolve after Close should fail")
+	}
+}
+
+// A cluster keeps one observed-frequency table whatever its shard count:
+// on the bench shape, a fresh cluster at 8 shards holds less than two
+// |X|×|V| tables more live heap than one at 1 shard. The per-shard
+// strategies and drift queues are all that may grow with the shards; a
+// table per shard would add seven.
+func TestClusterStateIndependentOfShards(t *testing.T) {
+	tr := tree.SCICluster(8, 8, 32, 16)
+	const objects = 1024
+	heap := func(shards int) int64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		c, err := NewCluster(tr, objects, Options{Shards: shards, Threshold: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(c)
+		return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	}
+	table := int64(objects * tr.Len() * int(unsafe.Sizeof(workload.Access{})))
+	one, eight := heap(1), heap(8)
+	t.Logf("fresh cluster: %.2f MiB at 1 shard, %.2f MiB at 8; one table is %.2f MiB",
+		float64(one)/(1<<20), float64(eight)/(1<<20), float64(table)/(1<<20))
+	if eight-one >= 2*table {
+		t.Fatalf("8 shards hold %d B more than 1 shard; want less than two frequency tables (%d B)", eight-one, 2*table)
 	}
 }

@@ -119,7 +119,7 @@ func (c *Cluster) SnapshotWith(path string, opts snapshot.SaveOptions) (Snapshot
 // appendImageLocked appends the cluster's snapshot image to dst (caller
 // holds epochMu and the full ingest gate, and excludes reconfigurations,
 // so the shard locks below are uncontended formality). The State it
-// encodes references the live solver and tracker tables, load accounts
+// encodes references the live solver and frequency tables, load accounts
 // and drift queues, and each object is exported into one reused scratch
 // state as the encoder reaches it: nothing is cloned, and the bytes equal
 // those of encoding a full copy of the same state.
@@ -149,6 +149,7 @@ func (c *Cluster) appendImageLocked(dst []byte) []byte {
 		EpochLog:           c.epochRecs(),
 		SolverW:            c.w,
 		PrevW:              c.prev,
+		TrackerW:           c.freq,
 
 		ShardStates: make([]snapshot.ShardState, len(c.shards)),
 	}
@@ -159,7 +160,6 @@ func (c *Cluster) appendImageLocked(dst []byte) []byte {
 			MoveLoad: sh.strat.MoveLoad(),
 			Requests: sh.strat.Requests(),
 			Cost:     sh.cost,
-			TrackerW: sh.tracker.Workload(),
 			Drift:    sh.tracker.Drifted(),
 		}
 	}
@@ -269,13 +269,13 @@ func RestoreState(st *snapshot.State, opts RestoreOptions) (*Cluster, error) {
 	if err := checkDims(st.PrevW, st.NumObjects, nodes, "previous-fold workload"); err != nil {
 		return nil, err
 	}
+	if err := checkDims(st.TrackerW, st.NumObjects, nodes, "tracker workload"); err != nil {
+		return nil, err
+	}
 	for si := range st.ShardStates {
 		ss := &st.ShardStates[si]
 		if len(ss.EdgeLoad) != edges || len(ss.MoveLoad) != edges {
 			return nil, fmt.Errorf("%w: shard %d: %d/%d load entries for %d edges", snapshot.ErrCorrupt, si, len(ss.EdgeLoad), len(ss.MoveLoad), edges)
-		}
-		if err := checkDims(ss.TrackerW, st.NumObjects, nodes, fmt.Sprintf("shard %d tracker workload", si)); err != nil {
-			return nil, err
 		}
 		if ss.Requests < 0 || ss.Cost < 0 {
 			return nil, fmt.Errorf("%w: shard %d: negative accounting", snapshot.ErrCorrupt, si)
@@ -327,7 +327,7 @@ func (c *Cluster) installState(st *snapshot.State) error {
 			b.Store(obs.SlotEvents, ss.Requests)
 			b.Store(obs.SlotCost, ss.Cost)
 		}
-		sh.tracker = dynamic.NewOfflineTrackerWith(st.Tree, ss.TrackerW)
+		sh.tracker = dynamic.NewOfflineTrackerWith(st.Tree, st.TrackerW)
 		sh.tracker.MarkDrifted(ss.Drift)
 		for x := si; x < st.NumObjects; x += nshards {
 			if err := sh.strat.RestoreObject(x, st.Objects[x]); err != nil {
@@ -337,6 +337,7 @@ func (c *Cluster) installState(st *snapshot.State) error {
 		}
 		sh.mu.Unlock()
 	}
+	c.freq = st.TrackerW
 	c.w = st.SolverW
 	c.prev = st.PrevW
 	c.served.Store(st.Served)

@@ -47,6 +47,7 @@ func (c *Cluster) captureLocked() *snapshot.State {
 		EpochLog:           c.epochRecs(),
 		SolverW:            c.w.Clone(),
 		PrevW:              c.prev.Clone(),
+		TrackerW:           c.freq.Clone(),
 
 		ShardStates: make([]snapshot.ShardState, len(c.shards)),
 		Objects:     make([]dynamic.ObjectState, c.numObjects),
@@ -58,7 +59,6 @@ func (c *Cluster) captureLocked() *snapshot.State {
 			MoveLoad: slices.Clone(sh.strat.MoveLoad()),
 			Requests: sh.strat.Requests(),
 			Cost:     sh.cost,
-			TrackerW: sh.tracker.Workload().Clone(),
 			Drift:    slices.Clone(sh.tracker.Drifted()),
 		}
 		for x := si; x < c.numObjects; x += len(c.shards) {

@@ -56,14 +56,14 @@ func (e *enc) fill(at int, v uint64) {
 	e.b = append(e.b[:at+n], e.b[at+binary.MaxVarintLen64:]...)
 }
 
-// workload writes w as a sparse (object, node, reads, writes) list behind
-// its cell count, in one scan of the table; the dimensions are implied by
-// the surrounding state (NumObjects × tree nodes), so they cannot
-// disagree with it.
-func (e *enc) workload(w *workload.W) {
+// rows writes the rows x = first, first+step, ... of w as a sparse
+// (object, node, reads, writes) list behind its cell count, in one scan;
+// the dimensions are implied by the surrounding state (NumObjects × tree
+// nodes), so they cannot disagree with it.
+func (e *enc) rows(w *workload.W, first, step int) {
 	at := e.gap()
 	b, cells := e.b, 0
-	for x := 0; x < w.NumObjects(); x++ {
+	for x := first; x < w.NumObjects(); x += step {
 		for v, a := range w.Row(x) {
 			if a.Reads|a.Writes != 0 {
 				cells++
@@ -143,8 +143,8 @@ func AppendEncode(dst []byte, st *State, object func(x int) *dynamic.ObjectState
 	}
 	e.fill(at, uint64(len(e.b)-at-binary.MaxVarintLen64))
 
-	e.workload(st.SolverW)
-	e.workload(st.PrevW)
+	e.rows(st.SolverW, 0, 1)
+	e.rows(st.PrevW, 0, 1)
 
 	e.uvarint(uint64(len(st.EpochLog)))
 	for _, r := range st.EpochLog {
@@ -169,7 +169,9 @@ func AppendEncode(dst []byte, st *State, object func(x int) *dynamic.ObjectState
 		}
 		e.varint(ss.Requests)
 		e.varint(ss.Cost)
-		e.workload(ss.TrackerW)
+		// Shard i records only the objects it owns, so its section holds
+		// exactly the cells of its own rows of the one table.
+		e.rows(st.TrackerW, i, len(st.ShardStates))
 		e.uvarint(uint64(len(ss.Drift)))
 		for _, x := range ss.Drift {
 			e.uvarint(uint64(x))
@@ -373,22 +375,26 @@ func (d *dec) bytes(what string) []byte {
 	return p
 }
 
-func (d *dec) workload(objects, nodes int) *workload.W {
-	w := workload.New(objects, nodes)
+// rows reads a section enc.rows wrote into w. A cell outside the rows
+// x ≡ first (mod step) the section covers is corrupt: no writer produces
+// one, and accepting it would make a re-encode differ from its input.
+func (d *dec) rows(w *workload.W, first, step int) {
 	n := d.count(len(d.b), "workload cell")
 	for i := 0; i < n && d.err == nil; i++ {
-		x := d.id(objects, "workload object")
-		v := d.id(nodes, "workload node")
+		x := d.id(w.NumObjects(), "workload object")
+		v := d.id(w.NumNodes(), "workload node")
 		r := d.uvarint()
 		wr := d.uvarint()
 		if r > math.MaxInt64 || wr > math.MaxInt64 {
 			d.fail("workload frequency overflow")
 		}
+		if d.err == nil && x%step != first {
+			d.fail("workload object %d is not one of the section's rows (%d mod %d)", x, first, step)
+		}
 		if d.err == nil {
 			w.Set(x, tree.NodeID(v), workload.Access{Reads: int64(r), Writes: int64(wr)})
 		}
 	}
-	return w
 }
 
 func (d *dec) loads(n int, what string) []int64 {
@@ -498,8 +504,11 @@ func decodeBody(body []byte) (*State, error) {
 		return nil, corrupt("dimensions %d×%d exceed the %d-cell limit", numObjects, nodes, maxCells)
 	}
 
-	st.SolverW = d.workload(numObjects, nodes)
-	st.PrevW = d.workload(numObjects, nodes)
+	st.SolverW = workload.New(numObjects, nodes)
+	st.PrevW = workload.New(numObjects, nodes)
+	st.TrackerW = workload.New(numObjects, nodes)
+	d.rows(st.SolverW, 0, 1)
+	d.rows(st.PrevW, 0, 1)
 
 	nlog := d.count(len(d.b), "epoch log")
 	if d.err == nil {
@@ -545,7 +554,7 @@ func decodeBody(body []byte) (*State, error) {
 			}
 			ss.Requests = d.nonneg("shard requests")
 			ss.Cost = d.nonneg("shard cost")
-			ss.TrackerW = d.workload(numObjects, nodes)
+			d.rows(st.TrackerW, i, nshards)
 			nd := d.count(numObjects, "drift queue")
 			if d.err != nil {
 				break

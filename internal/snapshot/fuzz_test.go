@@ -38,6 +38,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 	// frequencies up to 6, the widths the one-scan table writer closes
 	// gaps for.
 	f.Add(Encode(mkDenseState()))
+	// A tracker cell in a section whose shard does not own its object,
+	// which Decode rejects.
+	f.Add(withForeignTrackerCell(f, img))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := Decode(data)

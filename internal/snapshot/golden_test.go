@@ -13,9 +13,9 @@ import (
 
 // mkDenseState builds a state whose tables need every width of the
 // codec's section counts and values: SolverW holds more than 2^14
-// nonzero cells (a 3-byte count), PrevW more than 2^7 (2 bytes), one
-// tracker a handful (1 byte) and the other none, and frequencies reach
-// 2^7, 2^14 and 2^35 (2-, 3- and 6-byte values).
+// nonzero cells (a 3-byte count), PrevW more than 2^7 (2 bytes), shard
+// 0's tracker rows a handful (1 byte) and shard 1's none, and frequencies
+// reach 2^7, 2^14 and 2^35 (2-, 3- and 6-byte values).
 func mkDenseState() *State {
 	tr := tree.SCICluster(4, 4, 16, 8)
 	n, ne := tr.Len(), tr.NumEdges()
@@ -35,11 +35,10 @@ func mkDenseState() *State {
 	for x := 0; x < 150; x++ {
 		pw.AddReads(x, leaves[x%len(leaves)], int64(x)<<8)
 	}
-	tw0 := workload.New(objects, n)
+	tw := workload.New(objects, n)
 	for x := 0; x < 5; x++ {
-		tw0.AddWrites(2*x, leaves[x], 1<<14+int64(x))
+		tw.AddWrites(2*x, leaves[x], 1<<14+int64(x))
 	}
-	tw1 := workload.New(objects, n)
 
 	nearest := make([]tree.NodeID, n)
 	ndist := make([]int32, n)
@@ -78,11 +77,12 @@ func mkDenseState() *State {
 			{Epoch: 2, Requests: 40000, Drifted: 1000, Moved: 3, StaticCongestion: 9, MaxEdgeLoad: 1 << 23,
 				ResolveNs: 1 << 24, Trigger: "manual", DriftMagnitude: 1.5},
 		},
-		SolverW: sw,
-		PrevW:   pw,
+		SolverW:  sw,
+		PrevW:    pw,
+		TrackerW: tw,
 		ShardStates: []ShardState{
-			{EdgeLoad: el, MoveLoad: ml, Requests: 1 << 32, Cost: 1 << 34, TrackerW: tw0, Drift: []int{0, 2, objects - 2}},
-			{EdgeLoad: seqLoads(ne, 2), MoveLoad: make([]int64, ne), Requests: 1 << 32, Cost: 5, TrackerW: tw1},
+			{EdgeLoad: el, MoveLoad: ml, Requests: 1 << 32, Cost: 1 << 34, Drift: []int{0, 2, objects - 2}},
+			{EdgeLoad: seqLoads(ne, 2), MoveLoad: make([]int64, ne), Requests: 1 << 32, Cost: 5},
 		},
 		Objects: objs,
 	}

@@ -1,8 +1,8 @@
 // Package snapshot is the durability layer: a versioned, length-prefixed,
 // CRC-checksummed binary image of full cluster state (topology, per-object
-// copy sets, per-shard tracker rows and load accounts, epoch counters,
-// solver arming state), written crash-consistently and recovered through a
-// generation ladder.
+// copy sets, observed frequencies, per-shard load accounts and drift
+// queues, epoch counters, solver arming state), written crash-consistently
+// and recovered through a generation ladder.
 //
 // # File format
 //
@@ -129,7 +129,12 @@ type State struct {
 	DroppedServiceLoad int64
 	EpochLog           []EpochRec
 	SolverW            *workload.W // the solver's folded frequency view
-	PrevW              *workload.W // per-object tracker rows as of the last fold
+	PrevW              *workload.W // TrackerW's rows as of each object's last fold
+	// TrackerW is the observed-frequency table every shard records into.
+	// Shard i records only the objects it owns (x ≡ i mod the shard
+	// count), and the image stores each shard's rows in that shard's
+	// section, so a cell in another shard's rows is corrupt.
+	TrackerW *workload.W
 
 	// Per-shard serving state; the shard count is len(ShardStates).
 	ShardStates []ShardState
@@ -159,8 +164,7 @@ type ShardState struct {
 	MoveLoad []int64 // per-edge movement account (MoveLoad[e] <= EdgeLoad[e])
 	Requests int64
 	Cost     int64
-	TrackerW *workload.W // observed frequencies (owner objects' rows only)
-	Drift    []int       // un-drained drifted objects, in first-touch order
+	Drift    []int // un-drained drifted objects, in first-touch order
 }
 
 // CrashPoint selects a deterministic injected crash for WriteFile.

@@ -30,10 +30,9 @@ func mkState(seq uint64) *State {
 	sw.AddReads(3, leaves[2], 1)
 	pw := workload.New(objects, n)
 	pw.AddReads(0, leaves[0], 5)
-	tw0 := workload.New(objects, n)
-	tw0.AddReads(0, leaves[0], 7)
-	tw1 := workload.New(objects, n)
-	tw1.AddWrites(1, leaves[1], 3)
+	tw := workload.New(objects, n) // object 0 is shard 0's, object 1 shard 1's
+	tw.AddReads(0, leaves[0], 7)
+	tw.AddWrites(1, leaves[1], 3)
 
 	nearest := make([]tree.NodeID, n)
 	ndist := make([]int32, n)
@@ -70,11 +69,12 @@ func mkState(seq uint64) *State {
 			{Epoch: 2, Requests: 800, Drifted: 2, Moved: 0, StaticCongestion: 0.5, MaxEdgeLoad: 55, ResolveNs: 900,
 				Trigger: "drift", DriftMagnitude: 0.4},
 		},
-		SolverW: sw,
-		PrevW:   pw,
+		SolverW:  sw,
+		PrevW:    pw,
+		TrackerW: tw,
 		ShardStates: []ShardState{
-			{EdgeLoad: seqLoads(ne, 3), MoveLoad: seqLoads(ne, 1), Requests: 700, Cost: 900, TrackerW: tw0, Drift: []int{0, 2}},
-			{EdgeLoad: seqLoads(ne, 2), MoveLoad: make([]int64, ne), Requests: 800, Cost: 1100, TrackerW: tw1, Drift: []int{3}},
+			{EdgeLoad: seqLoads(ne, 3), MoveLoad: seqLoads(ne, 1), Requests: 700, Cost: 900, Drift: []int{0, 2}},
+			{EdgeLoad: seqLoads(ne, 2), MoveLoad: make([]int64, ne), Requests: 800, Cost: 1100, Drift: []int{3}},
 		},
 		Objects: []dynamic.ObjectState{
 			{}, // untouched
@@ -153,6 +153,35 @@ func withDecaySlot(img []byte, v byte) []byte {
 	body[len(body)-len(d.b)] = v
 	binary.LittleEndian.PutUint32(out[len(out)-crcSize:], crc32.ChecksumIEEE(body))
 	return out
+}
+
+// withForeignTrackerCell returns a copy of an image of mkState in which
+// shard 1's tracker section files its one cell (object 1, 0 reads and 3
+// writes at leaves[1]) under object 0, which shard 0 owns, with the
+// checksum recomputed.
+func withForeignTrackerCell(tb testing.TB, img []byte) []byte {
+	leaf := byte(mkState(0).Tree.Leaves()[1])
+	// The section's cell count, its cell, then the shard's drift queue [3].
+	section := []byte{1, 1, leaf, 0, 3, 1, 3}
+	out := bytes.Clone(img)
+	body := out[headerSize : len(out)-crcSize]
+	if n := bytes.Count(body, section); n != 1 {
+		tb.Fatalf("shard 1's tracker section occurs %d times in the image, want once", n)
+	}
+	body[bytes.Index(body, section)+1] = 0
+	binary.LittleEndian.PutUint32(out[len(out)-crcSize:], crc32.ChecksumIEEE(body))
+	return out
+}
+
+// A shard records only the objects it owns, so no cluster writes an
+// image whose shard-1 tracker section holds a cell of shard 0's object.
+// Decode rejects one: a re-encode would file the cell in shard 0's
+// section and differ from its input.
+func TestDecodeRejectsForeignTrackerCell(t *testing.T) {
+	img := Encode(mkState(3))
+	if _, err := Decode(withForeignTrackerCell(t, img)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("got %v, want ErrCorrupt", err)
+	}
 }
 
 // The slot after the epoch cadence once held a decay-shift option. Every

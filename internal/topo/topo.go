@@ -164,17 +164,30 @@ func (m *Remap) Workload(w *workload.W) *workload.W {
 	}
 	nw := workload.New(w.NumObjects(), len(m.NodeBack))
 	for x := 0; x < w.NumObjects(); x++ {
-		row := w.Row(x)
-		for v, a := range row {
-			if a.Reads|a.Writes == 0 {
-				continue
-			}
-			if nv := m.Node[v]; nv != tree.None {
-				nw.Set(x, nv, a)
-			}
-		}
+		m.Row(nw.Row(x), w.Row(x))
 	}
 	return nw
+}
+
+// Row projects one object's frequency row onto the new tree: every entry
+// of dst (indexed by new node) takes the entry of src (indexed by old
+// node) for the same node, grafted nodes get zero, and removed nodes'
+// entries are dropped. Like workload.W.Set, it panics on a negative
+// frequency.
+func (m *Remap) Row(dst, src []workload.Access) {
+	if len(src) != len(m.Node) || len(dst) != len(m.NodeBack) {
+		panic(fmt.Sprintf("topo: row of %d nodes onto %d, remap for %d onto %d", len(src), len(dst), len(m.Node), len(m.NodeBack)))
+	}
+	for nv, v := range m.NodeBack {
+		var a workload.Access
+		if v != tree.None {
+			a = src[v]
+		}
+		if a.Reads < 0 || a.Writes < 0 {
+			panic("topo: negative frequency")
+		}
+		dst[nv] = a
+	}
 }
 
 // EdgeLoads projects a per-old-edge load vector onto the new tree:
