@@ -71,6 +71,10 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write a heap profile (post-GC) to this file at exit")
 	)
 	flag.Parse()
+	if err := checkFlags(*quick, *ratioGuard); err != nil {
+		fmt.Fprintln(os.Stderr, "hbnbench:", err)
+		os.Exit(2)
+	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -204,6 +208,16 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// checkFlags rejects flag combinations that cannot give a meaningful
+// result: -ratioguard compares against a full-scale BENCH record, so a
+// -quick run, one tenth its length, would fail it on every commit.
+func checkFlags(quick bool, ratioGuard string) error {
+	if quick && ratioGuard != "" {
+		return fmt.Errorf("-quick cannot be combined with -ratioguard: the guard's baseline %s is a full-scale run", ratioGuard)
+	}
+	return nil
 }
 
 func fatal(err error) {

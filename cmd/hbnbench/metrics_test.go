@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"hbn/internal/tree"
@@ -42,5 +43,23 @@ func TestCongestionOf(t *testing.T) {
 	tr3 := b2.MustBuildHBN()
 	if got := congestionOf(tr3, []int64{8, 2, 0}); got != 2 {
 		t.Fatalf("congestion %v, want 2 (8/4 == 2/1)", got)
+	}
+}
+
+// -ratioguard compares against a full-scale record, so -quick with it is
+// refused before anything runs, with a message naming both flags; either
+// flag alone is fine.
+func TestCheckFlagsRefusesQuickRatioGuard(t *testing.T) {
+	err := checkFlags(true, "BENCH_pr8.json")
+	if err == nil || !strings.Contains(err.Error(), "-quick") || !strings.Contains(err.Error(), "-ratioguard") {
+		t.Fatalf("got %v, want an error naming -quick and -ratioguard", err)
+	}
+	for _, tc := range []struct {
+		quick bool
+		guard string
+	}{{true, ""}, {false, "BENCH_pr8.json"}, {false, ""}} {
+		if err := checkFlags(tc.quick, tc.guard); err != nil {
+			t.Fatalf("quick %v, guard %q: %v", tc.quick, tc.guard, err)
+		}
 	}
 }

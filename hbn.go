@@ -168,12 +168,14 @@
 // reconfigurations use, and encodes the image straight from live state
 // there, with no copy of the frequency tables, so the ingest stall is
 // bounded by one scan of the cluster's state in memory, not by the disk.
-// The file is written crash-consistently — temp file, fsync, atomic
-// rename, with the previous generation retained — so a crash at any
-// byte leaves a recoverable state: Restore falls back from the primary
-// to the retained generation (RestoreInfo.Fallback) and reports typed
-// ErrSnapshotCorrupt / ErrNoSnapshot otherwise, never a torn cluster.
-// The crash-point sweep in internal/chaos proves this by injecting a
+// The image stores each fact once (copy lists, not the nearest tables
+// rebuilt from them on restore; counts since the last fold, not the
+// recorded table twice), and v2 images still restore. The file is
+// written crash-consistently — temp file, fsync, atomic rename, with the
+// previous generation retained — so a crash at any byte leaves a
+// recoverable state: Restore falls back from the primary to the retained
+// generation (RestoreInfo.Fallback) and reports typed ErrSnapshotCorrupt
+// / ErrNoSnapshot otherwise, never a torn cluster. The crash-point sweep in internal/chaos proves this by injecting a
 // crash at every byte offset of the image while ingesters run. The
 // repository benchmark (bench/) reports the snapshot call's p50 on every
 // workload and, in a traced run, its cut, encode and write times and

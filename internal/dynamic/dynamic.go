@@ -30,7 +30,7 @@
 //     first copy, requesters outside enter exactly at the anchor. Writes
 //     therefore contract the set in O(1) — no O(|V|) BFS per write — and
 //     the multi-source nearest tables survive only for adopted static
-//     placements (AdoptCopySet), which need not be connected.
+//     placements (AdoptCopySet) that are not connected.
 //   - The write-broadcast Steiner tree is an incrementally maintained
 //     edge list: for a connected set the Steiner edges are exactly the
 //     edges joining two copies, so replication appends one edge,
@@ -185,8 +185,9 @@ type Strategy struct {
 	isCopy   [][]bool
 	copyList [][]tree.NodeID
 	// nearest/ndist are per-node nearest-copy tables — but they exist only
-	// for adopted multi-copy sets (tableValid on), which need not be
-	// connected. Request-driven copy sets are always connected subtrees
+	// for adopted sets that are not connected (tableValid on), and each
+	// equals a rebuild from the object's copy list (see installTables).
+	// Request-driven copy sets are always connected subtrees
 	// grown from the last contraction home, and for a connected set the
 	// nearest copy from any node is the unique entry point of the node's
 	// path towards ANY member — so serving resolves it via anchorTop (see
@@ -212,7 +213,8 @@ type Strategy struct {
 	pathBuf   []tree.EdgeID
 	steinerCt []int32
 	queue     []tree.NodeID
-	adoptDist []int32 // AdoptCopySet pricing scratch
+	adoptDist []int32       // AdoptCopySet pricing scratch
+	adoptList []tree.NodeID // AdoptCopySet's new list, built before it replaces the old
 
 	// Write-broadcast state: bcast holds the Steiner edges of the copy
 	// set, maintained incrementally (see the package comment). bcastStamp
@@ -325,10 +327,6 @@ func MustNew(t *tree.Tree, numObjects int, opts Options) *Strategy {
 	}
 	return s
 }
-
-// EdgeThreshold returns edge e's replication budget: the flat Threshold,
-// or the bandwidth-scaled budget when BandwidthAware is set.
-func (s *Strategy) EdgeThreshold(e tree.EdgeID) int32 { return s.edgeThresh[e] }
 
 // Requests returns the number of requests served so far.
 func (s *Strategy) Requests() int64 { return int64(s.requests) }
@@ -705,9 +703,10 @@ func (s *Strategy) rebuildNearest(x int) {
 // AdoptCopySet replaces object x's copy set with the given set of nodes
 // (duplicates ignored; must be non-empty) — the import half of the serving
 // layer's epoch re-solve, which pushes a freshly solved static placement
-// into the online strategy as its warm state. The nearest tables are
-// rebuilt from scratch and the read counters and write streak reset, so
-// threshold dynamics restart from the adopted placement.
+// into the online strategy as its warm state. A changed set takes the
+// nodes' order as its list and installTables' resolution, and the read
+// counters and write streak reset, so threshold dynamics restart from the
+// adopted placement. An unchanged set keeps its list, tables and counters.
 //
 // The returned value is the copy-movement distance: the sum over newly
 // added copy nodes of their tree distance to the previous copy set (zero
@@ -753,12 +752,13 @@ func (s *Strategy) AdoptCopySet(x int, nodes []tree.NodeID) int64 {
 		dists = append(dists, d)
 	}
 	s.adoptDist = dists
+	// The new list goes to scratch: an unchanged set keeps its own.
 	var moved int64
 	added, dropped := 0, len(s.copyList[x])
 	for _, v := range s.copyList[x] {
 		s.isCopy[x][v] = false
 	}
-	list := s.copyList[x][:0]
+	list := s.adoptList[:0]
 	for i, v := range nodes {
 		if s.isCopy[x][v] {
 			continue // duplicate in input
@@ -772,13 +772,14 @@ func (s *Strategy) AdoptCopySet(x int, nodes []tree.NodeID) int64 {
 			dropped--
 		}
 	}
-	s.copyList[x] = list
+	s.adoptList = list
 	if added == 0 && dropped == 0 {
-		// Same set as before: the tables (and the broadcast edge set) are
-		// still exact; keep the read counters so an unchanged placement
-		// does not reset adaptation.
+		// Same set as before: the list, its tables and the broadcast edge
+		// set stay; keep the read counters so an unchanged placement does
+		// not reset adaptation.
 		return 0
 	}
+	s.copyList[x] = append(s.copyList[x][:0], list...)
 	s.installTables(x)
 	s.rebuildBroadcast(x)
 	s.curGen[x]++
@@ -787,17 +788,28 @@ func (s *Strategy) AdoptCopySet(x int, nodes []tree.NodeID) int64 {
 	return moved
 }
 
-// installTables puts object x's nearest resolution into the mode its
-// adopted copy set requires: a from-scratch table rebuild for multi-copy
-// sets (which need not be connected), table-free connected mode for a
-// single copy.
+// installTables puts object x's nearest resolution into the mode its copy
+// set determines (the one routine adoption and restore share): a single
+// copy or a connected set is table-free, anchored at its one copy whose
+// parent is not a copy, and any other set gets rebuildNearest over its
+// list. Every table thus equals its list's rebuild, since addCopy appends
+// the joiner and relaxes only strictly closer nodes, keeping the rebuild's
+// earliest-listed tie rule. A connected set's nearest copy is unique, so
+// it serves the same in either mode.
 func (s *Strategy) installTables(x int) {
-	if len(s.copyList[x]) > 1 {
-		s.rebuildNearest(x)
-	} else {
-		s.tableValid[x] = false
-		s.anchorTop[x] = s.copyList[x][0]
+	ic, top, tops := s.isCopy[x], tree.None, 0
+	for _, v := range s.copyList[x] {
+		if p := s.r.Parent[v]; p == tree.None || !ic[p] {
+			top = v
+			tops++
+		}
 	}
+	if tops == 1 {
+		s.tableValid[x] = false
+		s.anchorTop[x] = top
+		return
+	}
+	s.rebuildNearest(x)
 }
 
 // addCopy inserts joiner (which is adjacent to a current copy across edge

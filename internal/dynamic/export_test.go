@@ -14,7 +14,8 @@ import (
 // strategies serve an identical suffix with identical per-request costs,
 // loads and copy sets. The prefix mixes threshold dynamics (replication,
 // write contraction) with adopted placements so all three object modes —
-// untouched, anchored, table-backed — are in the exported set.
+// untouched, anchored, table-backed — are in the exported set, and the
+// restored strategy derives the same mode from each copy list.
 func TestExportRestoreRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	tr := tree.SCICluster(3, 4, 16, 8)
@@ -35,17 +36,21 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 	r.ImportLoads(append([]int64(nil), s.EdgeLoad...), s.MoveLoad(), s.Requests())
 	modes := map[string]int{}
 	for x := 0; x < objects; x++ {
-		st := s.ExportObject(x)
+		var st ObjectState
+		s.ExportObjectInto(x, &st)
 		switch {
 		case !st.Present:
 			modes["absent"]++
-		case st.TableValid:
+		case s.tableValid[x]:
 			modes["table"]++
 		default:
 			modes["anchored"]++
 		}
 		if err := r.RestoreObject(x, st); err != nil {
 			t.Fatalf("restore object %d: %v", x, err)
+		}
+		if st.Present && r.tableValid[x] != s.tableValid[x] {
+			t.Fatalf("object %d: restored table mode %v, exported %v", x, r.tableValid[x], s.tableValid[x])
 		}
 	}
 	if modes["table"] == 0 || modes["anchored"] == 0 {
@@ -82,15 +87,6 @@ func TestRestoreObjectRejects(t *testing.T) {
 	leaves := tr.Leaves()
 	n := tr.Len()
 	fresh := func() *Strategy { return MustNew(tr, 4, Options{Threshold: 2}) }
-	fullNearest := func(v tree.NodeID) ([]tree.NodeID, []int32) {
-		nr := make([]tree.NodeID, n)
-		nd := make([]int32, n)
-		for i := range nr {
-			nr[i] = v
-		}
-		return nr, nd
-	}
-	nr, nd := fullNearest(leaves[0])
 
 	cases := []struct {
 		name string
@@ -99,18 +95,11 @@ func TestRestoreObjectRejects(t *testing.T) {
 	}{
 		{"state without presence", ObjectState{Copies: []tree.NodeID{leaves[0]}}, "without presence"},
 		{"present without copies", ObjectState{Present: true}, "without copies"},
-		{"copy out of range", ObjectState{Present: true, Copies: []tree.NodeID{tree.NodeID(n)}, AnchorTop: tree.NodeID(n)}, "out of range"},
+		{"copy out of range", ObjectState{Present: true, Copies: []tree.NodeID{tree.NodeID(n)}}, "out of range"},
 		{"negative copy", ObjectState{Present: true, Copies: []tree.NodeID{-1}}, "out of range"},
-		{"duplicate copy", ObjectState{Present: true, Copies: []tree.NodeID{leaves[0], leaves[0]}, AnchorTop: leaves[0]}, "duplicate"},
-		{"table with one copy", ObjectState{Present: true, Copies: []tree.NodeID{leaves[0]}, TableValid: true, Nearest: nr, NDist: nd}, "with 1 copies"},
-		{"table shape", ObjectState{Present: true, Copies: []tree.NodeID{leaves[0], leaves[1]}, TableValid: true, Nearest: nr[:2], NDist: nd[:2]}, "table shape"},
-		{"nearest not a copy", ObjectState{Present: true, Copies: []tree.NodeID{leaves[1], leaves[2]}, TableValid: true, Nearest: nr, NDist: nd}, "not a copy"},
-		{"negative distance", ObjectState{Present: true, Copies: []tree.NodeID{leaves[0], leaves[1]}, TableValid: true, Nearest: nr, NDist: append(append([]int32(nil), nd[:n-1]...), -1)}, "negative distance"},
-		{"anchor not a copy", ObjectState{Present: true, Copies: []tree.NodeID{leaves[0]}, AnchorTop: leaves[1]}, "not a copy"},
-		{"disconnected set", ObjectState{Present: true, Copies: []tree.NodeID{leaves[0], leaves[1]}, AnchorTop: leaves[0]}, "disconnected"},
-		{"tables on table-free", ObjectState{Present: true, Copies: []tree.NodeID{leaves[0]}, AnchorTop: leaves[0], Nearest: nr}, "tables on a table-free"},
-		{"counter edge range", ObjectState{Present: true, Copies: []tree.NodeID{leaves[0]}, AnchorTop: leaves[0], Counters: []EdgeCounter{{Edge: tree.EdgeID(tr.NumEdges()), Count: 1}}}, "out of range"},
-		{"negative counter", ObjectState{Present: true, Copies: []tree.NodeID{leaves[0]}, AnchorTop: leaves[0], Counters: []EdgeCounter{{Edge: 0, Count: -1}}}, "negative counter"},
+		{"duplicate copy", ObjectState{Present: true, Copies: []tree.NodeID{leaves[0], leaves[0]}}, "duplicate"},
+		{"counter edge range", ObjectState{Present: true, Copies: []tree.NodeID{leaves[0]}, Counters: []EdgeCounter{{Edge: tree.EdgeID(tr.NumEdges()), Count: 1}}}, "out of range"},
+		{"negative counter", ObjectState{Present: true, Copies: []tree.NodeID{leaves[0]}, Counters: []EdgeCounter{{Edge: 0, Count: -1}}}, "negative counter"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -129,7 +118,7 @@ func TestRestoreObjectRejects(t *testing.T) {
 	t.Run("already materialized", func(t *testing.T) {
 		s := fresh()
 		s.Serve(Request{Object: 0, Node: leaves[0]})
-		err := s.RestoreObject(0, ObjectState{Present: true, Copies: []tree.NodeID{leaves[0]}, AnchorTop: leaves[0]})
+		err := s.RestoreObject(0, ObjectState{Present: true, Copies: []tree.NodeID{leaves[0]}})
 		if err == nil || !strings.Contains(err.Error(), "already materialized") {
 			t.Fatalf("got %v", err)
 		}

@@ -7,10 +7,12 @@ import (
 	"hbn/internal/tree"
 )
 
-// bfsDist computes, from scratch, the multi-source BFS distance of every
-// node to the given copy set — the specification the incrementally
-// maintained nearest tables must match.
-func bfsDist(t *tree.Tree, copies []tree.NodeID) []int32 {
+// bfsNearest computes, from scratch, every node's nearest copy and its
+// distance by a multi-source BFS seeded in list order — the specification
+// the nearest tables must match exactly: each node gets the earliest-listed
+// of its nearest copies.
+func bfsNearest(t *tree.Tree, copies []tree.NodeID) ([]tree.NodeID, []int32) {
+	nearest := make([]tree.NodeID, t.Len())
 	dist := make([]int32, t.Len())
 	for i := range dist {
 		dist[i] = -1
@@ -21,6 +23,7 @@ func bfsDist(t *tree.Tree, copies []tree.NodeID) []int32 {
 			continue
 		}
 		dist[v] = 0
+		nearest[v] = v
 		queue = append(queue, v)
 	}
 	for head := 0; head < len(queue); head++ {
@@ -28,26 +31,22 @@ func bfsDist(t *tree.Tree, copies []tree.NodeID) []int32 {
 		for _, h := range t.Adj(v) {
 			if dist[h.To] < 0 {
 				dist[h.To] = dist[v] + 1
+				nearest[h.To] = nearest[v]
 				queue = append(queue, h.To)
 			}
 		}
 	}
-	return dist
+	return nearest, dist
 }
 
 // checkNearestTables asserts the nearest-copy resolution of every
-// materialized object against a from-scratch BFS. Objects in connected
-// mode (tableValid off — every request-driven state) keep no tables at
-// all; for them the check pins the connectivity invariant the anchor walk
-// depends on and verifies pathToNearest lands on a true nearest copy with
-// a path of exactly that length. Adopted objects must hold valid tables:
-// ndist equals the true distance to the copy set, nearest points at an
-// actual copy, and the pointed-at copy really is at distance ndist (so
-// "nearest" is not just any copy). Exact tie-breaking is NOT part of the
-// table contract — relaxation keeps the previous reference copy on ties, a
-// fresh BFS picks by seeding order — so the check compares distances, not
-// identities; in connected mode the nearest copy is unique, so there the
-// identity is pinned too.
+// materialized object against a from-scratch BFS of its copy list. Objects
+// in connected mode (tableValid off) keep no tables: for them the check
+// pins the connectivity invariant the anchor walk depends on, the anchor
+// as the set's top, and that pathToNearest lands on the (unique) nearest
+// copy with a path of exactly that length. Objects in table mode must hold
+// exactly the tables a rebuild of their list gives — identities as well
+// as distances — which is what lets a snapshot carry the list alone.
 func checkNearestTables(t *testing.T, tr *tree.Tree, s *Strategy, ctx string) {
 	t.Helper()
 	r := tr.Rooted0()
@@ -55,42 +54,35 @@ func checkNearestTables(t *testing.T, tr *tree.Tree, s *Strategy, ctx string) {
 		if s.isCopy[x] == nil {
 			continue
 		}
-		want := bfsDist(tr, s.copyList[x])
+		wantNear, want := bfsNearest(tr, s.copyList[x])
 		if !s.tableValid[x] {
 			if !copySetConnected(tr, s.copyList[x]) {
 				t.Fatalf("%s: object %d in connected mode with disconnected copies %v",
 					ctx, x, s.copyList[x])
 			}
+			if top := s.anchorTop[x]; !s.isCopy[x][top] || (r.Parent[top] != tree.None && s.isCopy[x][r.Parent[top]]) {
+				t.Fatalf("%s: object %d: anchor %d is not the top of %v", ctx, x, top, s.copyList[x])
+			}
 			for v := 0; v < tr.Len(); v++ {
 				id := tree.NodeID(v)
 				near, path := s.pathToNearest(x, id)
-				if !s.isCopy[x][near] || int32(len(path)) != want[v] ||
+				if near != wantNear[v] || int32(len(path)) != want[v] ||
 					int32(r.PathLen(id, near)) != want[v] {
-					t.Fatalf("%s: object %d node %d: pathToNearest (%d, %d edges), true nearest at %d",
-						ctx, x, v, near, len(path), want[v])
+					t.Fatalf("%s: object %d node %d: pathToNearest (%d, %d edges), true nearest %d at %d",
+						ctx, x, v, near, len(path), wantNear[v], want[v])
 				}
 			}
 			continue
 		}
 		for v := 0; v < tr.Len(); v++ {
-			id := tree.NodeID(v)
-			if s.ndist[x][v] != want[v] {
-				t.Fatalf("%s: object %d node %d: incremental dist %d != BFS %d (copies %v)",
-					ctx, x, v, s.ndist[x][v], want[v], s.copyList[x])
+			if s.ndist[x][v] != want[v] || s.nearest[x][v] != wantNear[v] {
+				t.Fatalf("%s: object %d node %d: table (%d, %d) != rebuild of list %v (%d, %d)",
+					ctx, x, v, s.nearest[x][v], s.ndist[x][v], s.copyList[x], wantNear[v], want[v])
 			}
-			near := s.nearest[x][v]
-			if !s.isCopy[x][near] {
-				t.Fatalf("%s: object %d node %d: nearest %d is not a copy (copies %v)",
-					ctx, x, v, near, s.copyList[x])
-			}
-			if got := int32(r.PathLen(id, near)); got != want[v] {
-				t.Fatalf("%s: object %d node %d: nearest %d at distance %d, true nearest at %d",
-					ctx, x, v, near, got, want[v])
-			}
-			near, path := s.pathToNearest(x, id)
-			if !s.isCopy[x][near] || int32(len(path)) != want[v] {
-				t.Fatalf("%s: object %d node %d: pathToNearest (%d, %d edges), true nearest at %d",
-					ctx, x, v, near, len(path), want[v])
+			near, path := s.pathToNearest(x, tree.NodeID(v))
+			if near != wantNear[v] || int32(len(path)) != want[v] {
+				t.Fatalf("%s: object %d node %d: pathToNearest (%d, %d edges), true nearest %d at %d",
+					ctx, x, v, near, len(path), wantNear[v], want[v])
 			}
 		}
 	}
@@ -196,4 +188,27 @@ func TestAdoptCopySetMovement(t *testing.T) {
 		t.Fatalf("read at the adopted copy cost %d", cost)
 	}
 	checkNearestTables(t, tr, s, "after shrink")
+}
+
+// Re-adopting an unchanged set in another order leaves the list and its
+// tables alone. On a star the bus is equidistant from every leaf, so a
+// list reordered under tables built for the old order would disagree with
+// its own rebuild there.
+func TestUnchangedAdoptionKeepsList(t *testing.T) {
+	tr := tree.Star(4, 8)
+	leaves := tr.Leaves()
+	s := MustNew(tr, 1, Options{Threshold: 2})
+	s.AdoptCopySet(0, []tree.NodeID{leaves[0], leaves[1]})
+	s.Serve(Request{Object: 0, Node: leaves[2]}) // a live counter to keep
+	gen := s.curGen[0]
+	if moved := s.AdoptCopySet(0, []tree.NodeID{leaves[1], leaves[0]}); moved != 0 {
+		t.Fatalf("unchanged adoption moved %d", moved)
+	}
+	if got := s.copyList[0]; got[0] != leaves[0] || got[1] != leaves[1] {
+		t.Fatalf("unchanged adoption reordered the list to %v", got)
+	}
+	if s.curGen[0] != gen {
+		t.Fatal("unchanged adoption reset the read counters")
+	}
+	checkNearestTables(t, tr, s, "after unchanged adoption")
 }

@@ -110,7 +110,7 @@ func benchIngest(b *testing.B, telemetry bool) {
 	t := tree.SCICluster(8, 8, 32, 16)
 	const objects, batch = 256, 1024
 	trace := workload.DriftingZipf(rand.New(rand.NewSource(2000)), t, objects, 200000, 6, 1.0, 0.03)
-	c, err := newCluster(t, objects, Options{Shards: 1, Threshold: 8}, telemetry)
+	c, err := newCluster(t, objects, Options{Shards: 1, Threshold: 8}, telemetry, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -163,7 +163,7 @@ func TestObsIngestHistogram(t *testing.T) {
 // builds: no registry, and serving still works.
 func TestNoTelemetry(t *testing.T) {
 	tr := tree.SCICluster(3, 3, 8, 4)
-	c, err := newCluster(tr, 8, Options{Threshold: 3}, false)
+	c, err := newCluster(tr, 8, Options{Threshold: 3}, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

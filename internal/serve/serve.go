@@ -51,6 +51,7 @@ import (
 	"hbn/internal/dynamic"
 	"hbn/internal/obs"
 	"hbn/internal/par"
+	"hbn/internal/snapshot"
 	"hbn/internal/topo"
 	"hbn/internal/tree"
 	"hbn/internal/workload"
@@ -157,38 +158,10 @@ func (o Options) validate() error {
 }
 
 // EpochStat records one epoch pass, for per-epoch comparison against the
-// clairvoyant static optimum.
-type EpochStat struct {
-	// Epoch numbers passes from 1.
-	Epoch int64
-	// Requests is the total served when the pass started.
-	Requests int64
-	// Drifted is the number of objects re-solved in this pass.
-	Drifted int
-	// Moved is the adoption movement distance of this pass.
-	Moved int64
-	// StaticCongestion is the solver's congestion on its current view of
-	// the observed frequencies: an exponentially aged window, halved once
-	// per pass for every drifted object. It describes recent traffic, not
-	// the whole trace, so it is never comparable to the clairvoyant
-	// StaticOffline comparator, which scores the cumulative counts.
-	StaticCongestion float64
-	// MaxEdgeLoad is the cluster's served max edge load after adoption.
-	MaxEdgeLoad int64
-	// ResolveNs is the wall time of the whole pass: the drift fold, the
-	// Solve/Resolve call, adoption and the max-edge-load fold (despite the
-	// name, not the solver call alone).
-	ResolveNs int64
-	// Trigger records what fired the pass: "cadence" (EpochRequests),
-	// "drift" (the drift-magnitude trigger), or "manual" (ResolveNow and
-	// reconfiguration passes).
-	Trigger string
-	// DriftMagnitude is the measured drift at the start of the pass (the
-	// request-weighted mean L1 distance described at
-	// Options.DriftThreshold), regardless of what triggered it; 0 when no
-	// traffic has drifted since the last adoption.
-	DriftMagnitude float64
-}
+// clairvoyant static optimum. It is the snapshot image's epoch record, so
+// the log is cut into an image and restored from one as it is; the field
+// docs are at snapshot.EpochRec.
+type EpochStat = snapshot.EpochRec
 
 // Epoch trigger labels recorded in EpochStat.Trigger.
 const (
@@ -433,14 +406,21 @@ func (c *Cluster) quiesce(fn func()) {
 // be a valid hierarchical bus network. Invalid options are rejected with
 // an error satisfying errors.Is(err, ErrBadOptions).
 func NewCluster(t *tree.Tree, numObjects int, opts Options) (*Cluster, error) {
-	return newCluster(t, numObjects, opts, true)
+	return newCluster(t, numObjects, opts, true, nil)
 }
 
-// newCluster is NewCluster with telemetry selectable. Without it Obs
-// returns nil and the serving paths skip every counter and histogram
-// update; that bare cluster exists only as the baseline of the telemetry
-// overhead benchmark, so the switch is not part of Options.
-func newCluster(t *tree.Tree, numObjects int, opts Options, telemetry bool) (*Cluster, error) {
+// freqTables are a cluster's three frequency tables (see Cluster.freq,
+// w and prev), each numObjects × t.Len().
+type freqTables struct{ freq, w, prev *workload.W }
+
+// newCluster is NewCluster with telemetry selectable and, when tabs is
+// non-nil, the frequency tables given rather than allocated (restore
+// passes the decoded ones, so no table is built only to be replaced).
+// Without telemetry Obs returns nil and the serving paths skip every
+// counter and histogram update; that bare cluster exists only as the
+// baseline of the telemetry overhead benchmark, so the switch is not part
+// of Options.
+func newCluster(t *tree.Tree, numObjects int, opts Options, telemetry bool, tabs *freqTables) (*Cluster, error) {
 	if numObjects < 0 {
 		return nil, fmt.Errorf("serve: negative object count %d", numObjects)
 	}
@@ -460,15 +440,22 @@ func newCluster(t *tree.Tree, numObjects int, opts Options, telemetry bool) (*Cl
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
+	if tabs == nil {
+		tabs = &freqTables{
+			freq: workload.New(numObjects, t.Len()),
+			w:    workload.New(numObjects, t.Len()),
+			prev: workload.New(numObjects, t.Len()),
+		}
+	}
 	c := &Cluster{
 		t:          t,
 		opts:       opts,
 		numObjects: numObjects,
 		shards:     make([]*shard, opts.Shards),
 		solver:     solver,
-		freq:       workload.New(numObjects, t.Len()),
-		w:          workload.New(numObjects, t.Len()),
-		prev:       workload.New(numObjects, t.Len()),
+		freq:       tabs.freq,
+		w:          tabs.w,
+		prev:       tabs.prev,
 	}
 	if telemetry {
 		c.obs = obs.NewRegistry(opts.Shards, flightRecorderSize)

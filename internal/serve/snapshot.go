@@ -146,7 +146,7 @@ func (c *Cluster) appendImageLocked(dst []byte) []byte {
 		ResolveTimeNs:      c.stats.ResolveTime.Nanoseconds(),
 		DroppedLoad:        c.stats.DroppedLoad,
 		DroppedServiceLoad: c.stats.DroppedServiceLoad,
-		EpochLog:           c.epochRecs(),
+		EpochLog:           c.epochLog,
 		SolverW:            c.w,
 		PrevW:              c.prev,
 		TrackerW:           c.freq,
@@ -174,26 +174,6 @@ func (c *Cluster) appendImageLocked(dst []byte) []byte {
 	return dst
 }
 
-// epochRecs converts the epoch log to its image form (caller holds
-// epochMu).
-func (c *Cluster) epochRecs() []snapshot.EpochRec {
-	out := make([]snapshot.EpochRec, len(c.epochLog))
-	for i, e := range c.epochLog {
-		out[i] = snapshot.EpochRec{
-			Epoch:            e.Epoch,
-			Requests:         e.Requests,
-			Drifted:          e.Drifted,
-			Moved:            e.Moved,
-			StaticCongestion: e.StaticCongestion,
-			MaxEdgeLoad:      e.MaxEdgeLoad,
-			ResolveNs:        e.ResolveNs,
-			Trigger:          e.Trigger,
-			DriftMagnitude:   e.DriftMagnitude,
-		}
-	}
-	return out
-}
-
 // Restore recovers a warm cluster from the snapshot at path, walking the
 // generation ladder: the primary file first, then the retained previous
 // generation. A generation is skipped if it fails integrity verification
@@ -204,11 +184,11 @@ func (c *Cluster) epochRecs() []snapshot.EpochRec {
 // never panics on damaged input.
 //
 // The restored cluster's subsequent serving behavior is bit-identical to
-// the source cluster's from the cut onward (see RestoreState). The one
-// exception is an image written while epoch passes could still keep the
-// full history (its retired decay-shift slot holds 0, as every image
-// from a default cluster of that time does): it restores the same state,
-// and its epoch passes halve the solver's history from the next pass on.
+// the source cluster's from the cut onward (see RestoreState), for v2
+// images too, whose nearest tables are rebuilt from their copy lists. A
+// v2 image whose retired decay-shift slot holds 0 (full history, the
+// default of its time) restores the same state and halves the solver's
+// history from its next pass on.
 func Restore(path string, opts RestoreOptions) (*Cluster, *RestoreInfo, error) {
 	var errs []error
 	missing := 0
@@ -245,9 +225,11 @@ func Restore(path string, opts RestoreOptions) (*Cluster, *RestoreInfo, error) {
 // wrapping snapshot.ErrCorrupt.
 //
 // Bit-identity: the restored cluster reproduces the source's serving
-// decisions exactly from the cut onward. Copy sets, nearest tables and
-// live read counters are restored verbatim (see dynamic.RestoreObject);
-// write-broadcast edge sets are rebuilt (pure function of the copy set);
+// decisions exactly from the cut onward. Copy lists and live read
+// counters are restored verbatim, and nearest tables are rebuilt from the
+// lists (see dynamic.RestoreObject); write-broadcast edge sets are rebuilt
+// (pure function of the copy set); the frequency tables are the decoded
+// ones, with no fresh table allocated beside them;
 // the solver is re-armed with a full Solve over the restored frequency
 // view, which by the Resolve ≡ fresh-Solve contract yields the same
 // future epoch placements the source would have produced. Parallelism
@@ -292,7 +274,7 @@ func RestoreState(st *snapshot.State, opts RestoreOptions) (*Cluster, error) {
 		}
 	}
 
-	c, err := NewCluster(st.Tree, st.NumObjects, Options{
+	c, err := newCluster(st.Tree, st.NumObjects, Options{
 		Shards:             nshards,
 		EpochRequests:      st.EpochRequests,
 		Threshold:          st.Threshold,
@@ -301,7 +283,7 @@ func RestoreState(st *snapshot.State, opts RestoreOptions) (*Cluster, error) {
 		WriteBudget:        st.WriteBudget,
 		DriftThreshold:     st.DriftThreshold,
 		DriftCheckRequests: st.DriftCheckRequests,
-	})
+	}, true, &freqTables{freq: st.TrackerW, w: st.SolverW, prev: st.PrevW})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", snapshot.ErrCorrupt, err)
 	}
@@ -327,7 +309,6 @@ func (c *Cluster) installState(st *snapshot.State) error {
 			b.Store(obs.SlotEvents, ss.Requests)
 			b.Store(obs.SlotCost, ss.Cost)
 		}
-		sh.tracker = dynamic.NewOfflineTrackerWith(st.Tree, st.TrackerW)
 		sh.tracker.MarkDrifted(ss.Drift)
 		for x := si; x < st.NumObjects; x += nshards {
 			if err := sh.strat.RestoreObject(x, st.Objects[x]); err != nil {
@@ -337,9 +318,6 @@ func (c *Cluster) installState(st *snapshot.State) error {
 		}
 		sh.mu.Unlock()
 	}
-	c.freq = st.TrackerW
-	c.w = st.SolverW
-	c.prev = st.PrevW
 	c.served.Store(st.Served)
 	c.snapSeq = st.Seq
 	c.stats.Epochs = st.Epochs
@@ -364,20 +342,7 @@ func (c *Cluster) installState(st *snapshot.State) error {
 			o.EpochPass.Observe(e.ResolveNs)
 		}
 	}
-	c.epochLog = make([]EpochStat, len(st.EpochLog))
-	for i, e := range st.EpochLog {
-		c.epochLog[i] = EpochStat{
-			Epoch:            e.Epoch,
-			Requests:         e.Requests,
-			Drifted:          e.Drifted,
-			Moved:            e.Moved,
-			StaticCongestion: e.StaticCongestion,
-			MaxEdgeLoad:      e.MaxEdgeLoad,
-			ResolveNs:        e.ResolveNs,
-			Trigger:          e.Trigger,
-			DriftMagnitude:   e.DriftMagnitude,
-		}
-	}
+	c.epochLog = st.EpochLog
 	if st.Solved {
 		// Re-arm the incremental pipeline: a fresh Solve over the restored
 		// frequency view puts the solver in exactly the state from which

@@ -2,11 +2,13 @@ package serve
 
 import (
 	"math/rand"
+	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
 
+	"hbn/internal/snapshot"
 	"hbn/internal/tree"
 	"hbn/internal/workload"
 )
@@ -62,6 +64,54 @@ func TestSnapshotAllocs(t *testing.T) {
 	if bytes >= 1.5*float64(image) || allocs >= 100 {
 		t.Errorf("warm Snapshot allocates %.0f B and %.1f objects per call for a %d B image; want < %.0f B and < 100",
 			bytes, allocs, image, 1.5*float64(image))
+	}
+}
+
+// RestoreState builds its cluster around the decoded frequency tables, so
+// it allocates no table it then throws away: on the ingest-drift shape it
+// allocates less than a fresh NewCluster of the same shape plus one
+// table. Building a fresh cluster and then installing the decoded tables
+// over its own allocated NewCluster plus about three tables (7.67 MB
+// against 4.08 MB here, with 1.20 MB tables).
+func TestRestoreAllocatesNoDroppedTable(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation guards read noise under -race")
+	}
+	c := driftShapeCluster(t)
+	path := filepath.Join(t.TempDir(), "snap.hbn")
+	if _, err := c.Snapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := snapshot.Decode(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(f func()) int64 {
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		f()
+		runtime.ReadMemStats(&m1)
+		return int64(m1.TotalAlloc - m0.TotalAlloc)
+	}
+	restore := allocated(func() {
+		if _, err := RestoreState(st, RestoreOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	fresh := allocated(func() {
+		if _, err := NewCluster(c.t, c.numObjects, c.opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	table := int64(c.numObjects * c.t.Len() * 16)
+	t.Logf("RestoreState: %d B; fresh NewCluster: %d B; one table: %d B", restore, fresh, table)
+	if restore >= fresh+table {
+		t.Fatalf("RestoreState allocates %d B, want less than a fresh cluster plus one table (%d B)", restore, fresh+table)
 	}
 }
 

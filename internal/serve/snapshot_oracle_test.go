@@ -44,7 +44,7 @@ func (c *Cluster) captureLocked() *snapshot.State {
 		ResolveTimeNs:      c.stats.ResolveTime.Nanoseconds(),
 		DroppedLoad:        c.stats.DroppedLoad,
 		DroppedServiceLoad: c.stats.DroppedServiceLoad,
-		EpochLog:           c.epochRecs(),
+		EpochLog:           slices.Clone(c.epochLog),
 		SolverW:            c.w.Clone(),
 		PrevW:              c.prev.Clone(),
 		TrackerW:           c.freq.Clone(),
@@ -62,7 +62,7 @@ func (c *Cluster) captureLocked() *snapshot.State {
 			Drift:    slices.Clone(sh.tracker.Drifted()),
 		}
 		for x := si; x < c.numObjects; x += len(c.shards) {
-			st.Objects[x] = sh.strat.ExportObject(x)
+			sh.strat.ExportObjectInto(x, &st.Objects[x])
 		}
 		sh.mu.Unlock()
 	}
@@ -113,7 +113,8 @@ func checkImageAgainstOracle(t *testing.T, c *Cluster, path string) *snapshot.St
 // and several shards, with the drift trigger armed and not, for three
 // snapshots in a row with serving between them (each cut mid-epoch, so
 // drift queues are non-empty), after a Restore and after a Reconfigure.
-// Objects move between table-backed and connected mode along the way.
+// Objects move between table-backed and connected mode along the way; the
+// image holds no mode, so the test derives it from each copy set.
 func TestSnapshotImageMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	switched := 0
@@ -151,15 +152,16 @@ func TestSnapshotImageMatchesOracle(t *testing.T) {
 							if !o.Present {
 								continue
 							}
-							if was, seen := tableMode[x]; seen && was != o.TableValid {
+							table := tableBacked(st.Tree, o.Copies)
+							if was, seen := tableMode[x]; seen && was != table {
 								switched++
 							}
-							tableMode[x] = o.TableValid
+							tableMode[x] = table
 						}
 					}
 					table, connected := 0, 0
 					for _, o := range st.Objects {
-						if o.Present && o.TableValid {
+						if o.Present && tableBacked(st.Tree, o.Copies) {
 							table++
 						} else if o.Present {
 							connected++
@@ -190,4 +192,18 @@ func TestSnapshotImageMatchesOracle(t *testing.T) {
 	if switched == 0 {
 		t.Fatal("no object changed serving mode between two snapshots")
 	}
+}
+
+// tableBacked reports whether a copy set is served from nearest tables:
+// one that is neither a single copy nor connected, i.e. has more than one
+// copy whose parent is not a copy.
+func tableBacked(t *tree.Tree, copies []tree.NodeID) bool {
+	parent := t.Rooted0().Parent
+	tops := 0
+	for _, v := range copies {
+		if p := parent[v]; p == tree.None || !slices.Contains(copies, p) {
+			tops++
+		}
+	}
+	return tops > 1
 }

@@ -363,3 +363,25 @@ func TestSnapshotAfterClose(t *testing.T) {
 		t.Fatalf("successor served %d of %d", r.Stats().Requests, len(trace))
 	}
 }
+
+// A v2 image can hold a last-fold count above its recorded count, which no
+// cluster writes: serving it would fold a negative frequency, and the
+// epoch pass panics on one (on a connection goroutine, in hbnd). Restore
+// rejects the image as corrupt. The committed image is a served cluster's,
+// with object 3's last-fold reads at the first leaf raised to 2^30.
+func TestRestoreRejectsLastFoldAboveRecorded(t *testing.T) {
+	r, _, err := Restore(filepath.Join("testdata", "prev-above-tracker-v2.snap"), RestoreOptions{})
+	if err == nil {
+		// Serving the image: one read of the object, then a pass.
+		if _, err := r.Ingest([]Request{{Object: 3, Node: r.Tree().Leaves()[0]}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.ResolveNow(); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatal("restored an image whose last-fold count exceeds its recorded count")
+	}
+	if !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("got %v, want ErrCorrupt", err)
+	}
+}

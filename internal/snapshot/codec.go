@@ -14,12 +14,10 @@ import (
 // Header layout: magic(8) + version(4) + bodyLen(8); trailer: crc(4).
 const (
 	magic = "HBNSNAP1"
-	// version 2 added the bandwidth-aware / drift-trigger options, the
-	// drift-epoch counter and the per-epoch trigger fields. Decode accepts
-	// exactly the current version: a v1 reader meeting a v2 image and this
-	// reader meeting a v1 image both fail the same typed way (ErrCorrupt),
-	// and the generation ladder's cold-solve fallback takes over.
-	version    = 2
+	// version is the layout Encode writes; Decode also reads version2
+	// (both are described in the package comment).
+	version    = 3
+	version2   = 2
 	headerSize = len(magic) + 4 + 8
 	crcSize    = 4
 	// maxCells bounds the decoded workload dimensions (objects × nodes),
@@ -57,20 +55,40 @@ func (e *enc) fill(at int, v uint64) {
 }
 
 // rows writes the rows x = first, first+step, ... of w as a sparse
-// (object, node, reads, writes) list behind its cell count, in one scan;
-// the dimensions are implied by the surrounding state (NumObjects × tree
-// nodes), so they cannot disagree with it.
-func (e *enc) rows(w *workload.W, first, step int) {
+// (object, node, reads, writes) list behind its cell count, in one scan.
+// The dimensions are implied by the surrounding state (NumObjects × tree
+// nodes), so they cannot disagree with it. With a nil base, rows records
+// in hasCells (when non-nil) which rows hold a cell. With a non-nil base,
+// each cell is written less base's cell, which must not exceed it, and
+// hasCells names the base rows that hold one: the others are not read.
+func (e *enc) rows(w, base *workload.W, first, step int, hasCells []bool) {
 	at := e.gap()
 	b, cells := e.b, 0
 	for x := first; x < w.NumObjects(); x += step {
+		var brow []workload.Access
+		if base != nil && hasCells[x] {
+			brow = base.Row(x)
+		}
 		for v, a := range w.Row(x) {
+			if brow != nil {
+				a.Reads -= brow[v].Reads
+				a.Writes -= brow[v].Writes
+				if a.Reads < 0 || a.Writes < 0 {
+					// State documents TrackerW >= PrevW cell by cell; the
+					// serving layer's fold keeps it. A violation is a
+					// programming error, like an unencodable tree.
+					panic("snapshot: tracker count below its last-fold count")
+				}
+			}
 			if a.Reads|a.Writes != 0 {
 				cells++
 				b = appendUvarint(b, uint64(x))
 				b = appendUvarint(b, uint64(v))
 				b = appendUvarint(b, uint64(a.Reads))
 				b = appendUvarint(b, uint64(a.Writes))
+				if base == nil && hasCells != nil {
+					hasCells[x] = true
+				}
 			}
 		}
 	}
@@ -108,18 +126,12 @@ func AppendEncode(dst []byte, st *State, object func(x int) *dynamic.ObjectState
 	e.uvarint(uint64(len(st.ShardStates)))
 	e.varint(int64(st.Threshold))
 	e.varint(st.EpochRequests)
-	// The slot after the cadence once held a decay-shift option. Epoch
-	// passes now always halve once, so it is written as 1: a binary that
-	// still reads the slot restores the image and ages the same way.
-	e.uvarint(1)
-	// Flag bit 0 once pinned a per-request serving knob that no longer
-	// exists; it is never written, and Decode ignores it (see decodeBody).
 	var flags byte
 	if st.Solved {
-		flags |= 2
+		flags |= flagSolved
 	}
 	if st.BandwidthAware {
-		flags |= 4
+		flags |= flagBandwidthAware
 	}
 	e.byte(flags)
 	e.varint(int64(st.WriteBudget))
@@ -143,8 +155,9 @@ func AppendEncode(dst []byte, st *State, object func(x int) *dynamic.ObjectState
 	}
 	e.fill(at, uint64(len(e.b)-at-binary.MaxVarintLen64))
 
-	e.rows(st.SolverW, 0, 1)
-	e.rows(st.PrevW, 0, 1)
+	e.rows(st.SolverW, nil, 0, 1, nil)
+	folded := make([]bool, st.NumObjects) // objects whose PrevW row holds a cell
+	e.rows(st.PrevW, nil, 0, 1, folded)
 
 	e.uvarint(uint64(len(st.EpochLog)))
 	for _, r := range st.EpochLog {
@@ -170,8 +183,9 @@ func AppendEncode(dst []byte, st *State, object func(x int) *dynamic.ObjectState
 		e.varint(ss.Requests)
 		e.varint(ss.Cost)
 		// Shard i records only the objects it owns, so its section holds
-		// exactly the cells of its own rows of the one table.
-		e.rows(st.TrackerW, i, len(st.ShardStates))
+		// exactly the cells of its own rows of the one table, each less
+		// the count as of the object's last fold.
+		e.rows(st.TrackerW, st.PrevW, i, len(st.ShardStates), folded)
 		e.uvarint(uint64(len(ss.Drift)))
 		for _, x := range ss.Drift {
 			e.uvarint(uint64(x))
@@ -180,30 +194,14 @@ func AppendEncode(dst []byte, st *State, object func(x int) *dynamic.ObjectState
 
 	for x := 0; x < st.NumObjects; x++ {
 		o := object(x)
-		var f byte
-		if o.Present {
-			f |= 1
-		}
-		if o.TableValid {
-			f |= 2
-		}
-		e.byte(f)
 		if !o.Present {
+			e.byte(0)
 			continue
 		}
+		e.byte(1)
 		e.uvarint(uint64(len(o.Copies)))
 		for _, v := range o.Copies {
 			e.uvarint(uint64(v))
-		}
-		if o.TableValid {
-			for _, v := range o.Nearest {
-				e.uvarint(uint64(v))
-			}
-			for _, d := range o.NDist {
-				e.uvarint(uint64(d))
-			}
-		} else {
-			e.uvarint(uint64(o.AnchorTop))
 		}
 		e.uvarint(uint64(len(o.Counters)))
 		for _, ec := range o.Counters {
@@ -256,7 +254,8 @@ func decodeTrigger(b byte) (string, bool) {
 
 // dec is the sticky-error body decoder. Every count it trusts is first
 // bounded by the bytes that remain (each encoded element is at least one
-// byte), so corrupt input cannot demand allocations larger than itself.
+// byte), so no list it allocates is larger than the input; the dense
+// tables are bounded as Decode states.
 type dec struct {
 	b   []byte
 	err error
@@ -375,10 +374,13 @@ func (d *dec) bytes(what string) []byte {
 	return p
 }
 
-// rows reads a section enc.rows wrote into w. A cell outside the rows
-// x ≡ first (mod step) the section covers is corrupt: no writer produces
-// one, and accepting it would make a re-encode differ from its input.
-func (d *dec) rows(w *workload.W, first, step int) {
+// rows reads a section enc.rows wrote into w. With a non-nil base each
+// cell is read as a count since base's cell and stored as their sum (w
+// must then start as a copy of base); a sum past the int64 range is
+// corrupt. A cell outside the rows x ≡ first (mod step) the section covers
+// is corrupt too: no writer produces one, and accepting it would make a
+// re-encode differ from its input.
+func (d *dec) rows(w, base *workload.W, first, step int) {
 	n := d.count(len(d.b), "workload cell")
 	for i := 0; i < n && d.err == nil; i++ {
 		x := d.id(w.NumObjects(), "workload object")
@@ -391,9 +393,20 @@ func (d *dec) rows(w *workload.W, first, step int) {
 		if d.err == nil && x%step != first {
 			d.fail("workload object %d is not one of the section's rows (%d mod %d)", x, first, step)
 		}
-		if d.err == nil {
-			w.Set(x, tree.NodeID(v), workload.Access{Reads: int64(r), Writes: int64(wr)})
+		if d.err != nil {
+			return
 		}
+		a := workload.Access{Reads: int64(r), Writes: int64(wr)}
+		if base != nil {
+			b := base.At(x, tree.NodeID(v))
+			if a.Reads > math.MaxInt64-b.Reads || a.Writes > math.MaxInt64-b.Writes {
+				d.fail("workload frequency overflow")
+				return
+			}
+			a.Reads += b.Reads
+			a.Writes += b.Writes
+		}
+		w.Set(x, tree.NodeID(v), a)
 	}
 }
 
@@ -411,9 +424,12 @@ func (d *dec) loads(n int, what string) []int64 {
 	return out
 }
 
-// Decode parses and verifies a complete snapshot image. All failures wrap
-// ErrCorrupt; Decode never panics and never allocates more than a small
-// multiple of len(data) regardless of what the length prefixes claim.
+// Decode parses and verifies a complete snapshot image, of version 3 or
+// 2. All failures wrap ErrCorrupt, and Decode never panics. Every count is
+// capped by the bytes that remain before it is trusted; the one
+// allocation that can outgrow the input is the three dense frequency
+// tables, objects × nodes × 16 B each, with objects at most the body's
+// length and objects × nodes at most maxCells.
 func Decode(data []byte) (*State, error) {
 	if len(data) < headerSize+crcSize {
 		return nil, corrupt("file too short (%d bytes)", len(data))
@@ -423,7 +439,7 @@ func Decode(data []byte) (*State, error) {
 	}
 	off := len(magic)
 	ver := binary.LittleEndian.Uint32(data[off:])
-	if ver != version {
+	if ver != version && ver != version2 {
 		return nil, corrupt("unsupported version %d", ver)
 	}
 	bodyLen := binary.LittleEndian.Uint64(data[off+4:])
@@ -436,11 +452,25 @@ func Decode(data []byte) (*State, error) {
 	if got := crc32.ChecksumIEEE(body); got != want {
 		return nil, corrupt("checksum mismatch (got %08x, want %08x)", got, want)
 	}
-	return decodeBody(body)
+	return decodeBody(body, ver, nil)
 }
 
-func decodeBody(body []byte) (*State, error) {
+// State flag bits. Version 2 images may also carry bit 0, once a
+// per-request serving knob that served bit-identically to the one path
+// left; Decode accepts it there and drops it.
+const (
+	flagRetired        = 1
+	flagSolved         = 2
+	flagBandwidthAware = 4
+)
+
+// decodeBody decodes a body of version ver. The nearest tables or anchor
+// of a v2 object record are bounds-checked and dropped; a non-nil
+// v2Tables sees each table-mode object's tables first (the tests check
+// them against their lists' rebuilds).
+func decodeBody(body []byte, ver uint32, v2Tables func(x int, nearest []tree.NodeID, ndist []int32)) (*State, error) {
 	d := &dec{b: body}
+	v2 := ver == version2
 	st := &State{}
 	st.Seq = d.uvarint()
 	numObjects := d.count(math.MaxInt32, "object")
@@ -448,20 +478,20 @@ func decodeBody(body []byte) (*State, error) {
 	st.NumObjects = numObjects
 	st.Threshold = int(d.varint())
 	st.EpochRequests = d.varint()
-	// Retired decay-shift slot: range-checked as it always was, then
-	// dropped. Images that carry 0 (full history) restore and halve from
-	// their next epoch pass on.
-	d.val(63, "decay shift")
+	known := byte(flagSolved | flagBandwidthAware)
+	if v2 {
+		// The retired decay-shift slot: range-checked as it always was,
+		// then dropped. Images that carry 0 (full history) restore and
+		// halve from their next epoch pass on.
+		d.val(63, "decay shift")
+		known |= flagRetired
+	}
 	flags := d.byte()
-	if flags&^byte(7) != 0 {
+	if flags&^known != 0 {
 		d.fail("unknown state flags %#x", flags)
 	}
-	// Bit 0 is retired: images written before its knob was removed may
-	// still carry it. That knob served bit-identically to the one path
-	// left, so the bit is accepted and dropped (a re-encode writes it
-	// clear).
-	st.Solved = flags&2 != 0
-	st.BandwidthAware = flags&4 != 0
+	st.Solved = flags&flagSolved != 0
+	st.BandwidthAware = flags&flagBandwidthAware != 0
 	st.WriteBudget = int(d.nonneg("write budget"))
 	st.DriftThreshold = d.f64()
 	if d.err == nil && (math.IsNaN(st.DriftThreshold) || st.DriftThreshold < 0) {
@@ -500,15 +530,29 @@ func decodeBody(body []byte) (*State, error) {
 	}
 	st.Tree = t
 	nodes, edges := t.Len(), t.NumEdges()
+	// Every object record is at least one byte, so an object count past
+	// the remaining body is forged; checking it here, before the tables
+	// are allocated, bounds their rows by the input's size.
+	if numObjects > len(d.b) {
+		return nil, corrupt("object section shorter than %d objects", numObjects)
+	}
 	if nodes > 0 && numObjects > maxCells/nodes {
 		return nil, corrupt("dimensions %d×%d exceed the %d-cell limit", numObjects, nodes, maxCells)
 	}
 
 	st.SolverW = workload.New(numObjects, nodes)
 	st.PrevW = workload.New(numObjects, nodes)
-	st.TrackerW = workload.New(numObjects, nodes)
-	d.rows(st.SolverW, 0, 1)
-	d.rows(st.PrevW, 0, 1)
+	d.rows(st.SolverW, nil, 0, 1)
+	d.rows(st.PrevW, nil, 0, 1)
+	// A v3 shard section holds the counts since each object's last fold,
+	// which decode adds to PrevW; a v2 one holds the recorded counts.
+	var since *workload.W
+	if v2 {
+		st.TrackerW = workload.New(numObjects, nodes)
+	} else {
+		st.TrackerW = st.PrevW.Clone()
+		since = st.PrevW
+	}
 
 	nlog := d.count(len(d.b), "epoch log")
 	if d.err == nil {
@@ -554,7 +598,7 @@ func decodeBody(body []byte) (*State, error) {
 			}
 			ss.Requests = d.nonneg("shard requests")
 			ss.Cost = d.nonneg("shard cost")
-			d.rows(st.TrackerW, i, nshards)
+			d.rows(st.TrackerW, since, i, nshards)
 			nd := d.count(numObjects, "drift queue")
 			if d.err != nil {
 				break
@@ -568,33 +612,39 @@ func decodeBody(body []byte) (*State, error) {
 			}
 		}
 	}
-
-	if d.err == nil {
-		if numObjects > len(d.b) {
-			// Every object record is at least its one flags byte.
-			d.fail("object section shorter than %d objects", numObjects)
+	// A v3 image cannot hold a last-fold count above its recorded count
+	// (the difference is unsigned on the wire); a v2 one can, and serving
+	// it would fold a negative frequency.
+	for x := 0; v2 && d.err == nil && x < numObjects; x++ {
+		prev := st.PrevW.Row(x)
+		for v, a := range st.TrackerW.Row(x) {
+			if a.Reads < prev[v].Reads || a.Writes < prev[v].Writes {
+				d.fail("object %d node %d: tracker count %+v below its last-fold count %+v", x, v, a, prev[v])
+			}
 		}
 	}
+
 	if d.err == nil {
 		st.Objects = make([]dynamic.ObjectState, numObjects)
+		objFlags := byte(1) // presence; v2 adds bit 1, table mode (3)
+		if v2 {
+			objFlags = 3
+		}
+		var nearest []tree.NodeID
+		var ndist []int32
 		for i := range st.Objects {
 			o := &st.Objects[i]
 			f := d.byte()
-			if f&^byte(3) != 0 {
-				d.fail("object %d: unknown flags %#x", i, f)
+			if f&^objFlags != 0 || f == 2 {
+				d.fail("object %d: bad flags %#x", i, f)
 			}
 			if d.err != nil {
 				break
 			}
-			if f&1 == 0 {
-				if f&2 != 0 {
-					d.fail("object %d: table without presence", i)
-					break
-				}
+			if f == 0 {
 				continue
 			}
 			o.Present = true
-			o.TableValid = f&2 != 0
 			nc := d.count(nodes, "copy")
 			if d.err != nil {
 				break
@@ -603,17 +653,19 @@ func decodeBody(body []byte) (*State, error) {
 			for j := range o.Copies {
 				o.Copies[j] = tree.NodeID(d.id(nodes, "copy node"))
 			}
-			if o.TableValid {
-				o.Nearest = make([]tree.NodeID, nodes)
-				for j := range o.Nearest {
-					o.Nearest[j] = tree.NodeID(d.id(nodes, "nearest node"))
+			if f == 3 {
+				nearest, ndist = nearest[:0], ndist[:0]
+				for range nodes {
+					nearest = append(nearest, tree.NodeID(d.id(nodes, "nearest node")))
 				}
-				o.NDist = make([]int32, nodes)
-				for j := range o.NDist {
-					o.NDist[j] = int32(d.val(math.MaxInt32, "nearest distance"))
+				for range nodes {
+					ndist = append(ndist, int32(d.val(math.MaxInt32, "nearest distance")))
 				}
-			} else {
-				o.AnchorTop = tree.NodeID(d.id(nodes, "anchor"))
+				if v2Tables != nil && d.err == nil {
+					v2Tables(i, nearest, ndist)
+				}
+			} else if v2 {
+				d.id(nodes, "anchor")
 			}
 			nk := d.count(edges, "counter")
 			if d.err != nil {

@@ -7,14 +7,14 @@ import (
 	"testing"
 )
 
-// FuzzSnapshotDecode feeds the decoder real snapshot images plus
-// truncations, bit-flips and junk. The contract under attack: corrupt
-// input is rejected with ErrCorrupt (never a panic, never an allocation
-// larger than a small multiple of the input — hostile length prefixes and
-// counts are capped before they are trusted), and anything Decode does
-// accept re-encodes canonically (Encode∘Decode is idempotent).
+// FuzzSnapshotDecode feeds the decoder real snapshot images of both
+// versions plus truncations, bit-flips and junk. The contract under
+// attack: corrupt input is rejected with ErrCorrupt (never a panic, and no
+// allocation beyond the bound the package comment states — hostile length
+// prefixes and counts are capped before they are trusted), and anything
+// Decode does accept re-encodes canonically (Encode∘Decode is idempotent).
 func FuzzSnapshotDecode(f *testing.F) {
-	img := Encode(mkState(3))
+	img := readGolden(f, "mkstate3-v3.snap")
 	f.Add(img)
 	f.Add(img[:len(img)/2])
 	f.Add(img[:headerSize])
@@ -23,24 +23,26 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte{})
 	f.Add([]byte("HBNSNAP1 not really"))
-	// A v2 body wearing a v1 header: the exact-version check must refuse
-	// it before the body layout is trusted.
+	// A v3 body wearing a v1 header: the version check must refuse it
+	// before the body layout is trusted.
 	downgraded := bytes.Clone(img)
 	binary.LittleEndian.PutUint32(downgraded[len(magic):], 1)
 	f.Add(downgraded)
-	// An image carrying the retired state flag bit 0, which Decode accepts
-	// and drops.
-	f.Add(withStateFlags(img, 1))
-	// A full-history image (decay-shift slot 0), which Decode accepts and
-	// re-encodes with the slot at 1.
-	f.Add(withDecaySlot(img, 0))
-	// A dense image: its section counts take 1, 2 and 3 bytes and its
-	// frequencies up to 6, the widths the one-scan table writer closes
+	// v2 images a cluster wrote: one carrying the retired state flag bit
+	// 0 and one with the full-history decay-shift slot 0, both of which
+	// Decode accepts, drops and re-encodes as v3.
+	f.Add(readGolden(f, "legacy-v2-flag0.snap"))
+	f.Add(readGolden(f, "legacy-v2-slot0.snap"))
+	// The dense v3 golden: its section counts take 1, 2 and 3 bytes and
+	// its frequencies up to 6, the widths the one-scan table writer closes
 	// gaps for.
-	f.Add(Encode(mkDenseState()))
+	f.Add(readGolden(f, "dense-v3.snap"))
 	// A tracker cell in a section whose shard does not own its object,
 	// which Decode rejects.
 	f.Add(withForeignTrackerCell(f, img))
+	// A v2 image whose last-fold counts stand above its recorded counts,
+	// which Decode rejects.
+	f.Add(readGolden(f, "dense.snap"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := Decode(data)

@@ -2,8 +2,7 @@ package snapshot
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
+	"errors"
 	"testing"
 
 	"hbn/internal/dynamic"
@@ -12,10 +11,12 @@ import (
 )
 
 // mkDenseState builds a state whose tables need every width of the
-// codec's section counts and values: SolverW holds more than 2^14
-// nonzero cells (a 3-byte count), PrevW more than 2^7 (2 bytes), shard
-// 0's tracker rows a handful (1 byte) and shard 1's none, and frequencies
-// reach 2^7, 2^14 and 2^35 (2-, 3- and 6-byte values).
+// codec's section counts and values: SolverW holds more than 2^14 nonzero
+// cells (a 3-byte count), PrevW more than 2^7 (2 bytes), shard 0's
+// tracker section a handful of cells since the last fold (1 byte) and
+// shard 1's none, and frequencies reach 2^7, 2^14 and 2^35 (2-, 3- and
+// 6-byte values). TrackerW is PrevW plus those cells, so it is at or above
+// PrevW everywhere, as a cluster keeps it.
 func mkDenseState() *State {
 	tr := tree.SCICluster(4, 4, 16, 8)
 	n, ne := tr.Len(), tr.NumEdges()
@@ -35,25 +36,17 @@ func mkDenseState() *State {
 	for x := 0; x < 150; x++ {
 		pw.AddReads(x, leaves[x%len(leaves)], int64(x)<<8)
 	}
-	tw := workload.New(objects, n)
+	tw := pw.Clone()
 	for x := 0; x < 5; x++ {
 		tw.AddWrites(2*x, leaves[x], 1<<14+int64(x))
 	}
-
-	nearest := make([]tree.NodeID, n)
-	ndist := make([]int32, n)
-	for v := range nearest {
-		nearest[v] = leaves[3]
-		ndist[v] = int32(v*37) % 200
-	}
-	nearest[leaves[4]] = leaves[4]
+	tw.AddReads(10, leaves[5], 1<<35)
 
 	objs := make([]dynamic.ObjectState, objects)
-	objs[0] = dynamic.ObjectState{Present: true, Copies: []tree.NodeID{leaves[0]}, AnchorTop: leaves[0],
+	objs[0] = dynamic.ObjectState{Present: true, Copies: []tree.NodeID{leaves[0]},
 		Counters: []dynamic.EdgeCounter{{Edge: 1, Count: 3}, {Edge: tree.EdgeID(ne - 2), Count: 200}}}
-	objs[3] = dynamic.ObjectState{Present: true, Copies: []tree.NodeID{leaves[4], leaves[3]}, TableValid: true,
-		Nearest: nearest, NDist: ndist, WriteStreak: 130}
-	objs[objects-1] = dynamic.ObjectState{Present: true, Copies: []tree.NodeID{leaves[2]}, AnchorTop: leaves[2]}
+	objs[3] = dynamic.ObjectState{Present: true, Copies: []tree.NodeID{leaves[4], leaves[3]}, WriteStreak: 130}
+	objs[objects-1] = dynamic.ObjectState{Present: true, Copies: []tree.NodeID{leaves[2]}}
 
 	el, ml := seqLoads(ne, 1<<20), seqLoads(ne, 1<<7)
 	el[0] = 1 << 40
@@ -88,33 +81,41 @@ func mkDenseState() *State {
 	}
 }
 
-// The goldens were written by the two-scan encoder this package used
-// before its writer became one scan per table; Encode must still
-// reproduce them byte for byte, and they must decode and re-encode
-// unchanged. The dense image's section counts take 1, 2 and 3 bytes.
+// The v3 goldens pin the writer: Encode must reproduce them byte for
+// byte, and they must decode and re-encode unchanged. The v2 goldens were
+// written by the v2 writer and pin the reader: mkstate3.snap decodes and
+// re-encodes as mkState(3)'s v3 image, and dense.snap, whose 150 PrevW
+// cells stand above its 5 tracker cells (no cluster writes that), is
+// corrupt.
 func TestEncodeGolden(t *testing.T) {
 	for _, tc := range []struct {
 		file string
 		st   *State
+		v2   bool
 	}{
-		{"mkstate3.snap", mkState(3)},
-		{"dense.snap", mkDenseState()},
+		{"mkstate3-v3.snap", mkState(3), false},
+		{"dense-v3.snap", mkDenseState(), false},
+		{"mkstate3.snap", mkState(3), true},
+		{"dense.snap", nil, true},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
-			want, err := os.ReadFile(filepath.Join("testdata", tc.file))
+			img := readGolden(t, tc.file)
+			st, err := Decode(img)
+			if tc.st == nil {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("got %v, want ErrCorrupt", err)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := Encode(tc.st)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("Encode differs from the golden: %d vs %d bytes", len(got), len(want))
-			}
-			st, err := Decode(want)
-			if err != nil {
-				t.Fatal(err)
+			want := Encode(tc.st)
+			if !tc.v2 && !bytes.Equal(want, img) {
+				t.Fatalf("Encode differs from the golden: %d vs %d bytes", len(want), len(img))
 			}
 			if !bytes.Equal(Encode(st), want) {
-				t.Fatal("decoded golden does not re-encode to itself")
+				t.Fatal("decoded golden does not re-encode as the v3 image of its state")
 			}
 		})
 	}

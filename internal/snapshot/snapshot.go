@@ -9,21 +9,34 @@
 // A snapshot file is
 //
 //	magic   8 bytes  "HBNSNAP1"
-//	version u32 LE   currently 2 (v2 added the bandwidth-aware and
-//	                 drift-trigger options and the per-epoch trigger
-//	                 fields; older readers reject v2 images, and this
-//	                 reader rejects v1 and earlier, both with ErrCorrupt)
+//	version u32 LE   3 (Encode writes only 3; Decode reads 3 and 2, and
+//	                 rejects every other version with ErrCorrupt)
 //	bodyLen u64 LE   length of body in bytes
 //	body    bodyLen  varint-packed sections (see codec.go)
 //	crc     u32 LE   CRC-32 (IEEE) of body
 //
+// The body stores each fact once: the options and counters, the tree,
+// the solver's frequency view (SolverW), the recorded counts as of each
+// object's last fold (PrevW) and the epoch log; per shard its load
+// accounts, the counts its objects recorded since their last fold
+// (TrackerW − PrevW) and its drift queue; per object a presence byte, the
+// copy list in list order, the live read counters and the write streak.
+// Nearest tables, anchors and modes are derived from the copy list on
+// restore (dynamic.RestoreObject). Version 2 images still decode: their
+// cumulative tracker counts must not fall below PrevW, and their tables,
+// anchors, mode bits, decay-shift slot and flag bit 0 are checked and
+// dropped, so one re-encodes as v3.
+//
 // Torn writes are detected by the length prefix (the file is shorter than
 // the header promises), bit flips by the checksum, and hostile or
 // garbage input by the magic/version check plus per-field validation in
-// the body decoder — which caps every allocation before trusting a count
-// (a count of N elements is rejected unless at least N bytes of body
-// remain, and workload dimensions are bounded exactly as workload.Decode
-// bounds them), so Decode never panics or over-allocates on corrupt data.
+// the body decoder, which caps every count before trusting it (a count of
+// N elements is rejected unless at least N bytes of body remain, and
+// workload dimensions are bounded exactly as workload.Decode bounds
+// them), so Decode never panics on corrupt data. The one allocation that
+// can outgrow the input is the three dense frequency tables: objects ×
+// nodes × 16 B each, with objects at most the body's length and objects ×
+// nodes at most 2^26 cells.
 //
 // # Crash consistency
 //
@@ -100,12 +113,7 @@ type State struct {
 	// Pinned semantic options: a restored cluster must reproduce the
 	// original's serving decisions bit-for-bit, so everything that affects
 	// them travels in the snapshot. (Parallelism affects only scheduling,
-	// never results, and is chosen at restore time.) The image slot after
-	// EpochRequests once held a decay shift; epoch passes now always
-	// halve once, so Encode writes 1 there and Decode range-checks and
-	// drops it. An image carrying 0 (full history, the default of every
-	// writer before the slot was retired) restores the same state and
-	// halves from its next epoch pass on.
+	// never results, and is chosen at restore time.)
 	EpochRequests int64
 	Threshold     int
 	// v2 options: the per-edge replication budgets, the write-contraction
@@ -129,7 +137,10 @@ type State struct {
 	DroppedServiceLoad int64
 	EpochLog           []EpochRec
 	SolverW            *workload.W // the solver's folded frequency view
-	PrevW              *workload.W // TrackerW's rows as of each object's last fold
+	// PrevW is TrackerW's rows as of each object's last fold, so TrackerW
+	// >= PrevW holds cell by cell (the image stores the difference, and
+	// AppendEncode panics on a violation).
+	PrevW *workload.W
 	// TrackerW is the observed-frequency table every shard records into.
 	// Shard i records only the objects it owns (x ≡ i mod the shard
 	// count), and the image stores each shard's rows in that shard's
@@ -143,18 +154,39 @@ type State struct {
 	Objects []dynamic.ObjectState
 }
 
-// EpochRec mirrors one serve.EpochStat entry.
+// EpochRec records one epoch pass, for per-epoch comparison against the
+// clairvoyant static optimum. It is the serving layer's epoch log entry
+// (serve.EpochStat is this type), so the log goes into the image and
+// comes back from it as it is.
 type EpochRec struct {
-	Epoch            int64
-	Requests         int64
-	Drifted          int
-	Moved            int64
+	// Epoch numbers passes from 1.
+	Epoch int64
+	// Requests is the total served when the pass started.
+	Requests int64
+	// Drifted is the number of objects re-solved in this pass.
+	Drifted int
+	// Moved is the adoption movement distance of this pass.
+	Moved int64
+	// StaticCongestion is the solver's congestion on its current view of
+	// the observed frequencies: an exponentially aged window, halved once
+	// per pass for every drifted object. It describes recent traffic, not
+	// the whole trace, so it is never comparable to the clairvoyant
+	// StaticOffline comparator, which scores the cumulative counts.
 	StaticCongestion float64
-	MaxEdgeLoad      int64
-	ResolveNs        int64
-	// v2: what fired the pass ("cadence", "drift" or "manual"; encoded as
-	// a validated byte) and the drift magnitude measured at its start.
-	Trigger        string
+	// MaxEdgeLoad is the cluster's served max edge load after adoption.
+	MaxEdgeLoad int64
+	// ResolveNs is the wall time of the whole pass: the drift fold, the
+	// Solve/Resolve call, adoption and the max-edge-load fold (despite the
+	// name, not the solver call alone).
+	ResolveNs int64
+	// Trigger records what fired the pass: "cadence" (EpochRequests),
+	// "drift" (the drift-magnitude trigger), or "manual" (ResolveNow and
+	// reconfiguration passes). The image encodes it as a validated byte.
+	Trigger string
+	// DriftMagnitude is the measured drift at the start of the pass (the
+	// request-weighted mean L1 distance described at
+	// serve.Options.DriftThreshold), regardless of what triggered it; 0
+	// when no traffic has drifted since the last adoption.
 	DriftMagnitude float64
 }
 
@@ -232,12 +264,6 @@ func PrevPath(path string) string { return path + ".prev" }
 
 // tmpPath is the in-progress temp file WriteFile builds the image in.
 func tmpPath(path string) string { return path + ".tmp" }
-
-// Save encodes st and writes it crash-consistently to path — shorthand
-// for WriteFile(path, Encode(st), opts).
-func Save(path string, st *State, opts SaveOptions) error {
-	return WriteFile(path, Encode(st), opts)
-}
 
 // WriteFile writes an already encoded snapshot image crash-consistently:
 // temp file + fsync + rename, with the previous generation kept at

@@ -8,6 +8,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"testing"
 
 	"hbn/internal/dynamic"
@@ -16,8 +18,9 @@ import (
 )
 
 // mkState hand-builds a state that exercises every section of the codec:
-// sparse workloads, an epoch log, two shards with loads and drift queues,
-// and objects in all three modes (absent, anchored, table-backed).
+// sparse workloads (TrackerW at or above PrevW), an epoch log, two shards
+// with loads and drift queues, and absent, single-copy and multi-copy
+// objects.
 func mkState(seq uint64) *State {
 	tr := tree.SCICluster(2, 3, 16, 8)
 	n, ne := tr.Len(), tr.NumEdges()
@@ -33,14 +36,6 @@ func mkState(seq uint64) *State {
 	tw := workload.New(objects, n) // object 0 is shard 0's, object 1 shard 1's
 	tw.AddReads(0, leaves[0], 7)
 	tw.AddWrites(1, leaves[1], 3)
-
-	nearest := make([]tree.NodeID, n)
-	ndist := make([]int32, n)
-	for v := range nearest {
-		nearest[v] = leaves[0]
-		ndist[v] = int32(v % 5)
-	}
-	nearest[leaves[1]] = leaves[1]
 
 	return &State{
 		Seq:           seq,
@@ -78,11 +73,10 @@ func mkState(seq uint64) *State {
 		},
 		Objects: []dynamic.ObjectState{
 			{}, // untouched
-			{Present: true, Copies: []tree.NodeID{leaves[0]}, AnchorTop: leaves[0],
+			{Present: true, Copies: []tree.NodeID{leaves[0]},
 				Counters: []dynamic.EdgeCounter{{Edge: 0, Count: 2}, {Edge: tree.EdgeID(ne - 1), Count: 1}}},
-			{Present: true, Copies: []tree.NodeID{leaves[0], leaves[1]}, TableValid: true,
-				Nearest: nearest, NDist: ndist, WriteStreak: 2},
-			{Present: true, Copies: []tree.NodeID{leaves[2]}, AnchorTop: leaves[2]},
+			{Present: true, Copies: []tree.NodeID{leaves[0], leaves[1]}, WriteStreak: 2},
+			{Present: true, Copies: []tree.NodeID{leaves[2]}},
 		},
 	}
 }
@@ -119,40 +113,61 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// readGolden reads a file of testdata.
+func readGolden(tb testing.TB, file string) []byte {
+	tb.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", file))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// reframe wraps a body in a header of version ver and its checksum.
+func reframe(ver uint32, body []byte) []byte {
+	out := make([]byte, headerSize, headerSize+len(body)+crcSize)
+	copy(out, magic)
+	binary.LittleEndian.PutUint32(out[len(magic):], ver)
+	binary.LittleEndian.PutUint64(out[len(magic)+4:], uint64(len(body)))
+	out = append(out, body...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
+}
+
+// optionSlot returns the offset in img's body of the slot after the epoch
+// cadence: a v2 image's retired decay-shift slot, or a v3 image's state
+// flags byte.
+func optionSlot(img []byte) int {
+	body := img[headerSize : len(img)-crcSize]
+	d := &dec{b: body}
+	d.uvarint() // seq
+	d.uvarint() // objects
+	d.uvarint() // shards
+	d.varint()  // threshold
+	d.varint()  // epoch cadence
+	return len(body) - len(d.b)
+}
+
 // withStateFlags returns a copy of a valid image with bits ORed into its
 // state flags byte and the checksum recomputed — the image a writer that
 // set those bits would have produced.
 func withStateFlags(img []byte, bits byte) []byte {
-	out := bytes.Clone(img)
-	body := out[headerSize : len(out)-crcSize]
-	d := &dec{b: body}
-	d.uvarint() // seq
-	d.uvarint() // objects
-	d.uvarint() // shards
-	d.varint()  // threshold
-	d.varint()  // epoch cadence
-	d.uvarint() // decay shift
-	body[len(body)-len(d.b)] |= bits
-	binary.LittleEndian.PutUint32(out[len(out)-crcSize:], crc32.ChecksumIEEE(body))
-	return out
+	body := bytes.Clone(img[headerSize : len(img)-crcSize])
+	at := optionSlot(img)
+	if ver := binary.LittleEndian.Uint32(img[len(magic):]); ver == version2 {
+		at++ // the decay-shift slot's one byte
+	}
+	body[at] |= bits
+	return reframe(binary.LittleEndian.Uint32(img[len(magic):]), body)
 }
 
-// withDecaySlot returns a copy of a valid image with its retired
+// withDecaySlot returns a copy of a valid v2 image with its retired
 // decay-shift slot rewritten to v (< 128, one uvarint byte) and the
 // checksum recomputed: v 0 is the full-history image every writer before
 // the slot's retirement produced by default.
 func withDecaySlot(img []byte, v byte) []byte {
-	out := bytes.Clone(img)
-	body := out[headerSize : len(out)-crcSize]
-	d := &dec{b: body}
-	d.uvarint() // seq
-	d.uvarint() // objects
-	d.uvarint() // shards
-	d.varint()  // threshold
-	d.varint()  // epoch cadence
-	body[len(body)-len(d.b)] = v
-	binary.LittleEndian.PutUint32(out[len(out)-crcSize:], crc32.ChecksumIEEE(body))
-	return out
+	body := bytes.Clone(img[headerSize : len(img)-crcSize])
+	body[optionSlot(img)] = v
+	return reframe(version2, body)
 }
 
 // withForeignTrackerCell returns a copy of an image of mkState in which
@@ -184,21 +199,23 @@ func TestDecodeRejectsForeignTrackerCell(t *testing.T) {
 	}
 }
 
-// The slot after the epoch cadence once held a decay-shift option. Every
-// image carries 1 now; an image with any shift up to 63 still decodes and
-// re-encodes with 1, and 64 or more is corrupt as it always was.
+// The slot after the epoch cadence of a v2 image once held a decay-shift
+// option. The v2 golden carries 1 there; any shift up to 63 still decodes
+// and re-encodes as the v3 image of the same state, which has no such
+// slot, and 64 or more is corrupt as it always was.
 func TestDecodeRetiredDecaySlot(t *testing.T) {
-	img := Encode(mkState(5))
+	img := readGolden(t, "mkstate3.snap")
+	want := Encode(mkState(3))
 	if !bytes.Equal(withDecaySlot(img, 1), img) {
-		t.Fatal("Encode does not write 1 in the decay-shift slot")
+		t.Fatal("the v2 golden does not carry 1 in the decay-shift slot")
 	}
-	for _, v := range []byte{0, 2, 63} {
+	for _, v := range []byte{0, 1, 2, 63} {
 		st, err := Decode(withDecaySlot(img, v))
 		if err != nil {
 			t.Fatalf("slot %d: %v", v, err)
 		}
-		if !bytes.Equal(Encode(st), img) {
-			t.Fatalf("slot %d image did not re-encode with slot 1", v)
+		if !bytes.Equal(Encode(st), want) {
+			t.Fatalf("slot %d image did not re-encode as the v3 image", v)
 		}
 	}
 	if _, err := Decode(withDecaySlot(img, 64)); !errors.Is(err, ErrCorrupt) {
@@ -207,19 +224,117 @@ func TestDecodeRetiredDecaySlot(t *testing.T) {
 }
 
 // State flag bit 0 once pinned a per-request serving knob that has since
-// been removed. Images written with it set still decode, and re-encode
-// with the bit clear; a bit no writer ever set is still corrupt.
+// been removed. v2 images written with it set still decode, and re-encode
+// as v3, which has no such bit: a v3 image carrying it is corrupt, as is
+// a bit no writer ever set.
 func TestDecodeRetiredFlagBit(t *testing.T) {
-	img := Encode(mkState(5))
+	img := readGolden(t, "mkstate3.snap")
 	st, err := Decode(withStateFlags(img, 1))
 	if err != nil {
 		t.Fatalf("bit-0 image: %v", err)
 	}
-	if !bytes.Equal(Encode(st), img) {
-		t.Fatal("bit-0 image did not re-encode to the image with the bit clear")
+	v3 := Encode(mkState(3))
+	if !bytes.Equal(Encode(st), v3) {
+		t.Fatal("bit-0 image did not re-encode as the v3 image")
 	}
-	if _, err := Decode(withStateFlags(img, 0x08)); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("unknown flag 0x08: got %v, want ErrCorrupt", err)
+	for name, bad := range map[string][]byte{
+		"v2 bit 3": withStateFlags(img, 0x08),
+		"v3 bit 0": withStateFlags(v3, 1),
+		"v3 bit 3": withStateFlags(v3, 0x08),
+	} {
+		if _, err := Decode(bad); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: got %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// A v2 image's object records carry the nearest tables of every
+// table-mode object. Decode drops them, so they must be what restore
+// derives instead: for each committed v2 image a cluster wrote, every
+// stored table equals a BFS of its copy list seeded in list order.
+func TestV2TablesAreListRebuilds(t *testing.T) {
+	for _, file := range []string{"legacy-v2.snap", "legacy-v2-flag0.snap", "legacy-v2-slot0.snap"} {
+		img := readGolden(t, file)
+		var copies [][]tree.NodeID
+		st, err := Decode(img)
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		for _, o := range st.Objects {
+			copies = append(copies, o.Copies)
+		}
+		tables := 0
+		_, err = decodeBody(img[headerSize:len(img)-crcSize], version2, func(x int, nearest []tree.NodeID, ndist []int32) {
+			tables++
+			wantNear, wantDist := listBFS(st.Tree, copies[x])
+			for v := range nearest {
+				if nearest[v] != wantNear[v] || ndist[v] != wantDist[v] {
+					t.Fatalf("%s: object %d node %d: stored (%d, %d), rebuild of %v (%d, %d)",
+						file, x, v, nearest[v], ndist[v], copies[x], wantNear[v], wantDist[v])
+				}
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		if tables == 0 {
+			t.Fatalf("%s holds no table-mode object", file)
+		}
+	}
+}
+
+// listBFS is every node's nearest copy and distance by a multi-source BFS
+// seeded in list order.
+func listBFS(t *tree.Tree, copies []tree.NodeID) ([]tree.NodeID, []int32) {
+	nearest := make([]tree.NodeID, t.Len())
+	dist := make([]int32, t.Len())
+	for i := range dist {
+		dist[i] = -1
+	}
+	queue := slices.Clone(copies)
+	for _, v := range copies {
+		nearest[v], dist[v] = v, 0
+	}
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
+		for _, h := range t.Adj(v) {
+			if dist[h.To] < 0 {
+				nearest[h.To], dist[h.To] = nearest[v], dist[v]+1
+				queue = append(queue, h.To)
+			}
+		}
+	}
+	return nearest, dist
+}
+
+// A v2 image whose object count is forged past what its body could hold
+// is rejected before the dense frequency tables are allocated: the
+// allocation stays below one table of the claimed size.
+func TestDecodeForgedObjectCountAllocatesNoTable(t *testing.T) {
+	img := readGolden(t, "mkstate3.snap")
+	body := img[headerSize : len(img)-crcSize]
+	d := &dec{b: body}
+	d.uvarint() // seq
+	head := len(body) - len(d.b)
+	d.uvarint() // objects
+	rest := body[len(body)-len(d.b):]
+	// Claim nearly as many objects as the body has bytes: the old check,
+	// after the tables, was the only one such a count failed.
+	objects := len(body) - 32
+	forged := reframe(version2, append(binary.AppendUvarint(slices.Clone(body[:head]), uint64(objects)), rest...))
+	nodes := mkState(3).Tree.Len()
+	table := uint64(objects * nodes * 16)
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := Decode(forged)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("got %v, want ErrCorrupt", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= table {
+		t.Fatalf("Decode of a %d-byte image allocated %d B, a table of the claimed %d objects is %d B", len(forged), got, objects, table)
 	}
 }
 
