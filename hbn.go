@@ -166,21 +166,30 @@
 //
 // Snapshot takes a consistent cut under the same write gate epochs and
 // reconfigurations use, and encodes the image straight from live state
-// there, with no copy of the frequency tables, so the ingest stall is
-// bounded by one scan of the cluster's state in memory, not by the disk.
-// The image stores each fact once (copy lists, not the nearest tables
-// rebuilt from them on restore; counts since the last fold, not the
-// recorded table twice), and v2 images still restore. The file is
-// written crash-consistently — temp file, fsync, atomic rename, with the
-// previous generation retained — so a crash at any byte leaves a
-// recoverable state: Restore falls back from the primary to the retained
-// generation (RestoreInfo.Fallback) and reports typed ErrSnapshotCorrupt
-// / ErrNoSnapshot otherwise, never a torn cluster. The crash-point sweep in internal/chaos proves this by injecting a
-// crash at every byte offset of the image while ingesters run. The
-// repository benchmark (bench/) reports the snapshot call's p50 on every
-// workload and, in a traced run, its cut, encode and write times and
-// the restore time; BenchmarkSnapshot in internal/serve times the same
-// split on a warm cluster.
+// there, with no copy of the frequency tables: one pass over the objects,
+// split into contiguous ranges encoded on the cluster's Parallelism
+// workers, reads each table row once, and the immutable tree's encoding
+// is computed once per tree. The ingest stall is bounded by that pass,
+// not by the disk, and the image's bytes do not depend on the worker
+// count. The image stores each fact once (copy lists, not the nearest
+// tables rebuilt from them on restore; counts since the last fold, not
+// the recorded table twice), and v2 images still restore. The file is
+// written crash-consistently: the image goes into a temp file, is
+// fsynced and renamed into place, with the previous generation retained.
+// Once the cluster has committed an image of its own, the temp file is
+// the oldest generation's file, recycled; while such a write is in flight
+// the ladder holds one committed generation, the cluster's own last
+// image, rather than two. The first snapshot after a restore, which may
+// have fallen back past a damaged primary, writes a fresh temp file. A
+// crash at any byte still leaves a recoverable state: Restore falls back
+// from the primary to the retained generation (RestoreInfo.Fallback) and
+// reports typed ErrSnapshotCorrupt / ErrNoSnapshot otherwise, never a
+// torn cluster. The crash-point sweep in internal/chaos proves this by
+// injecting a crash at every byte offset of the image while ingesters
+// run. The repository benchmark (bench/) reports the snapshot call's p50
+// on every workload and, in a traced run, its cut, encode and write times
+// and the restore time; BenchmarkSnapshot in internal/serve times the
+// same split on a warm cluster.
 package hbn
 
 import (

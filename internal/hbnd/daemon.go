@@ -25,6 +25,17 @@
 // A waiting batch can therefore be overtaken only during its first ~1 ms
 // of waiting, and the overload tests bound accepted-request latency end
 // to end.
+//
+// Restart restores the newest usable snapshot and replays every frame of
+// the tail log on top of it: the image does not record which frames it
+// holds. The tail is truncated only after SnapshotWait returns (in
+// snapshotNow, Drain and the handoff cut), so a kill after a snapshot's
+// final rename and before that truncate restarts from the new image and
+// replays frames the image already holds. Those batches are applied
+// twice, and the restored request count exceeds the pre-crash one. The
+// window spans the snapshot's directory fsync and the truncate; it closes
+// when recovery replays only the frames after the image's cut, which
+// belongs with rotating the tail at the cut (ROADMAP item 5).
 package hbnd
 
 import (

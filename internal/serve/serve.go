@@ -360,8 +360,8 @@ type Cluster struct {
 	drift      []objDrift  // per object: the drift measured by the last fold
 	stats      Stats
 	epochLog   []EpochStat
-	snapSeq    uint64 // monotone snapshot sequence number (see Snapshot)
-	snapBytes  int    // size of the last snapshot image, to size the next
+	snapSeq    uint64           // monotone snapshot sequence number (see Snapshot)
+	snapEnc    snapshot.Encoder // remembers the last image's fragment sizes, not its bytes
 
 	served  atomic.Int64
 	closed  atomic.Bool

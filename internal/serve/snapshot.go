@@ -60,15 +60,16 @@ type RestoreInfo struct {
 // The consistent cut is taken under the ingest gate — the same quiesce
 // barrier reconfiguration commits use — and is one pass over live state:
 // the image is encoded straight from the cluster's tables, load accounts
-// and copy sets, with nothing cloned. Concurrent Ingest calls therefore
-// stall for the in-memory encode, never for the disk write; the measured
-// windows come back in SnapshotStats. Snapshot serializes with topology
-// changes through the same flag as Reconfigure: a call while a
-// reconfiguration (or another snapshot) is in flight fails fast with
-// ErrReconfigInProgress, because mid-roll the shards straddle two ID
-// spaces and no consistent single-tree image exists. A closed cluster can
-// still be snapshotted (its state is frozen — the natural last step of a
-// shutdown-for-handoff).
+// and copy sets, with nothing cloned, over contiguous object ranges on up
+// to Parallelism workers (the bytes do not depend on how many). Concurrent
+// Ingest calls therefore stall for the in-memory encode, never for the
+// disk write; the measured windows come back in SnapshotStats. Snapshot
+// serializes with topology changes through the same flag as Reconfigure: a
+// call while a reconfiguration (or another snapshot) is in flight fails
+// fast with ErrReconfigInProgress, because mid-roll the shards straddle
+// two ID spaces and no consistent single-tree image exists. A closed
+// cluster can still be snapshotted (its state is frozen — the natural
+// last step of a shutdown-for-handoff).
 func (c *Cluster) Snapshot(path string) (SnapshotStats, error) {
 	return c.SnapshotWith(path, snapshot.SaveOptions{})
 }
@@ -91,22 +92,19 @@ func (c *Cluster) SnapshotWith(path string, opts snapshot.SaveOptions) (Snapshot
 	// generation must never be confused with the one it failed to replace.
 	c.snapSeq++
 	ss.Seq = c.snapSeq
-	// Sized from the previous image, with room to grow, so the encode
-	// appends without reallocating.
-	data := make([]byte, 0, c.snapBytes+c.snapBytes/8)
+	var img *snapshot.Image
 	t0 := time.Now()
 	c.quiesce(func() {
 		t1 := time.Now()
-		data = c.appendImageLocked(data)
+		img = c.encodeLocked()
 		ss.EncodeElapsed = time.Since(t1)
 	})
 	ss.CutStall = time.Since(t0)
-	c.snapBytes = len(data)
 	c.epochMu.Unlock()
-	ss.Bytes = int64(len(data))
+	ss.Bytes = int64(img.Len())
 
 	t0 = time.Now()
-	err := snapshot.WriteFile(path, data, opts)
+	err := img.WriteFile(path, opts)
 	ss.WriteElapsed = time.Since(t0)
 	ss.Elapsed = time.Since(start)
 	if o := c.obs; o != nil {
@@ -116,14 +114,16 @@ func (c *Cluster) SnapshotWith(path string, opts snapshot.SaveOptions) (Snapshot
 	return ss, err
 }
 
-// appendImageLocked appends the cluster's snapshot image to dst (caller
-// holds epochMu and the full ingest gate, and excludes reconfigurations,
-// so the shard locks below are uncontended formality). The State it
-// encodes references the live solver and frequency tables, load accounts
-// and drift queues, and each object is exported into one reused scratch
-// state as the encoder reaches it: nothing is cloned, and the bytes equal
-// those of encoding a full copy of the same state.
-func (c *Cluster) appendImageLocked(dst []byte) []byte {
+// encodeLocked encodes the cluster's snapshot image (caller holds
+// epochMu and the full ingest gate, and excludes reconfigurations, so the
+// shard locks below are uncontended formality). The State it encodes
+// references the live solver and frequency tables, load accounts and
+// drift queues, and the encoder's workers export each object into their
+// range's scratch state as they reach it, reading the strategies
+// concurrently under the shard locks: nothing is cloned, and the bytes
+// equal those of encoding a full copy of the same state. The image owns
+// its bytes, so it outlives the gate.
+func (c *Cluster) encodeLocked() *snapshot.Image {
 	st := snapshot.State{
 		Seq:        c.snapSeq,
 		Tree:       c.t,
@@ -163,15 +163,14 @@ func (c *Cluster) appendImageLocked(dst []byte) []byte {
 			Drift:    sh.tracker.Drifted(),
 		}
 	}
-	var o dynamic.ObjectState
-	dst = snapshot.AppendEncode(dst, &st, func(x int) *dynamic.ObjectState {
-		c.shards[x%len(c.shards)].strat.ExportObjectInto(x, &o)
-		return &o
+	img := c.snapEnc.Encode(&st, c.opts.Parallelism, func(x int, o *dynamic.ObjectState) *dynamic.ObjectState {
+		c.shards[x%len(c.shards)].strat.ExportObjectInto(x, o)
+		return o
 	})
 	for _, sh := range c.shards {
 		sh.mu.Unlock()
 	}
-	return dst
+	return img
 }
 
 // Restore recovers a warm cluster from the snapshot at path, walking the

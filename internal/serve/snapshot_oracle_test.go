@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -191,6 +192,43 @@ func TestSnapshotImageMatchesOracle(t *testing.T) {
 	}
 	if switched == 0 {
 		t.Fatal("no object changed serving mode between two snapshots")
+	}
+}
+
+// The image does not depend on how many ranges encode it: at Parallelism
+// 1, 2, 3 and 4 (GOMAXPROCS raised so that every count is a real worker
+// count), on 1, 2 and 3 shards, with 37 objects, a count that none of 2, 3
+// and 4 divides, every image equals the oracle's one-worker encoding of a
+// copy-based capture, byte for byte. Each cut falls mid-epoch, so the drift
+// queues are non-empty, and after a pass, so the last-fold table is too.
+func TestSnapshotImageIndependentOfWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	tr := tree.SCICluster(3, 4, 16, 8)
+	const objects = 37
+	trace := workload.DriftingZipf(rand.New(rand.NewSource(23)), tr, objects, 4000, 3, 1.0, 0.08)
+	for _, shards := range []int{1, 2, 3} {
+		for p := 1; p <= 4; p++ {
+			t.Run(fmt.Sprintf("shards=%d/parallelism=%d", shards, p), func(t *testing.T) {
+				c, err := NewCluster(tr, objects, Options{Shards: shards, Parallelism: p, EpochRequests: 700, Threshold: 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				dir := t.TempDir()
+				prev := 0
+				for _, cut := range []int{1500, 2650, 3900} {
+					ingestAll(t, c, trace[prev:cut], 96)
+					prev = cut
+					st := checkImageAgainstOracle(t, c, filepath.Join(dir, "snap.hbn"))
+					queued := 0
+					for _, ss := range st.ShardStates {
+						queued += len(ss.Drift)
+					}
+					if queued == 0 || st.Epochs == 0 {
+						t.Fatalf("cut at %d: %d queued drifted objects after %d passes; want both non-zero", cut, queued, st.Epochs)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"io"
 	"math"
 
 	"hbn/internal/dynamic"
+	"hbn/internal/par"
 	"hbn/internal/tree"
 	"hbn/internal/workload"
 )
@@ -26,75 +28,13 @@ const (
 	maxCells = 1 << 26
 )
 
-// enc is the append-only image encoder.
+// enc appends the image's scalar fields.
 type enc struct{ b []byte }
 
 func (e *enc) uvarint(v uint64) { e.b = appendUvarint(e.b, v) }
 func (e *enc) varint(v int64)   { e.b = binary.AppendVarint(e.b, v) }
 func (e *enc) byte(v byte)      { e.b = append(e.b, v) }
 func (e *enc) f64(v float64)    { e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v)) }
-
-// Write appends p, so tree.Encode can write the topology in place.
-func (e *enc) Write(p []byte) (int, error) {
-	e.b = append(e.b, p...)
-	return len(p), nil
-}
-
-// gap reserves room for a uvarint that is known only once what follows
-// it has been written; fill writes the value there and closes the unused
-// part of the gap.
-func (e *enc) gap() int {
-	at := len(e.b)
-	e.b = append(e.b, make([]byte, binary.MaxVarintLen64)...)
-	return at
-}
-
-func (e *enc) fill(at int, v uint64) {
-	n := binary.PutUvarint(e.b[at:], v)
-	e.b = append(e.b[:at+n], e.b[at+binary.MaxVarintLen64:]...)
-}
-
-// rows writes the rows x = first, first+step, ... of w as a sparse
-// (object, node, reads, writes) list behind its cell count, in one scan.
-// The dimensions are implied by the surrounding state (NumObjects × tree
-// nodes), so they cannot disagree with it. With a nil base, rows records
-// in hasCells (when non-nil) which rows hold a cell. With a non-nil base,
-// each cell is written less base's cell, which must not exceed it, and
-// hasCells names the base rows that hold one: the others are not read.
-func (e *enc) rows(w, base *workload.W, first, step int, hasCells []bool) {
-	at := e.gap()
-	b, cells := e.b, 0
-	for x := first; x < w.NumObjects(); x += step {
-		var brow []workload.Access
-		if base != nil && hasCells[x] {
-			brow = base.Row(x)
-		}
-		for v, a := range w.Row(x) {
-			if brow != nil {
-				a.Reads -= brow[v].Reads
-				a.Writes -= brow[v].Writes
-				if a.Reads < 0 || a.Writes < 0 {
-					// State documents TrackerW >= PrevW cell by cell; the
-					// serving layer's fold keeps it. A violation is a
-					// programming error, like an unencodable tree.
-					panic("snapshot: tracker count below its last-fold count")
-				}
-			}
-			if a.Reads|a.Writes != 0 {
-				cells++
-				b = appendUvarint(b, uint64(x))
-				b = appendUvarint(b, uint64(v))
-				b = appendUvarint(b, uint64(a.Reads))
-				b = appendUvarint(b, uint64(a.Writes))
-				if base == nil && hasCells != nil {
-					hasCells[x] = true
-				}
-			}
-		}
-	}
-	e.b = b
-	e.fill(at, uint64(cells))
-}
 
 // appendUvarint is binary.AppendUvarint with the one-byte case inlined:
 // most ids and frequencies are below 0x80.
@@ -105,22 +45,234 @@ func appendUvarint(b []byte, v uint64) []byte {
 	return binary.AppendUvarint(b, v)
 }
 
-// Encode serializes st into a complete snapshot image (header + body +
-// checksum), ready for WriteFile. st.Objects holds st.NumObjects entries.
-func Encode(st *State) []byte {
-	return AppendEncode(nil, st, func(x int) *dynamic.ObjectState { return &st.Objects[x] })
+// The sections an object range writes into, as indexes of part.sec: the
+// solver's cells, the last-fold cells, the object records, and from
+// secShard on one section per shard, the cells its objects recorded since
+// their last fold.
+const (
+	secSolver = iota
+	secPrev
+	secObjects
+	secShard
+)
+
+// section is one range's bytes of one section, in ascending object
+// order, and the number of cells among them.
+type section struct {
+	b     []byte
+	cells int
 }
 
-// AppendEncode appends the image of st to dst and returns the extended
-// slice. Objects come from object(x) for x in [0, st.NumObjects), read
-// once each in order, and st.Objects is ignored: the serving layer's cut
-// passes a State whose tables and slices are the live ones and exports
-// each object into one reused scratch state, so the image is written in
-// one pass with nothing cloned. The bytes equal Encode's for the same
-// state.
-func AppendEncode(dst []byte, st *State, object func(x int) *dynamic.ObjectState) []byte {
-	start := len(dst)
-	e := &enc{b: append(dst, make([]byte, headerSize)...)}
+// part is one contiguous object range's share of the image. Each range
+// owns its part, scratch state included, so ranges encode concurrently
+// and the bytes do not depend on which worker encoded which range.
+type part struct {
+	sec     []section
+	scratch dynamic.ObjectState
+}
+
+// encode writes objects [lo, hi) of st: for each object its SolverW row,
+// its PrevW row, its TrackerW row less the PrevW row into its shard's
+// section, and its record, so every table row is read once. A PrevW row
+// with no cell is not read a second time.
+func (p *part) encode(st *State, lo, hi int, object func(x int, scratch *dynamic.ObjectState) *dynamic.ObjectState) {
+	shards := len(st.ShardStates)
+	for x := lo; x < hi; x++ {
+		p.row(secSolver, x, st.SolverW.Row(x), nil)
+		prev := st.PrevW.Row(x)
+		if p.row(secPrev, x, prev, nil) == 0 {
+			prev = nil
+		}
+		p.row(secShard+x%shards, x, st.TrackerW.Row(x), prev)
+		p.object(object(x, &p.scratch))
+	}
+}
+
+// row appends the non-zero cells of object x's row to section s as
+// (object, node, reads, writes) and returns how many it appended. With a
+// non-nil base, each cell is written less base's cell, which must not
+// exceed it.
+func (p *part) row(s, x int, row, base []workload.Access) int {
+	sec := &p.sec[s]
+	b, n := sec.b, 0
+	for v, a := range row {
+		if base != nil {
+			a.Reads -= base[v].Reads
+			a.Writes -= base[v].Writes
+			if a.Reads < 0 || a.Writes < 0 {
+				// State documents TrackerW >= PrevW cell by cell; the
+				// serving layer's fold keeps it. A violation is a
+				// programming error, like an unencodable tree.
+				panic("snapshot: tracker count below its last-fold count")
+			}
+		}
+		if a.Reads|a.Writes != 0 {
+			n++
+			b = appendUvarint(b, uint64(x))
+			b = appendUvarint(b, uint64(v))
+			b = appendUvarint(b, uint64(a.Reads))
+			b = appendUvarint(b, uint64(a.Writes))
+		}
+	}
+	sec.b = b
+	sec.cells += n
+	return n
+}
+
+// object appends one object record: a presence byte, then for a present
+// object its copy list, its live counters and its write streak.
+func (p *part) object(o *dynamic.ObjectState) {
+	sec := &p.sec[secObjects]
+	b := sec.b
+	if !o.Present {
+		sec.b = append(b, 0)
+		return
+	}
+	b = append(b, 1)
+	b = appendUvarint(b, uint64(len(o.Copies)))
+	for _, v := range o.Copies {
+		b = appendUvarint(b, uint64(v))
+	}
+	b = appendUvarint(b, uint64(len(o.Counters)))
+	for _, ec := range o.Counters {
+		b = appendUvarint(b, uint64(ec.Edge))
+		b = appendUvarint(b, uint64(ec.Count))
+	}
+	sec.b = appendUvarint(b, uint64(o.WriteStreak))
+}
+
+// Image is an encoded snapshot, held in the pieces it was encoded in.
+// The glue holds the header, the scalar fields, the tree, each section's
+// cell count, the epoch log, the shards' load accounts and drift queues,
+// and the checksum; each run is spliced into the glue at its offset, and
+// is one section's bytes from every range, in range order. The file is
+// the glue with the runs spliced in.
+type Image struct {
+	glue  []byte
+	runs  []run
+	parts []part
+	en    *Encoder // the Encoder that encoded it (see WriteFile)
+}
+
+// run is a splice point of an Image: section sec goes before glue[at].
+type run struct{ at, sec int }
+
+// each calls fn on the image's pieces in file order.
+func (im *Image) each(fn func([]byte)) {
+	at := 0
+	for _, r := range im.runs {
+		fn(im.glue[at:r.at])
+		at = r.at
+		for i := range im.parts {
+			fn(im.parts[i].sec[r.sec].b)
+		}
+	}
+	fn(im.glue[at:])
+}
+
+// Len returns the image's length in bytes.
+func (im *Image) Len() int {
+	n := 0
+	im.each(func(p []byte) { n += len(p) })
+	return n
+}
+
+// Bytes returns the image as one slice.
+func (im *Image) Bytes() []byte {
+	b := make([]byte, 0, im.Len())
+	im.each(func(p []byte) { b = append(b, p...) })
+	return b
+}
+
+// WriteTo writes the image to w, one Write per non-empty piece.
+func (im *Image) WriteTo(w io.Writer) (int64, error) {
+	var n int64
+	var err error
+	im.each(func(p []byte) {
+		if err != nil || len(p) == 0 {
+			return
+		}
+		var m int
+		m, err = w.Write(p)
+		n += int64(m)
+	})
+	return n, err
+}
+
+// Encode serializes st into a complete snapshot image (header + body +
+// checksum), ready for WriteFile. st.Objects holds st.NumObjects entries.
+// It is an Encoder's image of st on one worker, as one slice.
+func Encode(st *State) []byte {
+	var e Encoder
+	return e.Encode(st, 1, func(x int, _ *dynamic.ObjectState) *dynamic.ObjectState { return &st.Objects[x] }).Bytes()
+}
+
+// Encoder encodes snapshot images. The zero value is ready to use. It
+// keeps no image bytes between calls, only the length of each section and
+// of the glue of the last image, so that the next image of a similar
+// state allocates each range's share of a section, and the glue, once, at
+// about its final size, at any worker count; and the path its last image
+// was committed to (see Image.WriteFile). An Encoder's images are encoded
+// and written one at a time.
+type Encoder struct {
+	sizes     []int
+	glue      int
+	committed string
+}
+
+// Encode encodes the image of st in one pass over its objects, split into
+// par.Workers(workers) contiguous ranges [n·r/W, n·(r+1)/W) that are
+// encoded concurrently. Object x's state comes from object(x, scratch),
+// called once per object with the scratch state of x's range, and
+// st.Objects is ignored: the serving layer's cut passes a State whose
+// tables and slices are its live ones and exports each object into the
+// scratch, so nothing is cloned. Workers only read st. The image's bytes
+// are the same at every worker count, and equal Encode's for the same
+// state. A panic in a worker reaches the caller.
+func (en *Encoder) Encode(st *State, workers int, object func(x int, scratch *dynamic.ObjectState) *dynamic.ObjectState) *Image {
+	blob, err := st.Tree.JSON()
+	if err != nil {
+		// The tree came out of a live cluster; its codec round-trips by
+		// construction. Failing to serialize it is a programming error.
+		panic("snapshot: tree encode: " + err.Error())
+	}
+	n, nsec := st.NumObjects, secShard+len(st.ShardStates)
+	w := min(par.Workers(workers), max(n, 1))
+	if len(en.sizes) != nsec {
+		en.sizes = make([]int, nsec)
+	}
+	im := &Image{parts: make([]part, w), runs: make([]run, 0, nsec), en: en}
+	nodes, edges := st.Tree.Len(), st.Tree.NumEdges()
+	for r := range im.parts {
+		p := &im.parts[r]
+		p.sec = make([]section, nsec)
+		for s := range p.sec {
+			// The range's share of the section's last size, and 1/8 more.
+			if c := en.sizes[s] / w; c > 0 {
+				p.sec[s].b = make([]byte, 0, c+c/8)
+			}
+		}
+		// The scratch holds any object's copies and counters.
+		p.scratch.Copies = make([]tree.NodeID, 0, nodes)
+		p.scratch.Counters = make([]dynamic.EdgeCounter, 0, edges)
+	}
+	par.ForEach(w, w, func(_, r int) { im.parts[r].encode(st, n*r/w, n*(r+1)/w, object) })
+	for s := range en.sizes {
+		en.sizes[s] = 0
+		for r := range im.parts {
+			en.sizes[s] += len(im.parts[r].sec[s].b)
+		}
+	}
+	cells := func(s int) uint64 {
+		c := 0
+		for r := range im.parts {
+			c += im.parts[r].sec[s].cells
+		}
+		return uint64(c)
+	}
+
+	e := &enc{b: make([]byte, headerSize, max(en.glue+en.glue/8, headerSize+len(blob)+256))}
+	splice := func(sec int) { im.runs = append(im.runs, run{at: len(e.b), sec: sec}) }
 	e.uvarint(st.Seq)
 	e.uvarint(uint64(st.NumObjects))
 	e.uvarint(uint64(len(st.ShardStates)))
@@ -146,18 +298,13 @@ func AppendEncode(dst []byte, st *State, object func(x int) *dynamic.ObjectState
 	e.varint(st.ResolveTimeNs)
 	e.varint(st.DroppedLoad)
 	e.varint(st.DroppedServiceLoad)
+	e.uvarint(uint64(len(blob)))
+	e.b = append(e.b, blob...)
 
-	at := e.gap()
-	if err := tree.Encode(e, st.Tree); err != nil {
-		// The tree came out of a live cluster; its codec round-trips by
-		// construction. Failing to serialize it is a programming error.
-		panic("snapshot: tree encode: " + err.Error())
-	}
-	e.fill(at, uint64(len(e.b)-at-binary.MaxVarintLen64))
-
-	e.rows(st.SolverW, nil, 0, 1, nil)
-	folded := make([]bool, st.NumObjects) // objects whose PrevW row holds a cell
-	e.rows(st.PrevW, nil, 0, 1, folded)
+	e.uvarint(cells(secSolver))
+	splice(secSolver)
+	e.uvarint(cells(secPrev))
+	splice(secPrev)
 
 	e.uvarint(uint64(len(st.EpochLog)))
 	for _, r := range st.EpochLog {
@@ -185,37 +332,30 @@ func AppendEncode(dst []byte, st *State, object func(x int) *dynamic.ObjectState
 		// Shard i records only the objects it owns, so its section holds
 		// exactly the cells of its own rows of the one table, each less
 		// the count as of the object's last fold.
-		e.rows(st.TrackerW, st.PrevW, i, len(st.ShardStates), folded)
+		e.uvarint(cells(secShard + i))
+		splice(secShard + i)
 		e.uvarint(uint64(len(ss.Drift)))
 		for _, x := range ss.Drift {
 			e.uvarint(uint64(x))
 		}
 	}
+	splice(secObjects)
 
-	for x := 0; x < st.NumObjects; x++ {
-		o := object(x)
-		if !o.Present {
-			e.byte(0)
-			continue
-		}
-		e.byte(1)
-		e.uvarint(uint64(len(o.Copies)))
-		for _, v := range o.Copies {
-			e.uvarint(uint64(v))
-		}
-		e.uvarint(uint64(len(o.Counters)))
-		for _, ec := range o.Counters {
-			e.uvarint(uint64(ec.Edge))
-			e.uvarint(uint64(ec.Count))
-		}
-		e.uvarint(uint64(o.WriteStreak))
-	}
-
-	h, body := e.b[start:start+headerSize], e.b[start+headerSize:]
+	im.glue = e.b
+	size := im.Len()
+	h := im.glue[:headerSize]
 	copy(h, magic)
 	binary.LittleEndian.PutUint32(h[len(magic):], version)
-	binary.LittleEndian.PutUint64(h[len(magic)+4:], uint64(len(body)))
-	return binary.LittleEndian.AppendUint32(e.b, crc32.ChecksumIEEE(body))
+	binary.LittleEndian.PutUint64(h[len(magic)+4:], uint64(size-headerSize))
+	crc, skip := uint32(0), headerSize
+	im.each(func(p []byte) {
+		k := min(skip, len(p))
+		skip -= k
+		crc = crc32.Update(crc, crc32.IEEETable, p[k:])
+	})
+	im.glue = binary.LittleEndian.AppendUint32(im.glue, crc)
+	en.glue = len(im.glue)
+	return im
 }
 
 // Epoch trigger wire codes. The empty string round-trips as its own code

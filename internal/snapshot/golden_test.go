@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"hbn/internal/dynamic"
@@ -118,5 +119,37 @@ func TestEncodeGolden(t *testing.T) {
 				t.Fatal("decoded golden does not re-encode as the v3 image of its state")
 			}
 		})
+	}
+}
+
+// An Encoder's image is the golden at every worker count: 1 to 4 ranges
+// (GOMAXPROCS raised so every count is real), twice each through one
+// Encoder so the second image is written into fragments sized from the
+// first, and the same bytes whether they are joined, measured or streamed
+// to a writer.
+func TestEncoderWorkerCountsMatchGolden(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, tc := range []struct {
+		file string
+		st   *State
+	}{
+		{"mkstate3-v3.snap", mkState(3)},
+		{"dense-v3.snap", mkDenseState()},
+	} {
+		want := readGolden(t, tc.file)
+		object := func(x int, _ *dynamic.ObjectState) *dynamic.ObjectState { return &tc.st.Objects[x] }
+		for workers := 1; workers <= 4; workers++ {
+			var e Encoder
+			for pass := 0; pass < 2; pass++ {
+				im := e.Encode(tc.st, workers, object)
+				if got := im.Bytes(); !bytes.Equal(got, want) {
+					t.Fatalf("%s, %d workers, pass %d: image differs from the golden (%d vs %d bytes)", tc.file, workers, pass, len(got), len(want))
+				}
+				var buf bytes.Buffer
+				if n, err := im.WriteTo(&buf); err != nil || n != int64(len(want)) || im.Len() != len(want) || !bytes.Equal(buf.Bytes(), want) {
+					t.Fatalf("%s, %d workers: WriteTo wrote %d bytes (err %v), Len %d; want the golden's %d", tc.file, workers, n, err, im.Len(), len(want))
+				}
+			}
+		}
 	}
 }

@@ -40,18 +40,40 @@
 //
 // # Crash consistency
 //
-// WriteFile never touches the current generation in place:
+// WriteFile never touches the current generation in place. It keeps two
+// committed generations, path and path.prev:
 //
-//  1. write the full image to path.tmp and fsync it
-//  2. rename path → path.prev (keeping the previous good generation)
-//  3. rename path.tmp → path
-//  4. fsync the directory
+//  1. open the temp file path.tmp: the recycled path.prev, renamed to
+//     path.tmp, when the image's Encoder committed the image at path
+//     (Image.WriteFile) and path still exists; otherwise a fresh file,
+//     leaving path.prev alone
+//  2. cut path.tmp to the image's length, write the image over it, fsync
+//  3. rename path → path.prev (keeping the previous good generation)
+//  4. rename path.tmp → path
+//  5. fsync the directory
 //
-// A crash before step 2 leaves the old generation untouched; a crash
-// between the renames leaves it intact under path.prev. Recovery
-// (ReadLadder) therefore tries path, then path.prev, and only then gives
-// up with a typed error — the caller's cold-solve fallback — so no
-// single-point failure during a snapshot can lose the last durable
+// A recycled write frees no inode and allocates none, since both renames
+// move a file to a free name, and it reuses the recycled file's blocks up
+// to that file's old length. The one cost: while it is in flight (from
+// step 1 to step 4), the generation before the newest is being
+// overwritten, so the ladder holds one committed generation, path,
+// instead of two, and that one must read back. So an image recycles only
+// behind the image its Encoder last committed at path. The first write
+// after a restart (in particular after a restore that fell back to
+// path.prev because path did not verify), every write while path is
+// missing (after a crash between the renames, when path.prev may be the
+// only committed generation) and WriteFile of a slice use a fresh temp
+// file.
+//
+// A crash anywhere before step 3 leaves path untouched; a crash between
+// the renames leaves the newest committed generation intact under
+// path.prev. Recovery (ReadLadder) tries path, then path.prev, and only
+// then gives up with a typed error — the caller's cold-solve fallback. It
+// never reads path.tmp, so an image whose renames did not happen is never
+// recovered. So no single-point failure during a snapshot loses the last
+// generation that verifies, with one exception that recycling does not
+// touch: when path itself does not verify, step 3 retires it over the
+// good path.prev, and a crash before step 4 then leaves no usable
 // generation.
 //
 // # Fault injection
@@ -66,6 +88,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -97,16 +120,17 @@ func corrupt(format string, args ...any) error {
 
 // State is the full serializable cluster image. The serving layer's cut
 // encodes one whose tables and slices are its live state, under its write
-// gate (serve.Cluster.Snapshot, through AppendEncode), and rebuilds a warm
-// cluster from a decoded one (serve.Restore); restore takes ownership of
-// the slices and workloads, so a decoded State must not be reused
-// afterwards.
+// gate (serve.Cluster.Snapshot, through Encoder.Encode), and rebuilds a
+// warm cluster from a decoded one (serve.Restore); restore takes
+// ownership of the slices and workloads, so a decoded State must not be
+// reused afterwards.
 type State struct {
 	// Seq is the monotone snapshot sequence number of the source cluster —
 	// the generation identity the crash harness asserts restores land on.
 	Seq uint64
 
-	// Tree is the topology at the cut (immutable; encoded via tree.Encode).
+	// Tree is the topology at the cut (immutable; the image holds its
+	// tree.Encode bytes, which the tree computes once).
 	Tree       *tree.Tree
 	NumObjects int
 
@@ -139,7 +163,7 @@ type State struct {
 	SolverW            *workload.W // the solver's folded frequency view
 	// PrevW is TrackerW's rows as of each object's last fold, so TrackerW
 	// >= PrevW holds cell by cell (the image stores the difference, and
-	// AppendEncode panics on a violation).
+	// the encoder panics on a violation).
 	PrevW *workload.W
 	// TrackerW is the observed-frequency table every shard records into.
 	// Shard i records only the objects it owns (x ≡ i mod the shard
@@ -147,7 +171,8 @@ type State struct {
 	// section, so a cell in another shard's rows is corrupt.
 	TrackerW *workload.W
 
-	// Per-shard serving state; the shard count is len(ShardStates).
+	// Per-shard serving state; the shard count is len(ShardStates), at
+	// least 1 (Decode rejects an image with none).
 	ShardStates []ShardState
 	// Objects holds every object's strategy state, indexed globally
 	// (object x belongs to shard x % len(ShardStates)).
@@ -265,27 +290,57 @@ func PrevPath(path string) string { return path + ".prev" }
 // tmpPath is the in-progress temp file WriteFile builds the image in.
 func tmpPath(path string) string { return path + ".tmp" }
 
-// WriteFile writes an already encoded snapshot image crash-consistently:
-// temp file + fsync + rename, with the previous generation kept at
-// PrevPath(path). See the package comment for the protocol and the crash
-// points SaveOptions can inject.
+// WriteFile writes an already encoded snapshot image crash-consistently,
+// with the previous generation kept at PrevPath(path), into a fresh temp
+// file. See the package comment for the protocol and the crash points
+// SaveOptions can inject.
 func WriteFile(path string, data []byte, opts SaveOptions) error {
+	return writeFile(path, bytes.NewReader(data), int64(len(data)), opts, false)
+}
+
+// WriteFile writes the image as the package's WriteFile writes a slice,
+// piece by piece, with no copy of the image assembled first. Once the
+// image's Encoder has committed an image at path, and path still holds a
+// generation, the temp file is the recycled PrevPath(path) (see the
+// package comment).
+func (im *Image) WriteFile(path string, opts SaveOptions) error {
+	err := writeFile(path, im, int64(im.Len()), opts, im.en.committed == path)
+	if err == nil {
+		im.en.committed = path
+	}
+	return err
+}
+
+// writeFile writes size bytes of img to path by the package comment's
+// protocol. recycle allows it to overwrite PrevPath(path) when path
+// exists; the caller grants it only when path holds an image it
+// committed itself.
+func writeFile(path string, img io.WriterTo, size int64, opts SaveOptions, recycle bool) error {
 	if opts.BeforeWrite != nil {
 		opts.BeforeWrite()
 	}
+	_, err := os.Stat(path)
+	committed := err == nil
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("snapshot: stat %s: %w", path, err)
+	}
 	tmp := tmpPath(path)
-	f, err := os.Create(tmp)
+	f, err := openTemp(tmp, PrevPath(path), recycle && committed)
 	if err != nil {
 		return fmt.Errorf("snapshot: %w", err)
+	}
+	if err := f.Truncate(size); err != nil {
+		f.Close()
+		return fmt.Errorf("snapshot: truncate %s: %w", tmp, err)
 	}
 	var w io.Writer = f
 	if opts.Crash == CrashDuringWrite {
 		w = &crashWriter{w: f, left: opts.CrashAfter}
 	}
-	if _, err := w.Write(data); err != nil {
+	if _, err := img.WriteTo(w); err != nil {
 		f.Close() // a real crash would not close either; Close without Sync leaves the same torn bytes
 		if errors.Is(err, ErrInjectedCrash) {
-			return fmt.Errorf("%w: torn write at byte %d of %d", ErrInjectedCrash, opts.CrashAfter, len(data))
+			return fmt.Errorf("%w: torn write at byte %d of %d", ErrInjectedCrash, opts.CrashAfter, size)
 		}
 		return fmt.Errorf("snapshot: write %s: %w", tmp, err)
 	}
@@ -294,7 +349,7 @@ func WriteFile(path string, data []byte, opts SaveOptions) error {
 		// there but the crash still precedes fsync and rename, so the
 		// attempt must not commit.
 		f.Close()
-		return fmt.Errorf("%w: torn write at byte %d of %d", ErrInjectedCrash, len(data), len(data))
+		return fmt.Errorf("%w: torn write at byte %d of %d", ErrInjectedCrash, size, size)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
@@ -308,12 +363,10 @@ func WriteFile(path string, data []byte, opts SaveOptions) error {
 	}
 	// Keep the previous good generation: path → path.prev. A missing path
 	// (first snapshot, or a previous crash between the renames) skips this.
-	if _, err := os.Stat(path); err == nil {
+	if committed {
 		if err := os.Rename(path, PrevPath(path)); err != nil {
 			return fmt.Errorf("snapshot: retire %s: %w", path, err)
 		}
-	} else if !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("snapshot: stat %s: %w", path, err)
 	}
 	if opts.Crash == CrashBetweenRenames {
 		return fmt.Errorf("%w: between renames", ErrInjectedCrash)
@@ -323,6 +376,25 @@ func WriteFile(path string, data []byte, opts SaveOptions) error {
 	}
 	syncDir(filepath.Dir(path))
 	return nil
+}
+
+// openTemp opens the temp file an image is written into. With recycle
+// set, the generation before the one at path, at prev, is renamed to the
+// temp name to be overwritten in place, so the write allocates no inode
+// and the renames after it free none. Otherwise (or when prev is missing)
+// a fresh file is created and prev is left alone: it may be the only
+// usable generation.
+func openTemp(tmp, prev string, recycle bool) (*os.File, error) {
+	if recycle {
+		err := os.Rename(prev, tmp)
+		if err == nil {
+			return os.OpenFile(tmp, os.O_WRONLY, 0)
+		}
+		if !errors.Is(err, fs.ErrNotExist) {
+			return nil, err
+		}
+	}
+	return os.Create(tmp)
 }
 
 // syncDir fsyncs a directory so the renames are durable; best-effort

@@ -493,6 +493,154 @@ func TestWriteFileCrashSemantics(t *testing.T) {
 			t.Fatalf("prev seq %d, err %v", prev.Seq, err)
 		}
 	})
+
+	// After a crash between the renames, path.prev is the only committed
+	// generation: the next write must not recycle it, even through the
+	// Encoder that committed the image at path, so a torn write then still
+	// recovers it.
+	t.Run("torn write after a crash between renames keeps prev", func(t *testing.T) {
+		_, path := newDir()
+		var en Encoder
+		for seq := uint64(1); seq <= 2; seq++ {
+			if err := writeImage(&en, path, mkState(seq), SaveOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := writeImage(&en, path, mkState(3), SaveOptions{Crash: CrashBetweenRenames}); !errors.Is(err, ErrInjectedCrash) {
+			t.Fatal(err)
+		}
+		st4 := mkState(4)
+		size := int64(len(Encode(st4)))
+		for _, cut := range []int64{0, size / 2, size} {
+			if err := writeImage(&en, path, st4, SaveOptions{Crash: CrashDuringWrite, CrashAfter: cut}); !errors.Is(err, ErrInjectedCrash) {
+				t.Fatalf("cut %d: %v", cut, err)
+			}
+			st, from, err := ReadLadder(path)
+			if err != nil {
+				t.Fatalf("cut %d: %v", cut, err)
+			}
+			if st.Seq != 2 || from != PrevPath(path) {
+				t.Fatalf("cut %d: recovered seq %d from %q; want seq 2 from prev", cut, st.Seq, from)
+			}
+		}
+	})
+
+	// An Encoder recycles only behind an image it committed itself. A
+	// path it did not write (here one that no longer verifies, as after a
+	// restore that fell back to path.prev) is not trusted to be the one
+	// generation left while a write is in flight, so a torn first write
+	// still recovers path.prev.
+	t.Run("torn first write over a damaged primary keeps prev", func(t *testing.T) {
+		_, path := newDir()
+		for seq := uint64(1); seq <= 2; seq++ {
+			if err := WriteFile(path, Encode(mkState(seq)), SaveOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		img, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img[len(img)/2] ^= 0x01
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st3 := mkState(3)
+		size := int64(len(Encode(st3)))
+		for _, cut := range []int64{0, size / 2, size} {
+			var en Encoder
+			if err := writeImage(&en, path, st3, SaveOptions{Crash: CrashDuringWrite, CrashAfter: cut}); !errors.Is(err, ErrInjectedCrash) {
+				t.Fatalf("cut %d: %v", cut, err)
+			}
+			st, from, err := ReadLadder(path)
+			if err != nil || st.Seq != 1 || from != PrevPath(path) {
+				t.Fatalf("cut %d: recovered %v from %q; want seq 1 from prev", cut, err, from)
+			}
+		}
+	})
+
+	// A recycled file is cut to the new image's length: writing smaller
+	// images over a larger one leaves no trailing bytes.
+	t.Run("smaller images over a larger one", func(t *testing.T) {
+		_, path := newDir()
+		sts := []*State{mkDenseState(), mkState(2), mkState(3)}
+		imgs := [][]byte{Encode(sts[0]), Encode(sts[1]), Encode(sts[2])}
+		if len(imgs[0]) <= 10*len(imgs[2]) {
+			t.Fatalf("images of %d and %d bytes; want the first far larger", len(imgs[0]), len(imgs[2]))
+		}
+		var en Encoder
+		var big os.FileInfo
+		for i, st := range sts {
+			if err := writeImage(&en, path, st, SaveOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				fi, err := os.Stat(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				big = fi
+			}
+		}
+		for _, f := range []struct {
+			path string
+			want []byte
+		}{{path, imgs[2]}, {PrevPath(path), imgs[1]}} {
+			got, err := os.ReadFile(f.path)
+			if err != nil || !bytes.Equal(got, f.want) {
+				t.Fatalf("%s holds %d bytes (err %v); want exactly the %d-byte image", filepath.Base(f.path), len(got), err, len(f.want))
+			}
+		}
+		if fi, err := os.Stat(path); err != nil || !os.SameFile(big, fi) {
+			t.Fatalf("the newest image is not in the large image's recycled file (err %v)", err)
+		}
+		st, from, err := ReadLadder(path)
+		if err != nil || st.Seq != 3 || from != path {
+			t.Fatalf("ladder: %v from %q; want seq 3 from the primary", err, from)
+		}
+	})
+
+	// After every write k, path holds k and path.prev holds k−1, no temp
+	// file is left, and from the third write on path is the file that
+	// held k−2: the oldest generation's file is overwritten, not replaced.
+	t.Run("after k writes path holds k and prev k-1", func(t *testing.T) {
+		_, path := newDir()
+		var en Encoder
+		var files []os.FileInfo
+		for k := uint64(1); k <= 5; k++ {
+			if err := writeImage(&en, path, mkState(k), SaveOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			if st, err := ReadFile(path); err != nil || st.Seq != k {
+				t.Fatalf("write %d: primary: %v", k, err)
+			}
+			prev, err := ReadFile(PrevPath(path))
+			switch {
+			case k == 1 && !errors.Is(err, fs.ErrNotExist):
+				t.Fatalf("write 1: prev: got %v, want it missing", err)
+			case k > 1 && (err != nil || prev.Seq != k-1):
+				t.Fatalf("write %d: prev: %v", k, err)
+			}
+			if _, err := os.Stat(tmpPath(path)); !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("write %d: temp file left behind (%v)", k, err)
+			}
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, fi)
+			if k >= 3 && !os.SameFile(files[k-3], fi) {
+				t.Fatalf("write %d went to a new file, not the recycled one of generation %d", k, k-2)
+			}
+		}
+	})
+}
+
+// writeImage encodes st through en on one worker and writes the image to
+// path, as the serving layer's Snapshot does.
+func writeImage(en *Encoder, path string, st *State, opts SaveOptions) error {
+	object := func(x int, _ *dynamic.ObjectState) *dynamic.ObjectState { return &st.Objects[x] }
+	return en.Encode(st, 1, object).WriteFile(path, opts)
 }
 
 // The recovery ladder's terminal states: both generations missing is

@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -27,27 +28,45 @@ type jsonTree struct {
 	Edges []jsonEdge `json:"edges"`
 }
 
-// Encode writes the tree as JSON.
+// Encode writes the tree as JSON: the bytes JSON returns.
 func Encode(w io.Writer, t *Tree) error {
-	jt := jsonTree{
-		Nodes: make([]jsonNode, t.Len()),
-		Edges: make([]jsonEdge, t.NumEdges()),
+	b, err := t.JSON()
+	if err != nil {
+		return err
 	}
-	for v := 0; v < t.Len(); v++ {
-		id := NodeID(v)
-		jn := jsonNode{ID: int32(v), Kind: t.Kind(id).String(), Name: t.nodes[v].name}
-		if t.Kind(id) == Bus {
-			jn.Bandwidth = t.NodeBandwidth(id)
+	_, err = w.Write(b)
+	return err
+}
+
+// JSON returns the tree's wire form, indented JSON ending in a newline.
+// The tree is immutable, so it is encoded once, on first use, and every
+// later call (every snapshot image of a cluster, for one) returns the same
+// slice, which callers must not modify.
+func (t *Tree) JSON() ([]byte, error) {
+	t.jsonOnce.Do(func() {
+		jt := jsonTree{
+			Nodes: make([]jsonNode, t.Len()),
+			Edges: make([]jsonEdge, t.NumEdges()),
 		}
-		jt.Nodes[v] = jn
-	}
-	for e := 0; e < t.NumEdges(); e++ {
-		u, v := t.Endpoints(EdgeID(e))
-		jt.Edges[e] = jsonEdge{U: int32(u), V: int32(v), Bandwidth: t.EdgeBandwidth(EdgeID(e))}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(jt)
+		for v := 0; v < t.Len(); v++ {
+			id := NodeID(v)
+			jn := jsonNode{ID: int32(v), Kind: t.Kind(id).String(), Name: t.nodes[v].name}
+			if t.Kind(id) == Bus {
+				jn.Bandwidth = t.NodeBandwidth(id)
+			}
+			jt.Nodes[v] = jn
+		}
+		for e := 0; e < t.NumEdges(); e++ {
+			u, v := t.Endpoints(EdgeID(e))
+			jt.Edges[e] = jsonEdge{U: int32(u), V: int32(v), Bandwidth: t.EdgeBandwidth(EdgeID(e))}
+		}
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		enc.SetIndent("", "  ")
+		t.jsonErr = enc.Encode(jt)
+		t.json = buf.Bytes()
+	})
+	return t.json, t.jsonErr
 }
 
 // Decode reads a tree from the JSON produced by Encode. Node IDs must be

@@ -85,6 +85,11 @@ type Tree struct {
 
 	rooted0   atomic.Pointer[Rooted]
 	rooted0Mu sync.Mutex
+
+	// json is Encode's output, built on first use (see JSON).
+	jsonOnce sync.Once
+	json     []byte
+	jsonErr  error
 }
 
 // Rooted0 returns the tree's shared orientation towards node 0, built

@@ -431,3 +431,30 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		t.Fatal("unknown kind accepted")
 	}
 }
+
+// A tree is encoded once: JSON returns the same slice on every call,
+// Encode writes exactly it, and a tree decoded from it encodes to the same
+// bytes, from a memo of its own.
+func TestJSONEncodedOnce(t *testing.T) {
+	tr := SCICluster(3, 4, 16, 8)
+	a, err := tr.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := tr.JSON()
+	if err != nil || len(a) == 0 || &a[0] != &b[0] {
+		t.Fatalf("second JSON call returned a different slice (err %v)", err)
+	}
+	var buf bytes.Buffer
+	if err := Encode(&buf, tr); err != nil || !bytes.Equal(buf.Bytes(), a) {
+		t.Fatalf("Encode wrote %d bytes (err %v), not the %d of JSON", buf.Len(), err, len(a))
+	}
+	tr2, err := Decode(bytes.NewReader(a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := tr2.JSON()
+	if err != nil || !bytes.Equal(c, a) || &c[0] == &a[0] {
+		t.Fatalf("decoded tree's JSON: equal %v, shared %v, err %v; want equal bytes of its own", bytes.Equal(c, a), &c[0] == &a[0], err)
+	}
+}
