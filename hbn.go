@@ -173,7 +173,13 @@
 // not by the disk, and the image's bytes do not depend on the worker
 // count. The image stores each fact once (copy lists, not the nearest
 // tables rebuilt from them on restore; counts since the last fold, not
-// the recorded table twice), and v2 images still restore. The file is
+// the recorded table twice), and v2 images still restore. A cluster holds
+// two dense frequency tables, the recorded counts and the solver's aged
+// view; each shard's recorder keeps what its objects recorded since
+// their last fold sparsely, as the touched cells and their counts at
+// first touch (or, for an object that touches most of its row between
+// folds, its last-fold row), and decode allocates at most two dense
+// tables. The file is
 // written crash-consistently: the image goes into a temp file, is
 // fsynced and renamed into place, with the previous generation retained.
 // Once the cluster has committed an image of its own, the temp file is

@@ -168,11 +168,15 @@ func verifyRestore(r *serve.Cluster, fp *fingerprint, label string) error {
 // concurrent ingesters hammering the cluster, inject a torn write at
 // every byte offset of the image (seeded sampling above ExhaustiveLimit)
 // plus the two structural crash points (before and between the renames),
-// asserting after every single crash that recovery still lands on the
-// committed generation with stats, loads, placements and the PR 5/6
-// conservation ledger intact. Round zero separately proves the cold
+// and after the crash between the renames, which leaves the committed
+// generation only in path.prev, a torn write and a crash before rename
+// once more, asserting after every single crash that recovery still lands
+// on the committed generation with stats, loads, placements and the PR
+// 5/6 conservation ledger intact. Round zero separately proves the cold
 // story: crashes before any commit leave ErrNoSnapshot, never a torn
-// half-state.
+// half-state. A last phase damages the primary after the final commit:
+// the restore falls back to path.prev, and a crash between the renames of
+// the restored cluster's first snapshot must still leave path.prev.
 //
 // Everything file-related happens under dir; a non-nil error is an
 // invariant violation or hard failure, formatted to reproduce with the
@@ -228,6 +232,7 @@ func CrashSweep(dir string, o CrashOptions) (*CrashReport, error) {
 	// against the current fingerprint (nil = nothing committed yet, so
 	// recovery must report ErrNoSnapshot).
 	var committed []byte // the committed image's exact bytes
+	committedAt := path  // where they are: path.prev after a crash between the renames
 	crash := func(opts snapshot.SaveOptions, fp *fingerprint, deep bool, label string) error {
 		_, err := c.SnapshotWith(path, opts)
 		if !errors.Is(err, snapshot.ErrInjectedCrash) {
@@ -243,7 +248,7 @@ func CrashSweep(dir string, o CrashOptions) (*CrashReport, error) {
 		if opts.Crash == snapshot.CrashDuringWrite || opts.Crash == snapshot.CrashBeforeRename {
 			// The committed generation's file must be untouched by the
 			// crashed attempt — the torn bytes live only in the temp file.
-			data, err := os.ReadFile(path)
+			data, err := os.ReadFile(committedAt)
 			if err != nil || !bytes.Equal(data, committed) {
 				return fmt.Errorf("chaos: %s: committed generation mutated by crashed attempt (err %v)", label, err)
 			}
@@ -264,7 +269,7 @@ func CrashSweep(dir string, o CrashOptions) (*CrashReport, error) {
 		if info.Seq != fp.seq {
 			return fmt.Errorf("chaos: %s: restored seq %d, want %d", label, info.Seq, fp.seq)
 		}
-		if opts.Crash == snapshot.CrashBetweenRenames && !info.Fallback {
+		if (opts.Crash == snapshot.CrashBetweenRenames || committedAt != path) && !info.Fallback {
 			return fmt.Errorf("chaos: %s: expected fallback to the retained generation", label)
 		}
 		return verifyRestore(r, fp, "chaos: "+label)
@@ -326,6 +331,7 @@ func CrashSweep(dir string, o CrashOptions) (*CrashReport, error) {
 		if committed, err = os.ReadFile(path); err != nil {
 			return rep, fmt.Errorf("chaos: round %d: %w", round, err)
 		}
+		committedAt = path
 		fp = takeFingerprint(c, ss.Seq, o.Objects)
 		if err := suffixBitIdentity(path, o, round); err != nil {
 			return rep, err
@@ -360,11 +366,28 @@ func CrashSweep(dir string, o CrashOptions) (*CrashReport, error) {
 		}
 		if !stop.Load() && len(errs) == 0 {
 			// The between-renames point retires the primary: recovery must
-			// fall back to the retained generation. Last in the round — the
-			// next commit heals the ladder.
-			if err := crash(snapshot.SaveOptions{Crash: snapshot.CrashBetweenRenames}, fp, true,
-				fmt.Sprintf("round %d crash between renames", round)); err != nil {
+			// fall back to the retained generation, the only one left, and
+			// the writes after it must leave that file alone. Last in the
+			// round — the next commit heals the ladder.
+			err := crash(snapshot.SaveOptions{Crash: snapshot.CrashBetweenRenames}, fp, true,
+				fmt.Sprintf("round %d crash between renames", round))
+			if err != nil {
 				fail(err)
+			}
+			committedAt = snapshot.PrevPath(path)
+			for _, after := range []struct {
+				opts  snapshot.SaveOptions
+				label string
+			}{
+				{snapshot.SaveOptions{Crash: snapshot.CrashDuringWrite, CrashAfter: ss.Bytes / 2}, "torn write"},
+				{snapshot.SaveOptions{Crash: snapshot.CrashBeforeRename}, "crash before rename"},
+			} {
+				if err != nil {
+					break
+				}
+				if err = crash(after.opts, fp, true, fmt.Sprintf("round %d %s after a crash between renames", round, after.label)); err != nil {
+					fail(err)
+				}
 			}
 		}
 		live.Wait()
@@ -374,7 +397,8 @@ func CrashSweep(dir string, o CrashOptions) (*CrashReport, error) {
 		rep.Rounds++
 	}
 
-	// Final commit heals the ladder and must round-trip exactly.
+	// Final commit heals the ladder and must round-trip exactly. The last
+	// round's commit, fp, stays behind it in path.prev.
 	if err := c.ResolveNow(); err != nil {
 		return rep, fmt.Errorf("chaos: final resolve: %w", err)
 	}
@@ -384,7 +408,6 @@ func CrashSweep(dir string, o CrashOptions) (*CrashReport, error) {
 	}
 	rep.Commits++
 	rep.ImageBytes = ss.Bytes
-	fp = takeFingerprint(c, ss.Seq, o.Objects)
 	r, info, err := serve.Restore(path, serve.RestoreOptions{Parallelism: 2})
 	if err != nil {
 		return rep, fmt.Errorf("chaos: final restore: %w", err)
@@ -393,7 +416,58 @@ func CrashSweep(dir string, o CrashOptions) (*CrashReport, error) {
 	if info.Fallback {
 		return rep, fmt.Errorf("chaos: final restore fell back after a clean commit")
 	}
-	return rep, verifyRestore(r, fp, "chaos: final restore")
+	if err := verifyRestore(r, takeFingerprint(c, ss.Seq, o.Objects), "chaos: final restore"); err != nil {
+		return rep, err
+	}
+	if fp != nil {
+		return rep, damagedPrimary(path, fp, rep)
+	}
+	return rep, nil
+}
+
+// damagedPrimary flips one bit of the primary at path, whose retained
+// generation holds fp: the restore must fall back to it, and a crash
+// between the renames of the restored cluster's first snapshot must leave
+// it recoverable, so a second restore lands on it again.
+func damagedPrimary(path string, fp *fingerprint, rep *CrashReport) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return fmt.Errorf("chaos: damaged primary: %w", err)
+	}
+	data[len(data)/2] ^= 0x10
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		return fmt.Errorf("chaos: damaged primary: %w", err)
+	}
+	restore := func(label string) (*serve.Cluster, error) {
+		r, info, err := serve.Restore(path, serve.RestoreOptions{Parallelism: 2})
+		if err != nil {
+			return nil, fmt.Errorf("chaos: %s: restore: %w", label, err)
+		}
+		if !info.Fallback || info.Seq != fp.seq {
+			r.Close()
+			return nil, fmt.Errorf("chaos: %s: restored seq %d (fallback %v), want seq %d from the retained generation", label, info.Seq, info.Fallback, fp.seq)
+		}
+		rep.Deep++
+		if err := verifyRestore(r, fp, "chaos: "+label); err != nil {
+			r.Close()
+			return nil, err
+		}
+		return r, nil
+	}
+	r, err := restore("restore past a damaged primary")
+	if err != nil {
+		return err
+	}
+	defer r.Close()
+	if _, err := r.SnapshotWith(path, snapshot.SaveOptions{Crash: snapshot.CrashBetweenRenames}); !errors.Is(err, snapshot.ErrInjectedCrash) {
+		return fmt.Errorf("chaos: damaged primary: got %v, want ErrInjectedCrash", err)
+	}
+	rep.Crashes++
+	again, err := restore("crash between the renames over a damaged primary")
+	if err != nil {
+		return err
+	}
+	return again.Close()
 }
 
 // suffixBitIdentity restores the committed image twice and drives both

@@ -143,9 +143,11 @@ func TestServeBatchMatchesSequentialWithAdoption(t *testing.T) {
 	}
 }
 
-// record is RecordBatch's per-request reference: one frequency addition
-// per request, and the object queued on its first touch since the drain.
+// record is RecordBatch's per-request reference: the cell's first touch
+// since the fold marked, one frequency addition per request, and the
+// object queued on its first touch since the drain.
 func record(ot *OfflineTracker, r Request) {
+	ot.since.Touch(r.Object, r.Node, ot.w.At(r.Object, r.Node))
 	if r.Write {
 		ot.w.AddWrites(r.Object, r.Node, 1)
 	} else {
@@ -158,10 +160,10 @@ func record(ot *OfflineTracker, r Request) {
 }
 
 // OfflineTracker.RecordBatch must be equivalent to the per-request record
-// loop — same frequency rows and same DrainDrifted order — across the
-// topology zoo and all four workload scenarios, under random uneven batch
-// splits, with drift drains interleaved so the queue is exercised
-// mid-stream.
+// loop — same frequency rows, counts since the fold and DrainDrifted
+// order — across the topology zoo and all four workload scenarios, under
+// random uneven batch splits, with drift drains and folds interleaved so
+// the queue and the since-fold state are exercised mid-stream.
 func TestRecordBatchMatchesRecord(t *testing.T) {
 	rng := rand.New(rand.NewSource(407))
 	for _, tr := range batchTrees(rng) {
@@ -183,6 +185,18 @@ func TestRecordBatchMatchesRecord(t *testing.T) {
 					if !slices.Equal(refDrift, batDrift) {
 						t.Fatalf("%s step %d: drift order %v != %v", name, step, batDrift, refDrift)
 					}
+					if step%2 == 0 {
+						ref.since.Forget(refDrift, ref.w)
+						bat.since.Forget(batDrift, bat.w)
+					}
+				}
+			}
+			var rr, br SinceRow
+			for x := 0; x < objects; x++ {
+				ref.since.Row(x, ref.w.Row(x), &rr)
+				bat.since.Row(x, bat.w.Row(x), &br)
+				if !slices.Equal(rr.Delta, br.Delta) {
+					t.Fatalf("%s: object %d counts since the fold diverge", name, x)
 				}
 			}
 			if !slices.Equal(ref.DrainDrifted(nil), bat.DrainDrifted(nil)) {

@@ -992,15 +992,19 @@ func RandomSequence(rng *rand.Rand, t *tree.Tree, numObjects, n int, writeFrac f
 // OfflineTracker records observed access frequencies, the reads and
 // writes per processor per object that the paper's static problem takes
 // as input, together with the queue of objects recorded since the last
-// drain. The serving layer records each shard's traffic through one and
-// feeds its epoch re-solver from the queue (DrainDrifted). The static
-// comparator of the online strategy's experiments is StaticOffline.
+// drain and what each object recorded since its last fold (SinceFold).
+// The serving layer records each shard's traffic through one and feeds
+// its epoch re-solver from the queue (DrainDrifted), folding each drained
+// object's counts since its last fold. The static comparator of the
+// online strategy's experiments is StaticOffline.
 //
 // Trackers that record disjoint sets of objects may share one frequency
 // table (see NewOfflineTrackerWith), so a sharded cluster keeps one table
-// however many shards it has. The drift queue is each tracker's own.
+// however many shards it has. The drift queue and the since-fold state
+// are each tracker's own.
 type OfflineTracker struct {
-	w *workload.W
+	w     *workload.W
+	since *SinceFold
 	// driftQ holds the objects recorded since the last drain, in
 	// first-touch order; drift marks its members.
 	drift  []bool
@@ -1010,36 +1014,56 @@ type OfflineTracker struct {
 // NewOfflineTracker creates a tracker for numObjects objects on t, over a
 // frequency table of its own.
 func NewOfflineTracker(t *tree.Tree, numObjects int) *OfflineTracker {
-	return NewOfflineTrackerWith(t, workload.New(numObjects, t.Len()))
+	return NewOfflineTrackerWith(t, workload.New(numObjects, t.Len()), nil)
 }
 
 // NewOfflineTrackerWith creates a tracker that records into w, starting
-// from the frequencies w already holds; w's node dimension must match t.
-// Several trackers may share w when they record disjoint objects and each
+// from the frequencies w already holds, with since as the state of what
+// its objects recorded since their last fold (nil: nothing, over every
+// object of w); the dimensions of w and since must match t. Several
+// trackers may share w when they record disjoint objects and each
 // object's row is written under one lock: the serving layer builds every
-// shard's tracker over the cluster's one table, and a shard records only
-// the objects it owns, under its own lock.
-func NewOfflineTrackerWith(t *tree.Tree, w *workload.W) *OfflineTracker {
+// shard's tracker over the cluster's one table, with a since-fold state
+// for the objects the shard owns, and a shard records only those objects,
+// under its own lock.
+func NewOfflineTrackerWith(t *tree.Tree, w *workload.W, since *SinceFold) *OfflineTracker {
 	if w.NumNodes() != t.Len() {
 		panic(fmt.Sprintf("dynamic: tracker workload built for %d nodes, tree has %d", w.NumNodes(), t.Len()))
 	}
-	return &OfflineTracker{w: w, drift: make([]bool, w.NumObjects())}
+	if since == nil {
+		since = NewSinceFold(w.NumObjects(), t.Len(), 1)
+	}
+	if since.NumObjects() != w.NumObjects() || since.NumNodes() != t.Len() {
+		panic(fmt.Sprintf("dynamic: since-fold state for %d×%d, tracker workload is %d×%d",
+			since.NumObjects(), since.NumNodes(), w.NumObjects(), w.NumNodes()))
+	}
+	return &OfflineTracker{w: w, since: since, drift: make([]bool, w.NumObjects())}
 }
 
-// RecordBatch folds a batch of requests into the frequencies and queues
-// each object the first time it is recorded since the last drain. Runs of
-// identical events collapse into one frequency addition.
+// RecordBatch folds a batch of requests into the frequencies, marks each
+// cell's first touch since its object's last fold, and queues each object
+// the first time it is recorded since the last drain. Runs of identical
+// events collapse into one frequency addition.
 func (ot *OfflineTracker) RecordBatch(reqs []Request) {
+	s := ot.since
+	touched, words := s.bits, s.words
 	for i := 0; i < len(reqs); {
 		r := reqs[i]
 		j := i + 1
 		for j < len(reqs) && reqs[j] == r {
 			j++
 		}
+		cell := &ot.w.Row(r.Object)[r.Node]
+		// The touched test is one word per run; a first touch saves the
+		// cell's count before the run is added.
+		li := s.local(r.Object)
+		if k, bit := li*words+int(r.Node)>>6, uint64(1)<<(uint(r.Node)&63); touched[k]&bit == 0 {
+			s.first(li, k, bit, r.Node, *cell)
+		}
 		if r.Write {
-			ot.w.AddWrites(r.Object, r.Node, int64(j-i))
+			cell.Writes += int64(j - i)
 		} else {
-			ot.w.AddReads(r.Object, r.Node, int64(j-i))
+			cell.Reads += int64(j - i)
 		}
 		if !ot.drift[r.Object] {
 			ot.drift[r.Object] = true
@@ -1050,7 +1074,8 @@ func (ot *OfflineTracker) RecordBatch(reqs []Request) {
 }
 
 // DrainDrifted appends to dst the objects recorded since the previous
-// drain (in first-touch order) and resets the drift set.
+// drain (in first-touch order) and resets the drift set. The objects'
+// since-fold state stays until the caller folds them (SinceFold.Forget).
 func (ot *OfflineTracker) DrainDrifted(dst []int) []int {
 	dst = append(dst, ot.driftQ...)
 	for _, x := range ot.driftQ {
@@ -1061,12 +1086,12 @@ func (ot *OfflineTracker) DrainDrifted(dst []int) []int {
 }
 
 // MarkDrifted re-marks objects as drifted, as if they had just been
-// recorded. The serving layer's staged reconfiguration rebuilds each
-// shard tracker mid-stream and must carry the old tracker's un-drained
-// drift flags across (the frequencies themselves come over via
-// NewOfflineTrackerWith) — otherwise deltas recorded between the plan's
-// drift fold and the shard's swap would never be announced to the epoch
-// re-solver. Objects already marked are not re-queued.
+// recorded. The serving layer's restore and staged reconfiguration
+// rebuild each shard tracker and must carry the old tracker's un-drained
+// drift flags across (the frequencies and the since-fold state come over
+// through NewOfflineTrackerWith) — otherwise deltas recorded between the
+// plan's drift fold and the shard's swap would never be announced to the
+// epoch re-solver. Objects already marked are not re-queued.
 func (ot *OfflineTracker) MarkDrifted(xs []int) {
 	for _, x := range xs {
 		if !ot.drift[x] {
@@ -1079,6 +1104,10 @@ func (ot *OfflineTracker) MarkDrifted(xs []int) {
 // Workload exposes the frequency table the tracker records into
 // (read-only). A shared table holds the other trackers' rows as well.
 func (ot *OfflineTracker) Workload() *workload.W { return ot.w }
+
+// Since exposes the tracker's since-fold state. Recording writes it; the
+// caller that folds the drained objects reads it and then forgets them.
+func (ot *OfflineTracker) Since() *SinceFold { return ot.since }
 
 // StaticOffline evaluates the clairvoyant static comparator: aggregate the
 // sequence into frequencies, run the (optimal, inner-nodes-allowed) nibble

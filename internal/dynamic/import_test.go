@@ -35,7 +35,7 @@ func TestImportLoadsAndTrackerSeed(t *testing.T) {
 
 	w := workload.New(objects, tr.Len())
 	w.AddTrace(reqs)
-	ot := NewOfflineTrackerWith(tr, w.Clone())
+	ot := NewOfflineTrackerWith(tr, w.Clone(), nil)
 	for x := 0; x < objects; x++ {
 		for v := 0; v < tr.Len(); v++ {
 			if ot.Workload().At(x, tree.NodeID(v)) != w.At(x, tree.NodeID(v)) {

@@ -36,6 +36,16 @@
 // window spans the snapshot's directory fsync and the truncate; it closes
 // when recovery replays only the frames after the image's cut, which
 // belongs with rotating the tail at the cut (ROADMAP item 5).
+//
+// The tail holds only the frames after the newest snapshot's cut. So a
+// restart whose restore falls back past a primary that does not verify
+// (to the generation before it, path.prev) replays a tail that starts at
+// the damaged primary's cut: the batches applied between the two
+// generations' cuts are lost, with no error, and the daemon serves on.
+// With snapshots after 2,000 and 4,000 events, 2,000 more in the tail, an
+// abrupt Close and one bit flipped in the primary, 6,000 requests were
+// acknowledged and 4,000 restored. Keeping the tail back to path.prev's
+// cut belongs with the same rotation.
 package hbnd
 
 import (

@@ -200,15 +200,18 @@ func TestFoldAgesDriftedRows(t *testing.T) {
 }
 
 // A fold that would give the solver a negative frequency panics, and the
-// panic leaves no lock held: the cluster serves and folds afterwards. The
-// corrupt c.prev row stands in for a bug in the fold's bookkeeping.
+// panic leaves no lock held: the cluster serves and folds afterwards. A
+// saved first-touch count above the recorded count stands in for a bug
+// in the since-fold bookkeeping.
 func TestFoldNegativeFrequencyPanics(t *testing.T) {
 	tr := tree.SCICluster(4, 6, 16, 8)
 	const objects = 24
 	trace := workload.DriftingZipf(rand.New(rand.NewSource(5)), tr, objects, 3000, 2, 1.0, 0.05)
 	c := driftServeAll(t, tr, objects, trace[:2000], Options{Shards: 3, Threshold: 6, Parallelism: 2})
 	x, v := trace[0].Object, trace[0].Node
-	c.prev.Set(x, v, workload.Access{Reads: 1 << 40})
+	since := c.shards[x%len(c.shards)].tracker.Since()
+	since.Forget([]int{x}, c.freq)
+	since.Touch(x, v, workload.Access{Reads: 1 << 40})
 	func() {
 		defer func() {
 			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "negative") {
@@ -223,7 +226,7 @@ func TestFoldNegativeFrequencyPanics(t *testing.T) {
 		}
 		sh.mu.Unlock()
 	}
-	c.prev.Set(x, v, workload.Access{})
+	since.Forget([]int{x}, c.freq)
 	if _, err := c.Ingest(trace[2000:]); err != nil {
 		t.Fatal(err)
 	}

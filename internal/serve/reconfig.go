@@ -134,11 +134,9 @@ func (c *Cluster) Reconfigure(d topo.Diff) (ReconfigStats, error) {
 	rs.fillPlan(c, mig)
 
 	// The commit work that would otherwise sit inside the final quiesce
-	// window is precomputed here, outside any gate: c.prev and c.isLeaf
-	// are only ever written under epochMu, which we hold. The new tree's
-	// frequency table is allocated here too; each shard's swap fills in
-	// its own rows.
-	newPrev := mig.Remap.Workload(c.prev)
+	// window is precomputed here, outside any gate: c.isLeaf is only ever
+	// written under epochMu, which we hold. The new tree's frequency table
+	// is allocated here too; each shard's swap fills in its own rows.
 	isLeaf := newIsLeaf(mig.Tree)
 	freq := workload.New(c.numObjects, mig.Tree.Len())
 
@@ -190,7 +188,7 @@ func (c *Cluster) Reconfigure(d topo.Diff) (ReconfigStats, error) {
 	// shard locks): gated readers synchronize via the gate itself.
 	t0 = time.Now()
 	c.quiesce(func() {
-		c.installEpochState(mig, newPrev, freq, isLeaf)
+		c.installEpochState(mig, freq, isLeaf)
 		c.roll = nil
 		for _, sh := range c.shards {
 			sh.onNew = false
@@ -241,12 +239,11 @@ func (rs *ReconfigStats) fillPlan(c *Cluster, mig *topo.Migration) {
 // installEpochState swaps the epoch machinery and the frequency table
 // onto the migration's tree (caller holds epochMu and the full ingest
 // gate: Reconfigure runs it inside the commit quiesce).
-func (c *Cluster) installEpochState(mig *topo.Migration, prev, freq *workload.W, isLeaf []bool) {
+func (c *Cluster) installEpochState(mig *topo.Migration, freq *workload.W, isLeaf []bool) {
 	c.t = mig.Tree
 	c.solver = mig.Solver
 	c.freq = freq
 	c.w = mig.W
-	c.prev = prev
 	c.solved = true
 	c.isLeaf = isLeaf
 }
@@ -262,10 +259,12 @@ func newIsLeaf(t *tree.Tree) []bool {
 // migrateShard rebuilds one shard on the migration's tree (caller holds
 // sh.mu and epochMu): a fresh strategy with the old load history and
 // request counts, and a tracker over freq, the new tree's table, with the
-// shard's frequency rows and un-drained drift flags carried across the
-// remap. Only the shard's own rows of freq are written, under sh.mu, and
-// only its own rows of the old table are read: shards not yet migrated
-// keep recording into the old table. Then comes the two-phase adoption —
+// shard's frequency rows, its cells touched since their last fold and its
+// un-drained drift flags carried across the remap (a removed leaf's cells
+// leave with its counts). Only the shard's own rows of freq are written,
+// under sh.mu, and only its own rows of the old table are read: shards
+// not yet migrated keep recording into the old table. Then comes the
+// two-phase adoption —
 // the projected live copy set first (first-touch, free: the data is
 // physically there), the re-solved target second (priced movement from
 // the survivors).
@@ -297,10 +296,9 @@ func (c *Cluster) migrateShard(sh *shard, si int, mig *topo.Migration, proj *top
 		sh.strat.Requests(),
 	)
 	ns.ImportOps(sh.strat.Ops())
-	carried := sh.tracker.DrainDrifted(nil)
 	old := sh.tracker.Workload()
-	nt := dynamic.NewOfflineTrackerWith(mig.Tree, freq)
-	nt.MarkDrifted(carried)
+	nt := dynamic.NewOfflineTrackerWith(mig.Tree, freq, sh.tracker.Since().Remap(mig.Tree.Len(), mig.Remap.Node))
+	nt.MarkDrifted(sh.tracker.Drifted())
 	for x := si; x < c.numObjects; x += len(c.shards) {
 		mig.Remap.Row(freq.Row(x), old.Row(x))
 		p, recovered := proj.Project(sh.strat.Copies(x))

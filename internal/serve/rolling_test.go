@@ -39,7 +39,7 @@ func (c *Cluster) reconfigureStopTheWorld(d topo.Diff) (ReconfigStats, error) {
 	rs.PlanElapsed = time.Since(start)
 	rs.fillPlan(c, mig)
 	freq := workload.New(c.numObjects, mig.Tree.Len())
-	c.installEpochState(mig, mig.Remap.Workload(c.prev), freq, newIsLeaf(mig.Tree))
+	c.installEpochState(mig, freq, newIsLeaf(mig.Tree))
 	proj := topo.NewProjector(oldTree, mig.Tree, mig.Remap)
 	for si, sh := range c.shards {
 		sh.mu.Lock()

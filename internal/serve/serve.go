@@ -14,7 +14,8 @@
 // request; each shard's OfflineTracker records the observed frequencies
 // in bulk as it serves, into the one frequency table the cluster keeps
 // (a shard writes only its own objects' rows, under its own lock, so the
-// table's size does not grow with the shard count). A batch large enough
+// table's size does not grow with the shard count), and marks the cells
+// its objects touched since their last fold. A batch large enough
 // to give every worker at least minFanOutShare events is served
 // shard-parallel; a smaller one is served shard by shard on the calling
 // goroutine.
@@ -348,16 +349,17 @@ type Cluster struct {
 
 	// Epoch machinery: epochMu serializes passes and guards everything
 	// below it. The solver's workload w holds the aged frequencies the
-	// epoch pass folds out of freq (see collectDriftLocked).
+	// epoch pass folds out of freq: each drifted object's counts since its
+	// last fold, which its shard's tracker keeps (see collectDriftLocked).
 	epochMu    sync.Mutex
 	solver     *core.Solver
 	w          *workload.W
-	prev       *workload.W // freq's rows as of each object's last fold
 	solved     bool
-	changedBuf []int       // the ascending drifted-object list of the last fold
-	fold       []shardFold // per-shard scratch of the epoch pass
-	drifted    []bool      // per object: drained by this fold (sorts the list)
-	drift      []objDrift  // per object: the drift measured by the last fold
+	changedBuf []int              // the ascending drifted-object list of the last fold
+	fold       []shardFold        // per-shard scratch of the epoch pass
+	since      []dynamic.SinceRow // per worker of the pass: the object's state since its last fold
+	drifted    []bool             // per object: drained by this fold (sorts the list)
+	drift      []objDrift         // per object: the drift measured by the last fold
 	stats      Stats
 	epochLog   []EpochStat
 	snapSeq    uint64           // monotone snapshot sequence number (see Snapshot)
@@ -409,13 +411,18 @@ func NewCluster(t *tree.Tree, numObjects int, opts Options) (*Cluster, error) {
 	return newCluster(t, numObjects, opts, true, nil)
 }
 
-// freqTables are a cluster's three frequency tables (see Cluster.freq,
-// w and prev), each numObjects × t.Len().
-type freqTables struct{ freq, w, prev *workload.W }
+// freqTables are a cluster's two frequency tables (see Cluster.freq and
+// w), each numObjects × t.Len(), and each shard's since-fold state over
+// freq.
+type freqTables struct {
+	freq, w *workload.W
+	since   []*dynamic.SinceFold
+}
 
 // newCluster is NewCluster with telemetry selectable and, when tabs is
-// non-nil, the frequency tables given rather than allocated (restore
-// passes the decoded ones, so no table is built only to be replaced).
+// non-nil, the frequency tables and since-fold states given rather than
+// allocated (restore passes the decoded ones, so no table is built only
+// to be replaced).
 // Without telemetry Obs returns nil and the serving paths skip every
 // counter and histogram update; that bare cluster exists only as the
 // baseline of the telemetry overhead benchmark, so the switch is not part
@@ -444,7 +451,12 @@ func newCluster(t *tree.Tree, numObjects int, opts Options, telemetry bool, tabs
 		tabs = &freqTables{
 			freq: workload.New(numObjects, t.Len()),
 			w:    workload.New(numObjects, t.Len()),
-			prev: workload.New(numObjects, t.Len()),
+		}
+	}
+	if tabs.since == nil {
+		tabs.since = make([]*dynamic.SinceFold, opts.Shards)
+		for i := range tabs.since {
+			tabs.since[i] = dynamic.NewSinceFold(numObjects, t.Len(), opts.Shards)
 		}
 	}
 	c := &Cluster{
@@ -455,7 +467,6 @@ func newCluster(t *tree.Tree, numObjects int, opts Options, telemetry bool, tabs
 		solver:     solver,
 		freq:       tabs.freq,
 		w:          tabs.w,
-		prev:       tabs.prev,
 	}
 	if telemetry {
 		c.obs = obs.NewRegistry(opts.Shards, flightRecorderSize)
@@ -464,7 +475,7 @@ func newCluster(t *tree.Tree, numObjects int, opts Options, telemetry bool, tabs
 		// Threshold validity was checked above, so New cannot fail here.
 		c.shards[i] = &shard{
 			strat:   dynamic.MustNew(t, numObjects, c.dynOpts()),
-			tracker: dynamic.NewOfflineTrackerWith(t, c.freq),
+			tracker: dynamic.NewOfflineTrackerWith(t, c.freq, tabs.since[i]),
 		}
 		if c.obs != nil {
 			c.shards[i].obsb = c.obs.Shards.Block(i)
@@ -630,10 +641,11 @@ type objDrift struct {
 // driftMagnitudeLocked measures how far the observed traffic has moved
 // since the last adoption (caller holds epochMu): for each object with new
 // traffic, the L1 distance between its normalized new-traffic frequency
-// vector (tracker row minus the row at last fold) and its normalized
-// vector as of the last fold — 0 when the new traffic lands exactly where
-// the adopted placement was solved for, 2 when it lands on entirely
-// different processors (a brand-new object counts as 2) — averaged over
+// vector (its counts since the last fold) and its normalized vector as of
+// the last fold (the recorded counts less those) — 0 when the new
+// traffic lands exactly where the adopted placement was solved for, 2
+// when it lands on entirely different processors (a brand-new object
+// counts as 2) — averaged over
 // drifted objects weighted by their new request mass, with a per-object
 // sampling-noise floor subtracted so thin traffic does not read as drift. Comparing new mass
 // against the last-adoption distribution rather than cumulative totals
@@ -642,16 +654,28 @@ type objDrift struct {
 // the measurement race-free and the epoch pass's own fold intact.
 func (c *Cluster) driftMagnitudeLocked() float64 {
 	leaves := c.t.Leaves()
+	s := &c.sinceRows(1)[0]
 	var num, den float64
 	for _, sh := range c.shards {
 		sh.mu.Lock()
 		for _, x := range sh.tracker.Drifted() {
-			dTot, d := c.objectDriftLocked(c.freq.Row(x), x, leaves)
+			row := c.freq.Row(x)
+			sh.tracker.Since().Row(x, row, s)
+			dTot, d := objectDrift(row, s.Delta, leaves)
 			num, den = addDrift(num, den, dTot, d)
 		}
 		sh.mu.Unlock()
 	}
 	return driftMean(num, den)
+}
+
+// sinceRows returns c.since grown to at least n rows (caller holds
+// epochMu).
+func (c *Cluster) sinceRows(n int) []dynamic.SinceRow {
+	if len(c.since) < n {
+		c.since = append(c.since, make([]dynamic.SinceRow, n-len(c.since))...)
+	}
+	return c.since
 }
 
 // addDrift folds one object's drift into the request-weighted sums of the
@@ -673,32 +697,34 @@ func driftMean(num, den float64) float64 {
 	return num / den
 }
 
-// objectDriftLocked measures one object's drift (caller holds epochMu and
-// may read row under its shard's lock): the new request mass since the
-// last fold, and the noise-floored L1 distance between the normalized
-// new-traffic vector and the normalized vector as of the last fold.
-func (c *Cluster) objectDriftLocked(row []workload.Access, x int, leaves []tree.NodeID) (dTot int64, d float64) {
-	prev := c.prev.Row(x)
-	var pTot int64
+// objectDrift measures one object's drift from its recorded row and its
+// counts since the last fold, delta: the new request mass since the last
+// fold, and the noise-floored L1 distance between the normalized
+// new-traffic vector and the normalized vector as of the last fold
+// (row − delta).
+func objectDrift(row, delta []workload.Access, leaves []tree.NodeID) (dTot int64, d float64) {
+	var tot int64
 	for _, v := range leaves {
-		cur, old := row[v], prev[v]
-		dTot += (cur.Reads - old.Reads) + (cur.Writes - old.Writes)
-		pTot += old.Reads + old.Writes
+		dTot += delta[v].Reads + delta[v].Writes
+		tot += row[v].Reads + row[v].Writes
 	}
 	if dTot <= 0 {
 		return dTot, 0
 	}
+	pTot := tot - dTot
 	d = 2.0
 	if pTot > 0 {
 		d = 0
 		var support int
 		for _, v := range leaves {
-			cur, old := row[v], prev[v]
-			dl := (cur.Reads - old.Reads) + (cur.Writes - old.Writes)
-			pl := old.Reads + old.Writes
-			if dl > 0 || pl > 0 {
-				support++
+			dl := delta[v].Reads + delta[v].Writes
+			pl := row[v].Reads + row[v].Writes - dl
+			if dl == 0 && pl == 0 {
+				// Both terms are 0, and adding |0 − 0| = +0.0 leaves d
+				// as it is.
+				continue
 			}
+			support++
 			d += math.Abs(float64(dl)/float64(dTot) - float64(pl)/float64(pTot))
 		}
 		// Small-sample correction: two empirical frequency vectors
@@ -723,14 +749,15 @@ func (c *Cluster) objectDriftLocked(row []workload.Access, x int, leaves []tree.
 // ascending ID order — aliasing c.changedBuf, valid until the next
 // collection — together with the drift magnitude of the drained traffic
 // (see driftMagnitudeLocked), measured in the same pass before the fold
-// overwrites c.prev.
+// forgets the counts since the last fold.
 //
 // Every shard lock is taken, in index order, for the drain and the fold.
 // The fold splits the ascending list into contiguous chunks over the
 // workers, so each worker reads and writes runs of adjacent rows of c.w
-// and c.prev rather than rows interleaved with another worker's (object x
-// belongs to shard x % Shards); every object's row is written by exactly
-// one worker. The per-object drift is kept by object ID, and the
+// rather than rows interleaved with another worker's (object x belongs
+// to shard x % Shards); every object's row is written by exactly one
+// worker, and the shards' since-fold states are only read until every
+// object is folded. The per-object drift is kept by object ID, and the
 // magnitude sums it afterwards in shard order and queue order — the order
 // driftMagnitudeLocked uses — so the float result is the same bit for
 // bit. Each drifted object's solver row is halved once, then absorbs the
@@ -767,7 +794,11 @@ func (c *Cluster) collectDriftLocked() ([]int, float64) {
 		}
 	}
 	c.changedBuf = changed
+	c.sinceRows(par.Workers(c.opts.Parallelism))
 	par.ForEach(c.opts.Parallelism, len(changed), c.foldObject)
+	for si, sh := range c.shards {
+		sh.tracker.Since().Forget(c.fold[si].changed, c.freq)
+	}
 	var num, den float64
 	for i := range c.fold {
 		for _, x := range c.fold[i].changed {
@@ -778,26 +809,26 @@ func (c *Cluster) collectDriftLocked() ([]int, float64) {
 }
 
 // foldObject is collectDriftLocked's body for the i-th object of
-// c.changedBuf (caller holds epochMu and every shard lock).
-func (c *Cluster) foldObject(_, i int) {
+// c.changedBuf, on the worker's since row (caller holds epochMu and every
+// shard lock).
+func (c *Cluster) foldObject(worker, i int) {
 	x := c.changedBuf[i]
 	leaves := c.t.Leaves()
-	row := c.freq.Row(x)
-	dTot, d := c.objectDriftLocked(row, x, leaves)
+	row, s := c.freq.Row(x), &c.since[worker]
+	c.shards[x%len(c.shards)].tracker.Since().Row(x, row, s)
+	dTot, d := objectDrift(row, s.Delta, leaves)
 	c.drift[x] = objDrift{dTot, d}
-	prev, solved := c.prev.Row(x), c.w.Row(x)
+	solved := c.w.Row(x)
 	for _, v := range leaves {
-		// All three reads precede the writes below, which update the very
-		// rows they were read from.
-		cur, old, was := row[v], prev[v], solved[v]
+		was, dv := solved[v], s.Delta[v]
 		a := workload.Access{
-			Reads:  was.Reads>>1 + cur.Reads - old.Reads,
-			Writes: was.Writes>>1 + cur.Writes - old.Writes,
+			Reads:  was.Reads>>1 + dv.Reads,
+			Writes: was.Writes>>1 + dv.Writes,
 		}
 		if a.Reads < 0 || a.Writes < 0 {
 			panic("serve: negative folded frequency")
 		}
-		solved[v], prev[v] = a, cur
+		solved[v] = a
 	}
 }
 
@@ -806,7 +837,7 @@ func (c *Cluster) resolveEpochLocked(trigger string) error {
 	startReqs := c.served.Load() // snapshot: ingestion continues during the pass
 
 	// The drift magnitude is measured by the fold itself, before it
-	// overwrites c.prev — this is the drift the pass is reacting to,
+	// forgets the counts since the last fold — this is the drift the pass is reacting to,
 	// recorded for every pass so cadence and drift-triggered epochs are
 	// comparable in the log.
 	changed, driftMag := c.collectDriftLocked()
@@ -823,8 +854,9 @@ func (c *Cluster) resolveEpochLocked(trigger string) error {
 	} else {
 		res, err = c.solver.Resolve(changed)
 		if err != nil {
-			// After a failed Resolve the solver state is unspecified; a
-			// full Solve re-arms it.
+			// After a failed Resolve the solver state is unspecified, and a
+			// restored cluster's solver has not solved yet; a full Solve
+			// arms it.
 			res, err = c.solver.Solve(c.w)
 		}
 	}

@@ -148,7 +148,6 @@ func (c *Cluster) encodeLocked() *snapshot.Image {
 		DroppedServiceLoad: c.stats.DroppedServiceLoad,
 		EpochLog:           c.epochLog,
 		SolverW:            c.w,
-		PrevW:              c.prev,
 		TrackerW:           c.freq,
 
 		ShardStates: make([]snapshot.ShardState, len(c.shards)),
@@ -161,6 +160,7 @@ func (c *Cluster) encodeLocked() *snapshot.Image {
 			Requests: sh.strat.Requests(),
 			Cost:     sh.cost,
 			Drift:    sh.tracker.Drifted(),
+			Since:    sh.tracker.Since(),
 		}
 	}
 	img := c.snapEnc.Encode(&st, c.opts.Parallelism, func(x int, o *dynamic.ObjectState) *dynamic.ObjectState {
@@ -227,11 +227,13 @@ func Restore(path string, opts RestoreOptions) (*Cluster, *RestoreInfo, error) {
 // decisions exactly from the cut onward. Copy lists and live read
 // counters are restored verbatim, and nearest tables are rebuilt from the
 // lists (see dynamic.RestoreObject); write-broadcast edge sets are rebuilt
-// (pure function of the copy set); the frequency tables are the decoded
-// ones, with no fresh table allocated beside them;
-// the solver is re-armed with a full Solve over the restored frequency
-// view, which by the Resolve ≡ fresh-Solve contract yields the same
-// future epoch placements the source would have produced. Parallelism
+// (pure function of the copy set); the frequency tables and each shard's
+// counts since its objects' last fold are the decoded ones, with no fresh
+// table allocated beside them; and the solver is armed by the first epoch
+// pass that re-solves: its Resolve finds no preceding Solve and falls
+// back to a full Solve over the folded frequency view, which by the
+// Resolve ≡ fresh-Solve contract yields the placements the source's
+// Resolve would have produced. Parallelism
 // may differ from the source: every parallel stage of serving and of the
 // epoch pass is bit-identical to its sequential order (the property
 // TestEpochPassParallelBitIdentical pins).
@@ -247,12 +249,10 @@ func RestoreState(st *snapshot.State, opts RestoreOptions) (*Cluster, error) {
 	if err := checkDims(st.SolverW, st.NumObjects, nodes, "solver workload"); err != nil {
 		return nil, err
 	}
-	if err := checkDims(st.PrevW, st.NumObjects, nodes, "previous-fold workload"); err != nil {
-		return nil, err
-	}
 	if err := checkDims(st.TrackerW, st.NumObjects, nodes, "tracker workload"); err != nil {
 		return nil, err
 	}
+	since := make([]*dynamic.SinceFold, nshards)
 	for si := range st.ShardStates {
 		ss := &st.ShardStates[si]
 		if len(ss.EdgeLoad) != edges || len(ss.MoveLoad) != edges {
@@ -271,6 +271,15 @@ func RestoreState(st *snapshot.State, opts RestoreOptions) (*Cluster, error) {
 				return nil, fmt.Errorf("%w: shard %d: drifted object %d not owned", snapshot.ErrCorrupt, si, x)
 			}
 		}
+		if s := ss.Since; s != nil {
+			if s.NumObjects() != st.NumObjects || s.NumNodes() != nodes || s.Stride() != nshards {
+				return nil, fmt.Errorf("%w: shard %d: since-fold state for %d objects, %d nodes, stride %d",
+					snapshot.ErrCorrupt, si, s.NumObjects(), s.NumNodes(), s.Stride())
+			}
+			since[si] = s
+		} else {
+			since[si] = dynamic.NewSinceFold(st.NumObjects, nodes, nshards)
+		}
 	}
 
 	c, err := newCluster(st.Tree, st.NumObjects, Options{
@@ -282,7 +291,7 @@ func RestoreState(st *snapshot.State, opts RestoreOptions) (*Cluster, error) {
 		WriteBudget:        st.WriteBudget,
 		DriftThreshold:     st.DriftThreshold,
 		DriftCheckRequests: st.DriftCheckRequests,
-	}, true, &freqTables{freq: st.TrackerW, w: st.SolverW, prev: st.PrevW})
+	}, true, &freqTables{freq: st.TrackerW, w: st.SolverW, since: since})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", snapshot.ErrCorrupt, err)
 	}
@@ -343,13 +352,11 @@ func (c *Cluster) installState(st *snapshot.State) error {
 	}
 	c.epochLog = st.EpochLog
 	if st.Solved {
-		// Re-arm the incremental pipeline: a fresh Solve over the restored
-		// frequency view puts the solver in exactly the state from which
-		// Resolve produces the same placements as the source cluster (the
-		// Resolve ≡ fresh-Solve equivalence). The result is discarded — the
-		// restored copy sets already ARE the adopted placement.
-		if _, err := c.solver.Solve(c.w); err != nil {
-			return fmt.Errorf("%w: re-arming solver: %v", snapshot.ErrCorrupt, err)
+		// The restored copy sets are the adopted placement; the solver is
+		// armed by the next pass (see RestoreState). A solver view the
+		// solver would refuse is corrupt now, not at that pass.
+		if err := c.w.ValidateHBN(c.t); err != nil {
+			return fmt.Errorf("%w: solver workload: %v", snapshot.ErrCorrupt, err)
 		}
 		c.solved = true
 	}

@@ -47,7 +47,6 @@ func (c *Cluster) captureLocked() *snapshot.State {
 		DroppedServiceLoad: c.stats.DroppedServiceLoad,
 		EpochLog:           slices.Clone(c.epochLog),
 		SolverW:            c.w.Clone(),
-		PrevW:              c.prev.Clone(),
 		TrackerW:           c.freq.Clone(),
 
 		ShardStates: make([]snapshot.ShardState, len(c.shards)),
@@ -61,6 +60,7 @@ func (c *Cluster) captureLocked() *snapshot.State {
 			Requests: sh.strat.Requests(),
 			Cost:     sh.cost,
 			Drift:    slices.Clone(sh.tracker.Drifted()),
+			Since:    sh.tracker.Since().Clone(),
 		}
 		for x := si; x < c.numObjects; x += len(c.shards) {
 			sh.strat.ExportObjectInto(x, &st.Objects[x])

@@ -71,52 +71,100 @@ type part struct {
 	scratch dynamic.ObjectState
 }
 
-// encode writes objects [lo, hi) of st: for each object its SolverW row,
-// its PrevW row, its TrackerW row less the PrevW row into its shard's
-// section, and its record, so every table row is read once. A PrevW row
-// with no cell is not read a second time.
+// encode writes objects [lo, hi) of st: for each object its SolverW row;
+// its TrackerW row, split by the shard's since-fold state in one pass
+// into the counts as of the last fold (the last-fold section) and the
+// counts since (the shard's section); and its record. Each table row is
+// read once.
 func (p *part) encode(st *State, lo, hi int, object func(x int, scratch *dynamic.ObjectState) *dynamic.ObjectState) {
 	shards := len(st.ShardStates)
+	// The since row is the range's own, outside the parts array, whose
+	// neighbouring entries other workers write.
+	var since dynamic.SinceRow
 	for x := lo; x < hi; x++ {
-		p.row(secSolver, x, st.SolverW.Row(x), nil)
-		prev := st.PrevW.Row(x)
-		if p.row(secPrev, x, prev, nil) == 0 {
-			prev = nil
+		p.row(secSolver, x, st.SolverW.Row(x))
+		cur := st.TrackerW.Row(x)
+		switch s := st.ShardStates[x%shards].Since; {
+		case s == nil:
+			p.row(secPrev, x, cur)
+		case s.Prev(x) != nil:
+			p.splitPrev(secShard+x%shards, x, cur, s.Prev(x))
+		case s.Touched(x):
+			s.Row(x, cur, &since)
+			p.split(secShard+x%shards, x, cur, since.Delta)
+		default:
+			p.row(secPrev, x, cur)
 		}
-		p.row(secShard+x%shards, x, st.TrackerW.Row(x), prev)
 		p.object(object(x, &p.scratch))
 	}
 }
 
 // row appends the non-zero cells of object x's row to section s as
-// (object, node, reads, writes) and returns how many it appended. With a
-// non-nil base, each cell is written less base's cell, which must not
-// exceed it.
-func (p *part) row(s, x int, row, base []workload.Access) int {
+// (object, node, reads, writes).
+func (p *part) row(s, x int, row []workload.Access) {
 	sec := &p.sec[s]
 	b, n := sec.b, 0
 	for v, a := range row {
-		if base != nil {
-			a.Reads -= base[v].Reads
-			a.Writes -= base[v].Writes
-			if a.Reads < 0 || a.Writes < 0 {
-				// State documents TrackerW >= PrevW cell by cell; the
-				// serving layer's fold keeps it. A violation is a
-				// programming error, like an unencodable tree.
-				panic("snapshot: tracker count below its last-fold count")
-			}
-		}
 		if a.Reads|a.Writes != 0 {
 			n++
-			b = appendUvarint(b, uint64(x))
-			b = appendUvarint(b, uint64(v))
-			b = appendUvarint(b, uint64(a.Reads))
-			b = appendUvarint(b, uint64(a.Writes))
+			b = appendCell(b, x, v, a)
 		}
 	}
 	sec.b = b
 	sec.cells += n
-	return n
+}
+
+// split appends object x's recorded row in one pass, each cell as its
+// count as of the object's last fold (row less delta) to the last-fold
+// section and its count since, delta, to section s, where non-zero.
+func (p *part) split(s, x int, row, delta []workload.Access) {
+	prev, sec := &p.sec[secPrev], &p.sec[s]
+	pb, sb, pn, sn := prev.b, sec.b, 0, 0
+	for v, a := range row {
+		// Field by field: delta was just written a field at a time, and a
+		// whole-cell load of it could not be forwarded from those stores.
+		d := workload.Access{Reads: delta[v].Reads, Writes: delta[v].Writes}
+		if d.Reads|d.Writes != 0 {
+			sn++
+			sb = appendCell(sb, x, v, d)
+			a.Reads -= d.Reads
+			a.Writes -= d.Writes
+		}
+		if a.Reads|a.Writes != 0 {
+			pn++
+			pb = appendCell(pb, x, v, a)
+		}
+	}
+	prev.b, sec.b = pb, sb
+	prev.cells += pn
+	sec.cells += sn
+}
+
+// splitPrev is split for an object that keeps its last-fold row, prev:
+// each cell goes as prev's to the last-fold section and as the recorded
+// count less prev's to section s, where non-zero.
+func (p *part) splitPrev(s, x int, row, prev []workload.Access) {
+	p.row(secPrev, x, prev)
+	sec := &p.sec[s]
+	b, n := sec.b, 0
+	for v, a := range row {
+		a.Reads -= prev[v].Reads
+		a.Writes -= prev[v].Writes
+		if a.Reads|a.Writes != 0 {
+			n++
+			b = appendCell(b, x, v, a)
+		}
+	}
+	sec.b = b
+	sec.cells += n
+}
+
+// appendCell appends one table cell as (object, node, reads, writes).
+func appendCell(b []byte, x, v int, a workload.Access) []byte {
+	b = appendUvarint(b, uint64(x))
+	b = appendUvarint(b, uint64(v))
+	b = appendUvarint(b, uint64(a.Reads))
+	return appendUvarint(b, uint64(a.Writes))
 }
 
 // object appends one object record: a presence byte, then for a present
@@ -330,8 +378,8 @@ func (en *Encoder) Encode(st *State, workers int, object func(x int, scratch *dy
 		e.varint(ss.Requests)
 		e.varint(ss.Cost)
 		// Shard i records only the objects it owns, so its section holds
-		// exactly the cells of its own rows of the one table, each less
-		// the count as of the object's last fold.
+		// exactly the cells its own objects touched since their last fold,
+		// each with its count since then.
 		e.uvarint(cells(secShard + i))
 		splice(secShard + i)
 		e.uvarint(uint64(len(ss.Drift)))
@@ -395,7 +443,7 @@ func decodeTrigger(b byte) (string, bool) {
 // dec is the sticky-error body decoder. Every count it trusts is first
 // bounded by the bytes that remain (each encoded element is at least one
 // byte), so no list it allocates is larger than the input; the dense
-// tables are bounded as Decode states.
+// tables and the shards' since-fold states are bounded as Decode states.
 type dec struct {
 	b   []byte
 	err error
@@ -514,40 +562,77 @@ func (d *dec) bytes(what string) []byte {
 	return p
 }
 
-// rows reads a section enc.rows wrote into w. With a non-nil base each
-// cell is read as a count since base's cell and stored as their sum (w
-// must then start as a copy of base); a sum past the int64 range is
-// corrupt. A cell outside the rows x ≡ first (mod step) the section covers
-// is corrupt too: no writer produces one, and accepting it would make a
-// re-encode differ from its input.
-func (d *dec) rows(w, base *workload.W, first, step int) {
+// cell reads one table cell (object, node, reads, writes) of w's
+// dimensions.
+func (d *dec) cell(w *workload.W) (x int, v tree.NodeID, a workload.Access) {
+	x = d.id(w.NumObjects(), "workload object")
+	v = tree.NodeID(d.id(w.NumNodes(), "workload node"))
+	r := d.uvarint()
+	wr := d.uvarint()
+	if r > math.MaxInt64 || wr > math.MaxInt64 {
+		d.fail("workload frequency overflow")
+	}
+	return x, v, workload.Access{Reads: int64(r), Writes: int64(wr)}
+}
+
+// rows reads a section part.row wrote into w.
+func (d *dec) rows(w *workload.W) {
 	n := d.count(len(d.b), "workload cell")
 	for i := 0; i < n && d.err == nil; i++ {
-		x := d.id(w.NumObjects(), "workload object")
-		v := d.id(w.NumNodes(), "workload node")
-		r := d.uvarint()
-		wr := d.uvarint()
-		if r > math.MaxInt64 || wr > math.MaxInt64 {
-			d.fail("workload frequency overflow")
+		if x, v, a := d.cell(w); d.err == nil {
+			w.Set(x, v, a)
 		}
+	}
+}
+
+// since reads shard first's section (of step shards) into w, which holds
+// the counts as of each object's last fold, and touches in s every cell
+// whose count moved since: a v3 section holds the counts since the fold,
+// which it adds to w's (a sum past the int64 range is corrupt), and a v2
+// one the recorded counts, which replace w's and must not fall below
+// them. The cells must lie in the rows x ≡ first (mod step) and ascend in
+// (object, node): no writer produces another order or a foreign row, and
+// accepting one would make a re-encode differ from its input. It returns
+// how many of the cells held a nonzero last-fold count.
+func (d *dec) since(w *workload.W, s *dynamic.SinceFold, first, step int, v2 bool) int {
+	n := d.count(len(d.b), "workload cell")
+	matched, last := 0, -1
+	for i := 0; i < n && d.err == nil; i++ {
+		x, v, a := d.cell(w)
 		if d.err == nil && x%step != first {
 			d.fail("workload object %d is not one of the section's rows (%d mod %d)", x, first, step)
 		}
+		at := x*w.NumNodes() + int(v)
+		if d.err == nil && at <= last {
+			d.fail("workload cell (%d,%d) out of order", x, v)
+		}
 		if d.err != nil {
-			return
+			break
 		}
-		a := workload.Access{Reads: int64(r), Writes: int64(wr)}
-		if base != nil {
-			b := base.At(x, tree.NodeID(v))
-			if a.Reads > math.MaxInt64-b.Reads || a.Writes > math.MaxInt64-b.Writes {
-				d.fail("workload frequency overflow")
-				return
+		last = at
+		prev := w.At(x, v)
+		if v2 {
+			if a.Reads < prev.Reads || a.Writes < prev.Writes {
+				d.fail("object %d node %d: tracker count %+v below its last-fold count %+v", x, v, a, prev)
+				break
 			}
-			a.Reads += b.Reads
-			a.Writes += b.Writes
+			if prev != (workload.Access{}) {
+				matched++
+			}
+		} else {
+			if a.Reads > math.MaxInt64-prev.Reads || a.Writes > math.MaxInt64-prev.Writes {
+				d.fail("workload frequency overflow")
+				break
+			}
+			a.Reads += prev.Reads
+			a.Writes += prev.Writes
 		}
-		w.Set(x, tree.NodeID(v), a)
+		if a != prev {
+			s.Touch(x, v, prev)
+			w.Set(x, v, a)
+		}
 	}
+	return matched
 }
 
 func (d *dec) loads(n int, what string) []int64 {
@@ -566,33 +651,44 @@ func (d *dec) loads(n int, what string) []int64 {
 
 // Decode parses and verifies a complete snapshot image, of version 3 or
 // 2. All failures wrap ErrCorrupt, and Decode never panics. Every count is
-// capped by the bytes that remain before it is trusted; the one
-// allocation that can outgrow the input is the three dense frequency
-// tables, objects × nodes × 16 B each, with objects at most the body's
-// length and objects × nodes at most maxCells.
+// capped by the bytes that remain before it is trusted; the allocations
+// that can outgrow the input are the two dense frequency tables, objects
+// × nodes × 16 B each, with objects at most the body's length and objects
+// × nodes at most maxCells, and the shards' since-fold states, one bit
+// per cell and 32 B per object in all, plus about 200 B per shard.
 func Decode(data []byte) (*State, error) {
+	ver, body, err := unframe(data)
+	if err != nil {
+		return nil, err
+	}
+	return decodeBody(body, ver, nil)
+}
+
+// unframe checks an image's frame — magic, version, length prefix and
+// checksum — and returns its version and body.
+func unframe(data []byte) (uint32, []byte, error) {
 	if len(data) < headerSize+crcSize {
-		return nil, corrupt("file too short (%d bytes)", len(data))
+		return 0, nil, corrupt("file too short (%d bytes)", len(data))
 	}
 	if string(data[:len(magic)]) != magic {
-		return nil, corrupt("bad magic")
+		return 0, nil, corrupt("bad magic")
 	}
 	off := len(magic)
 	ver := binary.LittleEndian.Uint32(data[off:])
 	if ver != version && ver != version2 {
-		return nil, corrupt("unsupported version %d", ver)
+		return 0, nil, corrupt("unsupported version %d", ver)
 	}
 	bodyLen := binary.LittleEndian.Uint64(data[off+4:])
 	if bodyLen != uint64(len(data)-headerSize-crcSize) {
-		return nil, corrupt("length prefix %d does not match %d body bytes (torn write?)",
+		return 0, nil, corrupt("length prefix %d does not match %d body bytes (torn write?)",
 			bodyLen, len(data)-headerSize-crcSize)
 	}
 	body := data[headerSize : headerSize+int(bodyLen)]
 	want := binary.LittleEndian.Uint32(data[headerSize+int(bodyLen):])
 	if got := crc32.ChecksumIEEE(body); got != want {
-		return nil, corrupt("checksum mismatch (got %08x, want %08x)", got, want)
+		return 0, nil, corrupt("checksum mismatch (got %08x, want %08x)", got, want)
 	}
-	return decodeBody(body, ver, nil)
+	return ver, body, nil
 }
 
 // State flag bits. Version 2 images may also carry bit 0, once a
@@ -681,17 +777,19 @@ func decodeBody(body []byte, ver uint32, v2Tables func(x int, nearest []tree.Nod
 	}
 
 	st.SolverW = workload.New(numObjects, nodes)
-	st.PrevW = workload.New(numObjects, nodes)
-	d.rows(st.SolverW, nil, 0, 1)
-	d.rows(st.PrevW, nil, 0, 1)
-	// A v3 shard section holds the counts since each object's last fold,
-	// which decode adds to PrevW; a v2 one holds the recorded counts.
-	var since *workload.W
-	if v2 {
-		st.TrackerW = workload.New(numObjects, nodes)
-	} else {
-		st.TrackerW = st.PrevW.Clone()
-		since = st.PrevW
+	st.TrackerW = workload.New(numObjects, nodes)
+	d.rows(st.SolverW)
+	// The last-fold section goes into TrackerW, to which each shard's
+	// section then adds the counts since the fold (v3) or whose counts it
+	// replaces with the recorded ones (v2).
+	d.rows(st.TrackerW)
+	prevCells := 0
+	for x := 0; v2 && d.err == nil && x < numObjects; x++ {
+		for _, a := range st.TrackerW.Row(x) {
+			if a != (workload.Access{}) {
+				prevCells++
+			}
+		}
 	}
 
 	nlog := d.count(len(d.b), "epoch log")
@@ -738,7 +836,11 @@ func decodeBody(body []byte, ver uint32, v2Tables func(x int, nearest []tree.Nod
 			}
 			ss.Requests = d.nonneg("shard requests")
 			ss.Cost = d.nonneg("shard cost")
-			d.rows(st.TrackerW, since, i, nshards)
+			if d.err != nil {
+				break
+			}
+			ss.Since = dynamic.NewSinceFold(numObjects, nodes, nshards)
+			prevCells -= d.since(st.TrackerW, ss.Since, i, nshards, v2)
 			nd := d.count(numObjects, "drift queue")
 			if d.err != nil {
 				break
@@ -754,14 +856,11 @@ func decodeBody(body []byte, ver uint32, v2Tables func(x int, nearest []tree.Nod
 	}
 	// A v3 image cannot hold a last-fold count above its recorded count
 	// (the difference is unsigned on the wire); a v2 one can, and serving
-	// it would fold a negative frequency.
-	for x := 0; v2 && d.err == nil && x < numObjects; x++ {
-		prev := st.PrevW.Row(x)
-		for v, a := range st.TrackerW.Row(x) {
-			if a.Reads < prev[v].Reads || a.Writes < prev[v].Writes {
-				d.fail("object %d node %d: tracker count %+v below its last-fold count %+v", x, v, a, prev[v])
-			}
-		}
+	// it would fold a negative frequency. Each shard section checked its
+	// own cells; a nonzero last-fold cell with no recorded cell at all
+	// (a recorded count of 0) is one the sections did not match.
+	if v2 && d.err == nil && prevCells != 0 {
+		d.fail("%d last-fold counts stand above recorded counts of 0", prevCells)
 	}
 
 	if d.err == nil {

@@ -13,11 +13,11 @@ import (
 
 // mkDenseState builds a state whose tables need every width of the
 // codec's section counts and values: SolverW holds more than 2^14 nonzero
-// cells (a 3-byte count), PrevW more than 2^7 (2 bytes), shard 0's
-// tracker section a handful of cells since the last fold (1 byte) and
-// shard 1's none, and frequencies reach 2^7, 2^14 and 2^35 (2-, 3- and
-// 6-byte values). TrackerW is PrevW plus those cells, so it is at or above
-// PrevW everywhere, as a cluster keeps it.
+// cells (a 3-byte count), the last-fold rows pw more than 2^7 (2 bytes),
+// shard 0's tracker section a handful of cells since the last fold (1
+// byte) and shard 1's none, and frequencies reach 2^7, 2^14 and 2^35 (2-,
+// 3- and 6-byte values). TrackerW is pw plus those cells, so it is at or
+// above pw everywhere, as a cluster keeps it.
 func mkDenseState() *State {
 	tr := tree.SCICluster(4, 4, 16, 8)
 	n, ne := tr.Len(), tr.NumEdges()
@@ -51,7 +51,7 @@ func mkDenseState() *State {
 
 	el, ml := seqLoads(ne, 1<<20), seqLoads(ne, 1<<7)
 	el[0] = 1 << 40
-	return &State{
+	return withPrev(&State{
 		Seq:                1 << 35,
 		Tree:               tr,
 		NumObjects:         objects,
@@ -72,21 +72,20 @@ func mkDenseState() *State {
 				ResolveNs: 1 << 24, Trigger: "manual", DriftMagnitude: 1.5},
 		},
 		SolverW:  sw,
-		PrevW:    pw,
 		TrackerW: tw,
 		ShardStates: []ShardState{
 			{EdgeLoad: el, MoveLoad: ml, Requests: 1 << 32, Cost: 1 << 34, Drift: []int{0, 2, objects - 2}},
 			{EdgeLoad: seqLoads(ne, 2), MoveLoad: make([]int64, ne), Requests: 1 << 32, Cost: 5},
 		},
 		Objects: objs,
-	}
+	}, pw)
 }
 
 // The v3 goldens pin the writer: Encode must reproduce them byte for
 // byte, and they must decode and re-encode unchanged. The v2 goldens were
 // written by the v2 writer and pin the reader: mkstate3.snap decodes and
-// re-encodes as mkState(3)'s v3 image, and dense.snap, whose 150 PrevW
-// cells stand above its 5 tracker cells (no cluster writes that), is
+// re-encodes as mkState(3)'s v3 image, and dense.snap, whose 150
+// last-fold cells stand above its 5 tracker cells (no cluster writes that), is
 // corrupt.
 func TestEncodeGolden(t *testing.T) {
 	for _, tc := range []struct {

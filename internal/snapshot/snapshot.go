@@ -17,15 +17,16 @@
 //
 // The body stores each fact once: the options and counters, the tree,
 // the solver's frequency view (SolverW), the recorded counts as of each
-// object's last fold (PrevW) and the epoch log; per shard its load
-// accounts, the counts its objects recorded since their last fold
-// (TrackerW − PrevW) and its drift queue; per object a presence byte, the
+// object's last fold (TrackerW less the counts since) and the epoch log;
+// per shard its load accounts, the counts its objects recorded since
+// their last fold (on the cells its ShardState.Since holds touched, in
+// ascending order) and its drift queue; per object a presence byte, the
 // copy list in list order, the live read counters and the write streak.
 // Nearest tables, anchors and modes are derived from the copy list on
 // restore (dynamic.RestoreObject). Version 2 images still decode: their
-// cumulative tracker counts must not fall below PrevW, and their tables,
-// anchors, mode bits, decay-shift slot and flag bit 0 are checked and
-// dropped, so one re-encodes as v3.
+// cumulative tracker counts must not fall below the last-fold counts, and
+// their tables, anchors, mode bits, decay-shift slot and flag bit 0 are
+// checked and dropped, so one re-encodes as v3.
 //
 // Torn writes are detected by the length prefix (the file is shorter than
 // the header promises), bit flips by the checksum, and hostile or
@@ -33,10 +34,12 @@
 // the body decoder, which caps every count before trusting it (a count of
 // N elements is rejected unless at least N bytes of body remain, and
 // workload dimensions are bounded exactly as workload.Decode bounds
-// them), so Decode never panics on corrupt data. The one allocation that
-// can outgrow the input is the three dense frequency tables: objects ×
-// nodes × 16 B each, with objects at most the body's length and objects ×
-// nodes at most 2^26 cells.
+// them), so Decode never panics on corrupt data. The allocations that can
+// outgrow the input are at most two dense frequency tables, SolverW and
+// TrackerW: objects × nodes × 16 B each, with objects at most the body's
+// length and objects × nodes at most 2^26 cells; and the shards'
+// since-fold states, one bit per cell and 32 B per object in all, plus
+// about 200 B per shard.
 //
 // # Crash consistency
 //
@@ -48,7 +51,10 @@
 //     (Image.WriteFile) and path still exists; otherwise a fresh file,
 //     leaving path.prev alone
 //  2. cut path.tmp to the image's length, write the image over it, fsync
-//  3. rename path → path.prev (keeping the previous good generation)
+//  3. rename path → path.prev (keeping the previous good generation),
+//     unless the writer did not commit path itself and path's frame
+//     (length and checksum) does not verify: then path.prev is kept and
+//     the damaged path is replaced in step 4
 //  4. rename path.tmp → path
 //  5. fsync the directory
 //
@@ -67,14 +73,12 @@
 //
 // A crash anywhere before step 3 leaves path untouched; a crash between
 // the renames leaves the newest committed generation intact under
-// path.prev. Recovery (ReadLadder) tries path, then path.prev, and only
-// then gives up with a typed error — the caller's cold-solve fallback. It
-// never reads path.tmp, so an image whose renames did not happen is never
-// recovered. So no single-point failure during a snapshot loses the last
-// generation that verifies, with one exception that recycling does not
-// touch: when path itself does not verify, step 3 retires it over the
-// good path.prev, and a crash before step 4 then leaves no usable
-// generation.
+// path.prev, or, when path did not verify, path.prev as it was. Recovery
+// (ReadLadder) tries path, then path.prev, and only then gives up with a
+// typed error — the caller's cold-solve fallback. It never reads
+// path.tmp, so an image whose renames did not happen is never recovered.
+// So no single-point failure during a snapshot loses the last generation
+// that verifies.
 //
 // # Fault injection
 //
@@ -149,7 +153,7 @@ type State struct {
 	DriftCheckRequests int64
 
 	// Epoch machinery at the cut.
-	Solved             bool // the solver was armed (restore re-arms it)
+	Solved             bool // a placement was adopted (restore's first pass arms the solver)
 	Served             int64
 	Epochs             int64
 	DriftEpochs        int64
@@ -161,14 +165,12 @@ type State struct {
 	DroppedServiceLoad int64
 	EpochLog           []EpochRec
 	SolverW            *workload.W // the solver's folded frequency view
-	// PrevW is TrackerW's rows as of each object's last fold, so TrackerW
-	// >= PrevW holds cell by cell (the image stores the difference, and
-	// the encoder panics on a violation).
-	PrevW *workload.W
 	// TrackerW is the observed-frequency table every shard records into.
 	// Shard i records only the objects it owns (x ≡ i mod the shard
-	// count), and the image stores each shard's rows in that shard's
-	// section, so a cell in another shard's rows is corrupt.
+	// count), and the image stores the counts its objects recorded since
+	// their last fold in that shard's section, so a cell in another
+	// shard's rows is corrupt. Its rows as of each object's last fold are
+	// TrackerW less those counts (see ShardState.Since).
 	TrackerW *workload.W
 
 	// Per-shard serving state; the shard count is len(ShardStates), at
@@ -222,6 +224,10 @@ type ShardState struct {
 	Requests int64
 	Cost     int64
 	Drift    []int // un-drained drifted objects, in first-touch order
+	// Since is what the shard's objects recorded since their last fold,
+	// over TrackerW, with the shard count as its stride. Nil means
+	// nothing: every row is as of its last fold. Decode always sets it.
+	Since *dynamic.SinceFold
 }
 
 // CrashPoint selects a deterministic injected crash for WriteFile.
@@ -362,7 +368,13 @@ func writeFile(path string, img io.WriterTo, size int64, opts SaveOptions, recyc
 		return fmt.Errorf("%w: before rename", ErrInjectedCrash)
 	}
 	// Keep the previous good generation: path → path.prev. A missing path
-	// (first snapshot, or a previous crash between the renames) skips this.
+	// (first snapshot, or a previous crash between the renames) skips
+	// this, and so does a path this writer did not commit whose frame does
+	// not verify (as after a restore that fell back to path.prev): retiring
+	// it would replace the one generation that reads back.
+	if committed && !recycle && !verifies(path) {
+		committed = false
+	}
 	if committed {
 		if err := os.Rename(path, PrevPath(path)); err != nil {
 			return fmt.Errorf("snapshot: retire %s: %w", path, err)
@@ -376,6 +388,17 @@ func writeFile(path string, img io.WriterTo, size int64, opts SaveOptions, recyc
 	}
 	syncDir(filepath.Dir(path))
 	return nil
+}
+
+// verifies reports whether the file at path holds an image whose frame
+// (magic, version, length and checksum) is intact.
+func verifies(path string) bool {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return false
+	}
+	_, _, err = unframe(data)
+	return err == nil
 }
 
 // openTemp opens the temp file an image is written into. With recycle

@@ -18,7 +18,7 @@ import (
 )
 
 // mkState hand-builds a state that exercises every section of the codec:
-// sparse workloads (TrackerW at or above PrevW), an epoch log, two shards
+// sparse workloads (TrackerW at or above its last-fold rows), an epoch log, two shards
 // with loads and drift queues, and absent, single-copy and multi-copy
 // objects.
 func mkState(seq uint64) *State {
@@ -37,7 +37,7 @@ func mkState(seq uint64) *State {
 	tw.AddReads(0, leaves[0], 7)
 	tw.AddWrites(1, leaves[1], 3)
 
-	return &State{
+	return withPrev(&State{
 		Seq:           seq,
 		Tree:          tr,
 		NumObjects:    objects,
@@ -65,7 +65,6 @@ func mkState(seq uint64) *State {
 				Trigger: "drift", DriftMagnitude: 0.4},
 		},
 		SolverW:  sw,
-		PrevW:    pw,
 		TrackerW: tw,
 		ShardStates: []ShardState{
 			{EdgeLoad: seqLoads(ne, 3), MoveLoad: seqLoads(ne, 1), Requests: 700, Cost: 900, Drift: []int{0, 2}},
@@ -78,7 +77,26 @@ func mkState(seq uint64) *State {
 			{Present: true, Copies: []tree.NodeID{leaves[0], leaves[1]}, WriteStreak: 2},
 			{Present: true, Copies: []tree.NodeID{leaves[2]}},
 		},
+	}, pw)
+}
+
+// withPrev sets st's since-fold states from prev, TrackerW's rows as of
+// each object's last fold, as a cluster's shards keep them: a cell whose
+// recorded count differs from prev's was touched since, with prev's count
+// saved.
+func withPrev(st *State, prev *workload.W) *State {
+	n := len(st.ShardStates)
+	for i := range st.ShardStates {
+		st.ShardStates[i].Since = dynamic.NewSinceFold(st.NumObjects, st.Tree.Len(), n)
 	}
+	for x := 0; x < st.NumObjects; x++ {
+		for v, a := range st.TrackerW.Row(x) {
+			if p := prev.At(x, tree.NodeID(v)); p != a {
+				st.ShardStates[x%n].Since.Touch(x, tree.NodeID(v), p)
+			}
+		}
+	}
+	return st
 }
 
 // seqLoads builds a deterministic non-negative load vector with every
@@ -555,6 +573,44 @@ func TestWriteFileCrashSemantics(t *testing.T) {
 			st, from, err := ReadLadder(path)
 			if err != nil || st.Seq != 1 || from != PrevPath(path) {
 				t.Fatalf("cut %d: recovered %v from %q; want seq 1 from prev", cut, err, from)
+			}
+		}
+	})
+
+	// A primary that does not verify is not retired over path.prev: a
+	// crash between the renames of the write that replaces it (here the
+	// first snapshot after a restore that fell back to path.prev) still
+	// recovers path.prev, and the next write replaces the damaged primary
+	// and keeps path.prev.
+	t.Run("crash between renames over a damaged primary keeps prev", func(t *testing.T) {
+		_, path := newDir()
+		for seq := uint64(1); seq <= 2; seq++ {
+			if err := WriteFile(path, Encode(mkState(seq)), SaveOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		img, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img[len(img)/2] ^= 0x01
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var en Encoder
+		if err := writeImage(&en, path, mkState(3), SaveOptions{Crash: CrashBetweenRenames}); !errors.Is(err, ErrInjectedCrash) {
+			t.Fatal(err)
+		}
+		st, from, err := ReadLadder(path)
+		if err != nil || st.Seq != 1 || from != PrevPath(path) {
+			t.Fatalf("recovered %v from %q; want seq 1 from prev", err, from)
+		}
+		if err := writeImage(&en, path, mkState(4), SaveOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		for f, want := range map[string]uint64{path: 4, PrevPath(path): 1} {
+			if st, err := ReadFile(f); err != nil || st.Seq != want {
+				t.Fatalf("%s: %v; want seq %d", filepath.Base(f), err, want)
 			}
 		}
 	})
