@@ -220,7 +220,9 @@ type Strategy struct {
 	// set, maintained incrementally (see the package comment). bcastStamp
 	// marks membership (valid when the stamp matches bcastGen) so the
 	// replication append is O(1) and duplicate-free even for adopted
-	// non-connected sets; it is allocated lazily at the first append.
+	// non-connected sets; it is allocated lazily at the first incremental
+	// append, so a set that was only ever rebuilt whole (restore,
+	// adoption) has none.
 	bcast      [][]tree.EdgeID
 	bcastStamp [][]uint32
 	bcastGen   []uint32
@@ -874,16 +876,21 @@ func (s *Strategy) resetBroadcast(x int) {
 
 // addBroadcastEdge inserts e into object x's write-broadcast edge set if
 // it is not already present. The stamp table is allocated at the object's
-// first append — objects that never hold more than one copy never pay for
-// it.
+// first such insert, stamped with the set's edges — objects whose set
+// never grows one edge at a time never pay for it.
 func (s *Strategy) addBroadcastEdge(x int, e tree.EdgeID) {
-	if s.bcastStamp[x] == nil {
-		s.bcastStamp[x] = make([]uint32, s.t.NumEdges())
+	stamp, gen := s.bcastStamp[x], s.bcastGen[x]
+	if stamp == nil {
+		stamp = make([]uint32, s.t.NumEdges())
+		for _, b := range s.bcast[x] {
+			stamp[b] = gen
+		}
+		s.bcastStamp[x] = stamp
 	}
-	if s.bcastStamp[x][e] == s.bcastGen[x] {
+	if stamp[e] == gen {
 		return
 	}
-	s.bcastStamp[x][e] = s.bcastGen[x]
+	stamp[e] = gen
 	s.bcast[x] = append(s.bcast[x], e)
 }
 
@@ -904,12 +911,18 @@ func (s *Strategy) rebuildBroadcast(x int) {
 	for _, v := range s.copyList[x] {
 		cnt[v] = 1
 	}
+	// The pass meets each edge once, so the set needs no membership test;
+	// a stamp table the object already has is kept current.
+	stamp, gen := s.bcastStamp[x], s.bcastGen[x]
 	steps := s.r.Steps()
 	for i := len(steps) - 1; i >= 1; i-- {
 		st := steps[i]
 		if c := cnt[st.V]; c > 0 {
 			if c < total {
-				s.addBroadcastEdge(x, st.Edge)
+				s.bcast[x] = append(s.bcast[x], st.Edge)
+				if stamp != nil {
+					stamp[st.Edge] = gen
+				}
 			}
 			cnt[st.Parent] += c
 		}

@@ -140,51 +140,54 @@ func ones(words []uint64) int {
 	return n
 }
 
-// SinceRow is one object's counts since its last fold, unpacked by
-// SinceFold.Row: Delta is a dense row of the table's width, nonzero
-// exactly on the cells the object touched since the fold. One SinceRow is
-// reused object after object; the zero value is ready to use.
-type SinceRow struct {
-	Delta []workload.Access
-}
-
-// Touched reports whether object x touched any cell since its last fold.
-func (s *SinceFold) Touched(x int) bool {
+// LastFold returns object x's recorded counts as of its last fold, given
+// cur, x's row of the table the tracker records into: cur itself when x
+// touched no cell since the fold, its last-fold row when it keeps one, and
+// otherwise buf, which must have the table's width, holding cur with each
+// touched cell's count replaced by the count saved at its first touch (zero
+// when none was saved). A cell's count since the fold is cur's less the
+// result's. The result is read-only, and valid until the state or buf
+// changes.
+func (s *SinceFold) LastFold(x int, cur, buf []workload.Access) []workload.Access {
 	li := s.local(x)
-	return ones(s.bits[li*s.words:(li+1)*s.words]) != 0
-}
-
-// Prev returns object x's row as of its last fold when the object keeps
-// one (see SinceFold), and nil otherwise. It is the state's own.
-func (s *SinceFold) Prev(x int) []workload.Access { return s.prev[s.local(x)] }
-
-// Row unpacks object x's counts since its last fold into r, given cur,
-// x's row of the table the tracker records into.
-func (s *SinceFold) Row(x int, cur []workload.Access, r *SinceRow) {
-	if len(r.Delta) != s.nodes {
-		r.Delta = make([]workload.Access, s.nodes)
-	} else {
-		clear(r.Delta)
+	if p := s.prev[li]; p != nil {
+		return p
 	}
-	li := s.local(x)
-	p := s.prev[li]
-	for k, w := range s.bits[li*s.words : (li+1)*s.words] {
-		for ; w != 0; w &= w - 1 {
-			v := k<<6 + bits.TrailingZeros64(w)
-			d := cur[v]
-			if p != nil {
-				d.Reads -= p[v].Reads
-				d.Writes -= p[v].Writes
+	touched := s.bits[li*s.words : (li+1)*s.words]
+	n := ones(touched)
+	if n == 0 {
+		return cur
+	}
+	if len(cur) != s.nodes || len(buf) != s.nodes {
+		panic(fmt.Sprintf("dynamic: rows of width %d and %d, table has %d nodes", len(cur), len(buf), s.nodes))
+	}
+	// Whichever of the touched and the untouched cells are fewer are
+	// walked: an object that was never folded has touched every cell it
+	// holds.
+	if 2*n > s.nodes {
+		clear(buf)
+		for k, w := range touched {
+			for w = ^w; w != 0; w &= w - 1 {
+				v := k<<6 + bits.TrailingZeros64(w)
+				if v >= s.nodes {
+					break
+				}
+				buf[v] = cur[v]
 			}
-			r.Delta[v] = d
+		}
+	} else {
+		copy(buf, cur)
+		for k, w := range touched {
+			for ; w != 0; w &= w - 1 {
+				buf[k<<6+bits.TrailingZeros64(w)] = workload.Access{}
+			}
 		}
 	}
 	for i := s.objs[li].head; i != 0; i = s.saved[i-1].next {
 		e := &s.saved[i-1]
-		d := &r.Delta[e.node]
-		d.Reads -= e.count.Reads
-		d.Writes -= e.count.Writes
+		buf[e.node] = e.count
 	}
+	return buf
 }
 
 // Forget drops the since-fold state of the objects in xs, which were just

@@ -10,41 +10,34 @@ import (
 	"hbn/internal/workload"
 )
 
-// sinceRef checks every object's unpacked counts since its last fold
-// against the dense reference: cur − prev on the cells where the two
-// differ, zero on every other, and exactly one saved count per touched
-// cell whose last-fold count is nonzero.
+// sinceRef checks every object's row as of its last fold against the
+// dense reference prev, exactly; its bitmap, which must mark exactly the
+// cells where cur and prev differ; and that there is exactly one saved
+// count per touched cell whose last-fold count is nonzero.
 func sinceRef(t *testing.T, ctx string, states []*SinceFold, cur, prev *workload.W) {
 	t.Helper()
-	var r SinceRow
+	buf := make([]workload.Access, cur.NumNodes())
 	var touched, saved, stTouched, stSaved int
 	for x := 0; x < cur.NumObjects(); x++ {
 		s := states[x%len(states)]
-		s.Row(x, cur.Row(x), &r)
+		if last := s.LastFold(x, cur.Row(x), buf); !slices.Equal(last, prev.Row(x)) {
+			t.Fatalf("%s: object %d: row as of the last fold %v, want %v", ctx, x, last, prev.Row(x))
+		}
 		li := s.local(x)
-		any := false
 		for v := range cur.Row(x) {
 			c, p := cur.Row(x)[v], prev.Row(x)[v]
-			want := workload.Access{Reads: c.Reads - p.Reads, Writes: c.Writes - p.Writes}
-			if r.Delta[v] != want {
-				t.Fatalf("%s: object %d node %d: count since the fold %+v, want %+v", ctx, x, v, r.Delta[v], want)
-			}
 			if bit := s.bits[li*s.words+v>>6]>>(v&63)&1 == 1; bit != (c != p) {
 				t.Fatalf("%s: object %d node %d: touched %v, recorded %+v since %+v", ctx, x, v, bit, c, p)
 			}
 			if c != p {
-				any = true
 				touched++
 				if p != (workload.Access{}) && s.prev[li] == nil {
 					saved++
 				}
 			}
 		}
-		if last := s.Prev(x); last != nil && !slices.Equal(last, prev.Row(x)) {
-			t.Fatalf("%s: object %d: last-fold row %v, want %v", ctx, x, last, prev.Row(x))
-		}
-		if s.Touched(x) != any {
-			t.Fatalf("%s: object %d: Touched %v, want %v", ctx, x, s.Touched(x), any)
+		if last := s.prev[li]; last != nil && !slices.Equal(last, prev.Row(x)) {
+			t.Fatalf("%s: object %d: kept last-fold row %v, want %v", ctx, x, last, prev.Row(x))
 		}
 	}
 	for _, s := range states {

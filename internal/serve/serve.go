@@ -355,11 +355,11 @@ type Cluster struct {
 	solver     *core.Solver
 	w          *workload.W
 	solved     bool
-	changedBuf []int              // the ascending drifted-object list of the last fold
-	fold       []shardFold        // per-shard scratch of the epoch pass
-	since      []dynamic.SinceRow // per worker of the pass: the object's state since its last fold
-	drifted    []bool             // per object: drained by this fold (sorts the list)
-	drift      []objDrift         // per object: the drift measured by the last fold
+	changedBuf []int               // the ascending drifted-object list of the last fold
+	fold       []shardFold         // per-shard scratch of the epoch pass
+	last       [][]workload.Access // per worker of the pass: a row as of the object's last fold
+	drifted    []bool              // per object: drained by this fold (sorts the list)
+	drift      []objDrift          // per object: the drift measured by the last fold
 	stats      Stats
 	epochLog   []EpochStat
 	snapSeq    uint64           // monotone snapshot sequence number (see Snapshot)
@@ -653,15 +653,13 @@ type objDrift struct {
 // each shard's rows under its lock without draining the drift queue keeps
 // the measurement race-free and the epoch pass's own fold intact.
 func (c *Cluster) driftMagnitudeLocked() float64 {
-	leaves := c.t.Leaves()
-	s := &c.sinceRows(1)[0]
+	leaves, buf := c.t.Leaves(), c.lastRows(1)[0]
 	var num, den float64
 	for _, sh := range c.shards {
 		sh.mu.Lock()
 		for _, x := range sh.tracker.Drifted() {
 			row := c.freq.Row(x)
-			sh.tracker.Since().Row(x, row, s)
-			dTot, d := objectDrift(row, s.Delta, leaves)
+			dTot, d := objectDrift(row, sh.tracker.Since().LastFold(x, row, buf), leaves)
 			num, den = addDrift(num, den, dTot, d)
 		}
 		sh.mu.Unlock()
@@ -669,13 +667,16 @@ func (c *Cluster) driftMagnitudeLocked() float64 {
 	return driftMean(num, den)
 }
 
-// sinceRows returns c.since grown to at least n rows (caller holds
-// epochMu).
-func (c *Cluster) sinceRows(n int) []dynamic.SinceRow {
-	if len(c.since) < n {
-		c.since = append(c.since, make([]dynamic.SinceRow, n-len(c.since))...)
+// lastRows returns c.last with at least n rows of the tree's width
+// (caller holds epochMu).
+func (c *Cluster) lastRows(n int) [][]workload.Access {
+	if len(c.last) < n || len(c.last[0]) != c.t.Len() {
+		c.last = make([][]workload.Access, max(n, len(c.last)))
+		for i := range c.last {
+			c.last[i] = make([]workload.Access, c.t.Len())
+		}
 	}
-	return c.since
+	return c.last
 }
 
 // addDrift folds one object's drift into the request-weighted sums of the
@@ -698,27 +699,28 @@ func driftMean(num, den float64) float64 {
 }
 
 // objectDrift measures one object's drift from its recorded row and its
-// counts since the last fold, delta: the new request mass since the last
+// row as of the last fold, last: the new request mass since the last
 // fold, and the noise-floored L1 distance between the normalized
-// new-traffic vector and the normalized vector as of the last fold
-// (row − delta).
-func objectDrift(row, delta []workload.Access, leaves []tree.NodeID) (dTot int64, d float64) {
-	var tot int64
+// new-traffic vector (row − last) and the normalized vector as of the
+// last fold.
+func objectDrift(row, last []workload.Access, leaves []tree.NodeID) (dTot int64, d float64) {
+	var pTot int64
 	for _, v := range leaves {
-		dTot += delta[v].Reads + delta[v].Writes
-		tot += row[v].Reads + row[v].Writes
+		cur, old := row[v], last[v]
+		dTot += (cur.Reads - old.Reads) + (cur.Writes - old.Writes)
+		pTot += old.Reads + old.Writes
 	}
 	if dTot <= 0 {
 		return dTot, 0
 	}
-	pTot := tot - dTot
 	d = 2.0
 	if pTot > 0 {
 		d = 0
 		var support int
 		for _, v := range leaves {
-			dl := delta[v].Reads + delta[v].Writes
-			pl := row[v].Reads + row[v].Writes - dl
+			cur, old := row[v], last[v]
+			dl := (cur.Reads - old.Reads) + (cur.Writes - old.Writes)
+			pl := old.Reads + old.Writes
 			if dl == 0 && pl == 0 {
 				// Both terms are 0, and adding |0 − 0| = +0.0 leaves d
 				// as it is.
@@ -794,7 +796,7 @@ func (c *Cluster) collectDriftLocked() ([]int, float64) {
 		}
 	}
 	c.changedBuf = changed
-	c.sinceRows(par.Workers(c.opts.Parallelism))
+	c.lastRows(par.Workers(c.opts.Parallelism))
 	par.ForEach(c.opts.Parallelism, len(changed), c.foldObject)
 	for si, sh := range c.shards {
 		sh.tracker.Since().Forget(c.fold[si].changed, c.freq)
@@ -809,21 +811,21 @@ func (c *Cluster) collectDriftLocked() ([]int, float64) {
 }
 
 // foldObject is collectDriftLocked's body for the i-th object of
-// c.changedBuf, on the worker's since row (caller holds epochMu and every
-// shard lock).
+// c.changedBuf, on the worker's last-fold row (caller holds epochMu and
+// every shard lock).
 func (c *Cluster) foldObject(worker, i int) {
 	x := c.changedBuf[i]
 	leaves := c.t.Leaves()
-	row, s := c.freq.Row(x), &c.since[worker]
-	c.shards[x%len(c.shards)].tracker.Since().Row(x, row, s)
-	dTot, d := objectDrift(row, s.Delta, leaves)
+	row := c.freq.Row(x)
+	last := c.shards[x%len(c.shards)].tracker.Since().LastFold(x, row, c.last[worker])
+	dTot, d := objectDrift(row, last, leaves)
 	c.drift[x] = objDrift{dTot, d}
 	solved := c.w.Row(x)
 	for _, v := range leaves {
-		was, dv := solved[v], s.Delta[v]
+		cur, old, was := row[v], last[v], solved[v]
 		a := workload.Access{
-			Reads:  was.Reads>>1 + dv.Reads,
-			Writes: was.Writes>>1 + dv.Writes,
+			Reads:  was.Reads>>1 + cur.Reads - old.Reads,
+			Writes: was.Writes>>1 + cur.Writes - old.Writes,
 		}
 		if a.Reads < 0 || a.Writes < 0 {
 			panic("serve: negative folded frequency")
@@ -854,9 +856,8 @@ func (c *Cluster) resolveEpochLocked(trigger string) error {
 	} else {
 		res, err = c.solver.Resolve(changed)
 		if err != nil {
-			// After a failed Resolve the solver state is unspecified, and a
-			// restored cluster's solver has not solved yet; a full Solve
-			// arms it.
+			// After a failed Resolve the solver state is unspecified; a
+			// full Solve re-arms it.
 			res, err = c.solver.Solve(c.w)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"hbn/internal/dynamic"
 	"hbn/internal/topo"
 	"hbn/internal/tree"
 	"hbn/internal/workload"
@@ -66,19 +65,17 @@ func queued(c *Cluster) []int {
 	return xs
 }
 
-// checkSince requires every object's counts since its last fold, as its
-// shard's tracker keeps them, to equal freq − prev, and the measured
-// drift magnitude to equal the dense oracle's bit for bit.
+// checkSince requires every object's row as of its last fold, as its
+// shard's tracker keeps it, to equal prev's, and the measured drift
+// magnitude to equal the dense oracle's bit for bit.
 func checkSince(t *testing.T, ctx string, c *Cluster, prev *workload.W) {
 	t.Helper()
-	var r dynamic.SinceRow
+	buf := make([]workload.Access, c.t.Len())
 	for x := 0; x < c.numObjects; x++ {
-		row := c.freq.Row(x)
-		c.shards[x%len(c.shards)].tracker.Since().Row(x, row, &r)
-		for v, a := range row {
-			p := prev.Row(x)[v]
-			if want := (workload.Access{Reads: a.Reads - p.Reads, Writes: a.Writes - p.Writes}); r.Delta[v] != want {
-				t.Fatalf("%s: object %d node %d: count since the fold %+v, want %+v", ctx, x, v, r.Delta[v], want)
+		last := c.shards[x%len(c.shards)].tracker.Since().LastFold(x, c.freq.Row(x), buf)
+		for v, a := range last {
+			if want := prev.Row(x)[v]; a != want {
+				t.Fatalf("%s: object %d node %d: count as of the last fold %+v, want %+v", ctx, x, v, a, want)
 			}
 		}
 	}
@@ -200,7 +197,7 @@ func TestSinceFoldStateBounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var r dynamic.SinceRow
+		buf := make([]workload.Access, tr.Len())
 		var passes, peak, touchedPeak int
 		for lo := 0; lo < len(tc.trace); lo += 1024 {
 			epochs := c.Stats().Epochs
@@ -217,11 +214,9 @@ func TestSinceFoldStateBounds(t *testing.T) {
 				nonzero := 0
 				for x := si; x < objects; x += len(c.shards) {
 					row := c.freq.Row(x)
-					s.Row(x, row, &r)
-					for v, d := range r.Delta {
-						// A touched cell's count since the fold is nonzero;
-						// its last-fold count is the rest.
-						if d != (workload.Access{}) && d != row[v] {
+					for v, l := range s.LastFold(x, row, buf) {
+						// A touched cell's count moved since the fold.
+						if l != row[v] && l != (workload.Access{}) {
 							nonzero++
 						}
 					}

@@ -229,11 +229,10 @@ func Restore(path string, opts RestoreOptions) (*Cluster, *RestoreInfo, error) {
 // lists (see dynamic.RestoreObject); write-broadcast edge sets are rebuilt
 // (pure function of the copy set); the frequency tables and each shard's
 // counts since its objects' last fold are the decoded ones, with no fresh
-// table allocated beside them; and the solver is armed by the first epoch
-// pass that re-solves: its Resolve finds no preceding Solve and falls
-// back to a full Solve over the folded frequency view, which by the
-// Resolve ≡ fresh-Solve contract yields the placements the source's
-// Resolve would have produced. Parallelism
+// table allocated beside them; the solver is re-armed with a full Solve
+// over the restored frequency view, which by the Resolve ≡ fresh-Solve
+// contract yields the same future epoch placements the source would have
+// produced. Parallelism
 // may differ from the source: every parallel stage of serving and of the
 // epoch pass is bit-identical to its sequential order (the property
 // TestEpochPassParallelBitIdentical pins).
@@ -271,15 +270,15 @@ func RestoreState(st *snapshot.State, opts RestoreOptions) (*Cluster, error) {
 				return nil, fmt.Errorf("%w: shard %d: drifted object %d not owned", snapshot.ErrCorrupt, si, x)
 			}
 		}
-		if s := ss.Since; s != nil {
-			if s.NumObjects() != st.NumObjects || s.NumNodes() != nodes || s.Stride() != nshards {
-				return nil, fmt.Errorf("%w: shard %d: since-fold state for %d objects, %d nodes, stride %d",
-					snapshot.ErrCorrupt, si, s.NumObjects(), s.NumNodes(), s.Stride())
-			}
-			since[si] = s
-		} else {
-			since[si] = dynamic.NewSinceFold(st.NumObjects, nodes, nshards)
+		s := ss.Since
+		if s == nil {
+			return nil, fmt.Errorf("%w: shard %d: no since-fold state", snapshot.ErrCorrupt, si)
 		}
+		if s.NumObjects() != st.NumObjects || s.NumNodes() != nodes || s.Stride() != nshards {
+			return nil, fmt.Errorf("%w: shard %d: since-fold state for %d objects, %d nodes, stride %d",
+				snapshot.ErrCorrupt, si, s.NumObjects(), s.NumNodes(), s.Stride())
+		}
+		since[si] = s
 	}
 
 	c, err := newCluster(st.Tree, st.NumObjects, Options{
@@ -352,11 +351,13 @@ func (c *Cluster) installState(st *snapshot.State) error {
 	}
 	c.epochLog = st.EpochLog
 	if st.Solved {
-		// The restored copy sets are the adopted placement; the solver is
-		// armed by the next pass (see RestoreState). A solver view the
-		// solver would refuse is corrupt now, not at that pass.
-		if err := c.w.ValidateHBN(c.t); err != nil {
-			return fmt.Errorf("%w: solver workload: %v", snapshot.ErrCorrupt, err)
+		// Re-arm the incremental pipeline: a fresh Solve over the restored
+		// frequency view puts the solver in exactly the state from which
+		// Resolve produces the same placements as the source cluster (the
+		// Resolve ≡ fresh-Solve equivalence). The result is discarded — the
+		// restored copy sets already ARE the adopted placement.
+		if _, err := c.solver.Solve(c.w); err != nil {
+			return fmt.Errorf("%w: re-arming solver: %v", snapshot.ErrCorrupt, err)
 		}
 		c.solved = true
 	}

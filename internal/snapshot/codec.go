@@ -69,102 +69,60 @@ type section struct {
 type part struct {
 	sec     []section
 	scratch dynamic.ObjectState
+	last    []workload.Access // a row as of the last fold (see dynamic.SinceFold.LastFold)
 }
 
-// encode writes objects [lo, hi) of st: for each object its SolverW row;
-// its TrackerW row, split by the shard's since-fold state in one pass
-// into the counts as of the last fold (the last-fold section) and the
-// counts since (the shard's section); and its record. Each table row is
-// read once.
+// encode writes objects [lo, hi) of st: for each object its SolverW row,
+// its TrackerW row as of its last fold, its TrackerW row less that into
+// its shard's section, and its record. A last-fold row with no cell is
+// not read a second time.
 func (p *part) encode(st *State, lo, hi int, object func(x int, scratch *dynamic.ObjectState) *dynamic.ObjectState) {
 	shards := len(st.ShardStates)
-	// The since row is the range's own, outside the parts array, whose
-	// neighbouring entries other workers write.
-	var since dynamic.SinceRow
 	for x := lo; x < hi; x++ {
-		p.row(secSolver, x, st.SolverW.Row(x))
+		p.row(secSolver, x, st.SolverW.Row(x), nil)
 		cur := st.TrackerW.Row(x)
-		switch s := st.ShardStates[x%shards].Since; {
-		case s == nil:
-			p.row(secPrev, x, cur)
-		case s.Prev(x) != nil:
-			p.splitPrev(secShard+x%shards, x, cur, s.Prev(x))
-		case s.Touched(x):
-			s.Row(x, cur, &since)
-			p.split(secShard+x%shards, x, cur, since.Delta)
-		default:
-			p.row(secPrev, x, cur)
+		last := st.ShardStates[x%shards].Since.LastFold(x, cur, p.last)
+		if p.row(secPrev, x, last, nil) == 0 {
+			last = nil
 		}
+		p.row(secShard+x%shards, x, cur, last)
 		p.object(object(x, &p.scratch))
 	}
 }
 
 // row appends the non-zero cells of object x's row to section s as
-// (object, node, reads, writes).
-func (p *part) row(s, x int, row []workload.Access) {
+// (object, node, reads, writes) and returns how many it appended. With a
+// non-nil base, each cell is written less base's cell, which must not
+// exceed it.
+func (p *part) row(s, x int, row, base []workload.Access) int {
 	sec := &p.sec[s]
 	b, n := sec.b, 0
+	var sign int64
 	for v, a := range row {
+		if base != nil {
+			a.Reads -= base[v].Reads
+			a.Writes -= base[v].Writes
+			sign |= a.Reads | a.Writes
+		}
 		if a.Reads|a.Writes != 0 {
 			n++
-			b = appendCell(b, x, v, a)
+			b = appendUvarint(b, uint64(x))
+			b = appendUvarint(b, uint64(v))
+			b = appendUvarint(b, uint64(a.Reads))
+			b = appendUvarint(b, uint64(a.Writes))
 		}
+	}
+	if sign < 0 {
+		// State documents TrackerW >= its last-fold counts cell by cell;
+		// the serving layer's fold keeps it. A violation is a programming
+		// error, like an unencodable tree. The differences' sign bits are
+		// ORed and checked once per row, which keeps a branch out of the
+		// loop.
+		panic("snapshot: tracker count below its last-fold count")
 	}
 	sec.b = b
 	sec.cells += n
-}
-
-// split appends object x's recorded row in one pass, each cell as its
-// count as of the object's last fold (row less delta) to the last-fold
-// section and its count since, delta, to section s, where non-zero.
-func (p *part) split(s, x int, row, delta []workload.Access) {
-	prev, sec := &p.sec[secPrev], &p.sec[s]
-	pb, sb, pn, sn := prev.b, sec.b, 0, 0
-	for v, a := range row {
-		// Field by field: delta was just written a field at a time, and a
-		// whole-cell load of it could not be forwarded from those stores.
-		d := workload.Access{Reads: delta[v].Reads, Writes: delta[v].Writes}
-		if d.Reads|d.Writes != 0 {
-			sn++
-			sb = appendCell(sb, x, v, d)
-			a.Reads -= d.Reads
-			a.Writes -= d.Writes
-		}
-		if a.Reads|a.Writes != 0 {
-			pn++
-			pb = appendCell(pb, x, v, a)
-		}
-	}
-	prev.b, sec.b = pb, sb
-	prev.cells += pn
-	sec.cells += sn
-}
-
-// splitPrev is split for an object that keeps its last-fold row, prev:
-// each cell goes as prev's to the last-fold section and as the recorded
-// count less prev's to section s, where non-zero.
-func (p *part) splitPrev(s, x int, row, prev []workload.Access) {
-	p.row(secPrev, x, prev)
-	sec := &p.sec[s]
-	b, n := sec.b, 0
-	for v, a := range row {
-		a.Reads -= prev[v].Reads
-		a.Writes -= prev[v].Writes
-		if a.Reads|a.Writes != 0 {
-			n++
-			b = appendCell(b, x, v, a)
-		}
-	}
-	sec.b = b
-	sec.cells += n
-}
-
-// appendCell appends one table cell as (object, node, reads, writes).
-func appendCell(b []byte, x, v int, a workload.Access) []byte {
-	b = appendUvarint(b, uint64(x))
-	b = appendUvarint(b, uint64(v))
-	b = appendUvarint(b, uint64(a.Reads))
-	return appendUvarint(b, uint64(a.Writes))
+	return n
 }
 
 // object appends one object record: a presence byte, then for a present
@@ -303,6 +261,7 @@ func (en *Encoder) Encode(st *State, workers int, object func(x int, scratch *dy
 		// The scratch holds any object's copies and counters.
 		p.scratch.Copies = make([]tree.NodeID, 0, nodes)
 		p.scratch.Counters = make([]dynamic.EdgeCounter, 0, edges)
+		p.last = make([]workload.Access, nodes)
 	}
 	par.ForEach(w, w, func(_, r int) { im.parts[r].encode(st, n*r/w, n*(r+1)/w, object) })
 	for s := range en.sizes {

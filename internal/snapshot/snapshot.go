@@ -225,8 +225,8 @@ type ShardState struct {
 	Cost     int64
 	Drift    []int // un-drained drifted objects, in first-touch order
 	// Since is what the shard's objects recorded since their last fold,
-	// over TrackerW, with the shard count as its stride. Nil means
-	// nothing: every row is as of its last fold. Decode always sets it.
+	// over TrackerW, with the shard count as its stride. It is required:
+	// a state with nothing recorded since a fold holds an empty one.
 	Since *dynamic.SinceFold
 }
 

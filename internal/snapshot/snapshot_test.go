@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"hbn/internal/dynamic"
@@ -128,6 +130,50 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	if st.Tree.Len() != mkState(42).Tree.Len() {
 		t.Fatalf("tree size changed")
+	}
+}
+
+// A state whose recorded count falls below its count as of the last fold
+// is a bookkeeping fault, and encoding it panics, as a negative count
+// would otherwise be written as a ten-byte varint into an image whose
+// checksum verifies but that Decode rejects: both when the last-fold
+// count is a saved first-touch count and when it is the row an object
+// keeps, and from any worker of a parallel encode.
+func TestEncodePanicsBelowLastFold(t *testing.T) {
+	below := map[string]func() *State{
+		"saved count": func() *State {
+			st := mkState(1) // object 0 saved 5 reads at leaves[0], and recorded 7
+			st.TrackerW.Row(0)[st.Tree.Leaves()[0]] = workload.Access{Reads: 4}
+			return st
+		},
+		"kept row": func() *State {
+			st := mkState(1)
+			s, row := st.ShardStates[1].Since, st.TrackerW.Row(1)
+			// Object 1 touches every cell, each with a count: more than
+			// fit in a row, so the fold leaves it keeping its row.
+			for v := range row {
+				s.Touch(1, tree.NodeID(v), workload.Access{Reads: 1})
+				row[v] = workload.Access{Reads: 2}
+			}
+			s.Forget([]int{1}, st.TrackerW)
+			s.Touch(1, 0, workload.Access{})
+			row[0] = workload.Access{Reads: 1}
+			return st
+		},
+	}
+	for name, mk := range below {
+		for _, workers := range []int{1, 2} {
+			func() {
+				defer func() {
+					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "below its last-fold count") {
+						t.Errorf("%s, %d workers: encode recovered %v, want a below-last-fold panic", name, workers, r)
+					}
+				}()
+				var e Encoder
+				st := mk()
+				e.Encode(st, workers, func(x int, _ *dynamic.ObjectState) *dynamic.ObjectState { return &st.Objects[x] })
+			}()
+		}
 	}
 }
 

@@ -63,10 +63,13 @@ func (w *W) At(x int, v tree.NodeID) Access { return w.acc[w.idx(x, v)] }
 // caller that writes through it bypasses Set's check and must keep every
 // frequency non-negative itself.
 func (w *W) Row(x int) []Access {
-	if x < 0 || x >= w.objects {
-		panic(fmt.Sprintf("workload: object %d out of range [0,%d)", x, w.objects))
+	if uint(x) >= uint(w.objects) {
+		// A constant message keeps Row small enough to inline into the
+		// per-request loops that call it.
+		panic("workload: row of an object out of range")
 	}
-	return w.acc[x*w.nodes : (x+1)*w.nodes : (x+1)*w.nodes]
+	lo := x * w.nodes
+	return w.acc[lo : lo+w.nodes : lo+w.nodes]
 }
 
 // Set replaces the access frequencies of node v for object x.
