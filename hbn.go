@@ -106,7 +106,13 @@
 // write-broadcast Steiner tree of each copy set are maintained
 // incrementally (the connected-subtree structure of Theorem 3.1 makes
 // both exact; see internal/dynamic). The bench/ module's ingest-*
-// workloads measure this path's events/s.
+// workloads measure this path's events/s. An epoch pass starts on the
+// Ingest call that crosses ClusterOptions.EpochRequests and is spread
+// over the next few calls, the solver stepping through its stages
+// (Solver.Resolve runs the same steps to completion); its placement is
+// adopted a fixed number of calls after the crossing, so no call stalls
+// for a whole pass and serving stays deterministic. A batch long next to
+// the cadence runs its pass whole.
 //
 // # Elastic topology
 //
@@ -173,7 +179,9 @@
 // not by the disk, and the image's bytes do not depend on the worker
 // count. The image stores each fact once (copy lists, not the nearest
 // tables rebuilt from them on restore; counts since the last fold, not
-// the recorded table twice), and v2 images still restore. A cluster holds
+// the recorded table twice), and v3 and v2 images still restore. An
+// epoch pass in flight at the cut is recorded, not completed, and the
+// restored cluster adopts it on the same Ingest call. A cluster holds
 // two dense frequency tables, the recorded counts and the solver's aged
 // view; each shard's recorder keeps what its objects recorded since
 // their last fold sparsely, as the touched cells and their counts at

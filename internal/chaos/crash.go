@@ -99,6 +99,9 @@ type CrashReport struct {
 	Deep       int   // crashes followed by a full restore-and-compare
 	Exhaustive bool  // every byte offset of the image was swept each round
 	ImageBytes int64 // last committed image size
+	// Pending counts the round commits cut while an epoch pass was in
+	// flight, whose recoveries must adopt it on the source's call.
+	Pending int
 }
 
 // fingerprint is the quiescent observable state of the cluster at a
@@ -163,8 +166,12 @@ func verifyRestore(r *serve.Cluster, fp *fingerprint, label string) error {
 
 // CrashSweep proves snapshot durability under deterministic crash-point
 // injection with ingesters running. Each round: quiesce briefly to commit
-// a snapshot and fingerprint the cluster; verify two independent restores
-// of that image serve an identical trace suffix bit-for-bit; then, with
+// a snapshot and fingerprint the cluster (each warm-up ends on an epoch
+// boundary, so without a reconfiguration the commit is cut while the
+// pass that boundary started is in flight, spread over the next Ingest
+// calls); verify two independent restores of that image serve an
+// identical trace suffix bit-for-bit, adopting that pass on the same
+// call; then, with
 // concurrent ingesters hammering the cluster, inject a torn write at
 // every byte offset of the image (seeded sampling above ExhaustiveLimit)
 // plus the two structural crash points (before and between the renames),
@@ -331,6 +338,11 @@ func CrashSweep(dir string, o CrashOptions) (*CrashReport, error) {
 		if committed, err = os.ReadFile(path); err != nil {
 			return rep, fmt.Errorf("chaos: round %d: %w", round, err)
 		}
+		if st, err := snapshot.Decode(committed); err != nil {
+			return rep, fmt.Errorf("chaos: round %d: %w", round, err)
+		} else if st.Pending.Calls > 0 {
+			rep.Pending++
+		}
 		committedAt = path
 		fp = takeFingerprint(c, ss.Seq, o.Objects)
 		if err := suffixBitIdentity(path, o, round); err != nil {
@@ -485,6 +497,24 @@ func suffixBitIdentity(path string, o CrashOptions, round int) error {
 		return fmt.Errorf("chaos: round %d twin restore b: %w", round, err)
 	}
 	defer b.Close()
+
+	// A pass in flight at the cut is in flight in each recovery: its own
+	// image records it as the committed one did.
+	committed, err := snapshot.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	for _, r := range []*serve.Cluster{a, b} {
+		again := filepath.Join(filepath.Dir(path), "twin-cut.hbn")
+		if _, err := r.Snapshot(again); err != nil {
+			return err
+		}
+		if st, err := snapshot.ReadFile(again); err != nil {
+			return err
+		} else if st.Pending != committed.Pending {
+			return fmt.Errorf("chaos: round %d: recovered pass in flight %+v, committed %+v", round, st.Pending, committed.Pending)
+		}
+	}
 
 	leaves := a.Tree().Leaves()
 	rng := rand.New(rand.NewSource(o.Seed + int64(round)*31337))

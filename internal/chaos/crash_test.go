@@ -7,7 +7,8 @@ import (
 // The full sweep: exhaustive torn-write offsets (the default traffic
 // produces an image comfortably under ExhaustiveLimit), both structural
 // crash points, cold-start crashes, twin-restore suffix identity, and
-// the conservation ledger after every recovery — all while ingesters run.
+// the conservation ledger after every recovery — all while ingesters run,
+// with every round's commit cut while an epoch pass is in flight.
 func TestCrashSweep(t *testing.T) {
 	rounds := 3
 	if testing.Short() {
@@ -25,6 +26,9 @@ func TestCrashSweep(t *testing.T) {
 	}
 	if rep.Rounds != rounds || rep.Commits != rounds+1 {
 		t.Fatalf("rounds %d commits %d, want %d and %d", rep.Rounds, rep.Commits, rounds, rounds+1)
+	}
+	if rep.Pending != rounds {
+		t.Fatalf("%d of %d round commits were cut with an epoch pass in flight, want all", rep.Pending, rounds)
 	}
 	if min := int64(rounds) * rep.ImageBytes; int64(rep.Crashes) < min/2 {
 		t.Fatalf("only %d crashes injected for a %d-byte image over %d rounds", rep.Crashes, rep.ImageBytes, rounds)

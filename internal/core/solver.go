@@ -102,7 +102,40 @@ type Solver struct {
 	seenFinal []bool
 	changed   []int
 	changedF  []int
+
+	// The re-solve in progress (see BeginResolve): the stage Step runs
+	// next, how many of that stage's objects are done, and the Step-3
+	// output of the last run, which the new one is compared against.
+	stage      Stage
+	stageDone  int
+	prevMapped *placement.P
 }
+
+// Stage is one stage of an incremental re-solve, in the order Step runs
+// them. The per-object stages advance over their objects in ranges; the
+// global ones run whole.
+type Stage int
+
+const (
+	// StageObjects is Steps 1–2 of each changed object, in the order of
+	// the deduplicated change list.
+	StageObjects Stage = iota
+	// StageMapping is the global Step 3, then the choice of the objects
+	// whose final placement is refreshed: the changed ones and the mapped
+	// ones whose Step-3 output moved.
+	StageMapping
+	// StageFinish is the per-object finish of each refreshed object.
+	StageFinish
+	// StageReport re-evaluates the final placement's loads for the
+	// refreshed objects.
+	StageReport
+	// StageDone means no re-solve is in progress.
+	StageDone
+)
+
+var stageNames = [...]string{"steps 1-2", "step 3", "finish", "re-evaluation", "done"}
+
+func (st Stage) String() string { return stageNames[st] }
 
 // NewSolver returns a Solver for t. The tree is validated once here; every
 // workload is validated per call.
@@ -116,6 +149,7 @@ func NewSolver(t *tree.Tree, opts Options) (*Solver, error) {
 		mapRun:   mapping.NewRunner(t, opts.MappingRoot),
 		finEval:  placement.NewEvaluator(t),
 		mapArena: [2]*placement.Arena{{}, {}},
+		stage:    StageDone,
 	}, nil
 }
 
@@ -182,6 +216,7 @@ func (s *Solver) solve(w *workload.W, nib *nibble.Result) (*Result, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	s.ready = false
+	s.stage = StageDone // a re-solve in progress is abandoned
 	workers := par.Workers(s.opts.Parallelism)
 	numObjects := w.NumObjects()
 	s.ensure(workers, numObjects)
@@ -254,17 +289,39 @@ func (s *Solver) solve(w *workload.W, nib *nibble.Result) (*Result, error) {
 // Resolve re-solves after the listed objects' frequencies changed in the
 // workload of the last Solve (duplicates are fine). See the type comment
 // for the incremental contract; the result is bit-identical to a fresh
-// Solve on the mutated workload.
+// Solve on the mutated workload. It is BeginResolve, then Step until the
+// re-solve completes, one whole stage at a time.
 func (s *Solver) Resolve(changed []int) (*Result, error) {
+	if err := s.BeginResolve(changed); err != nil {
+		return nil, err
+	}
+	for {
+		_, left := s.Stage()
+		if res, err := s.Step(left); res != nil || err != nil {
+			return res, err
+		}
+	}
+}
+
+// BeginResolve starts the incremental re-solve Resolve runs, for the
+// listed objects (duplicates are fine), and leaves its stages to Step, so
+// a caller can spread them over time: the solver's storage and the
+// workload must not change until Step returns the result, and a Solve
+// abandons the re-solve. It validates the list first: a rejected call
+// leaves the solver exactly as it was. An empty list starts nothing, and
+// Step then returns the last result.
+func (s *Solver) BeginResolve(changed []int) error {
+	if s.stage != StageDone {
+		return fmt.Errorf("core: BeginResolve while a re-solve is in progress")
+	}
 	if !s.ready {
-		return nil, fmt.Errorf("core: Resolve without a preceding successful Solve")
+		return fmt.Errorf("core: Resolve without a preceding successful Solve")
 	}
 	if s.external {
-		return nil, fmt.Errorf("core: Resolve after a solve with an externally computed nibble result; re-run Solve")
+		return fmt.Errorf("core: Resolve after a solve with an externally computed nibble result; re-run Solve")
 	}
 	numObjects := s.w.NumObjects()
-	workers := par.Workers(s.opts.Parallelism)
-	s.ensure(workers, numObjects)
+	s.ensure(par.Workers(s.opts.Parallelism), numObjects)
 
 	// Validate before touching any state: a rejected call must leave the
 	// solver exactly as it was (ready, no seen[] flags leaked). The
@@ -272,10 +329,10 @@ func (s *Solver) Resolve(changed []int) (*Result, error) {
 	// a fresh Solve would apply, restricted to the changed objects.
 	for _, x := range changed {
 		if x < 0 || x >= numObjects {
-			return nil, fmt.Errorf("core: Resolve: object %d out of range [0,%d)", x, numObjects)
+			return fmt.Errorf("core: Resolve: object %d out of range [0,%d)", x, numObjects)
 		}
 		if err := s.w.ValidateHBNObject(s.t, x); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
+			return fmt.Errorf("core: %w", err)
 		}
 	}
 	list := s.changed[:0]
@@ -285,30 +342,112 @@ func (s *Solver) Resolve(changed []int) (*Result, error) {
 			list = append(list, x)
 		}
 	}
+	for _, x := range list {
+		s.seen[x] = false
+	}
 	s.changed = list
-	defer func() {
-		for _, x := range list {
-			s.seen[x] = false
-		}
-	}()
-	res := &s.res
 	if len(list) == 0 {
-		return res, nil
+		return nil
 	}
 	s.ready = false
-	prevMapped := s.mapped
+	s.prevMapped = s.mapped
+	s.stage, s.stageDone = StageObjects, 0
+	return nil
+}
 
-	// Steps 1+2 for the changed objects only; every other object's
-	// records stay untouched in its slab.
-	par.ForEach(workers, len(list), func(wk, i int) {
-		s.errs[i] = s.stageA(wk, list[i], nil)
-	})
-	for _, err := range s.errs[:len(list)] {
-		if err != nil {
-			return nil, err
-		}
+// Stage returns the stage the re-solve in progress runs next and how much
+// of it is left: objects for a per-object stage, 1 for a global one, and
+// 0 with StageDone when none is in progress.
+func (s *Solver) Stage() (Stage, int) {
+	switch s.stage {
+	case StageObjects:
+		return s.stage, len(s.changed) - s.stageDone
+	case StageFinish:
+		return s.stage, len(s.changedF) - s.stageDone
+	case StageDone:
+		return s.stage, 0
 	}
+	return s.stage, 1
+}
 
+// Step runs the next piece of the re-solve in progress: at most n (at
+// least 1) objects of a per-object stage, or the whole of a global stage,
+// and never past the end of the stage. It returns the result once the
+// re-solve is complete, and at once when none is in progress and the
+// last solve succeeded; nil before. The objects of a per-object stage are
+// independent, so where Step cuts a stage does not change the result.
+// After an error the solver state is unspecified, as after a failed
+// Resolve, and the next call must be a full Solve.
+func (s *Solver) Step(n int) (*Result, error) {
+	workers := par.Workers(s.opts.Parallelism)
+	res := &s.res
+	switch s.stage {
+	case StageObjects:
+		// Steps 1+2 for the changed objects only; every other object's
+		// records stay untouched in its slab.
+		lo, list := s.stageDone, s.changed
+		hi := lo + max(1, min(n, len(list)-lo))
+		par.ForEach(workers, hi-lo, func(wk, i int) {
+			s.errs[i] = s.stageA(wk, list[lo+i], nil)
+		})
+		for _, err := range s.errs[:hi-lo] {
+			if err != nil {
+				return s.fail(err)
+			}
+		}
+		s.stageDone = hi
+		if hi == len(list) {
+			s.stage, s.stageDone = StageMapping, 0
+		}
+	case StageMapping:
+		if err := s.remap(); err != nil {
+			return s.fail(err)
+		}
+		s.stage = StageFinish
+	case StageFinish:
+		lo, cf := s.stageDone, s.changedF
+		hi := lo + max(1, min(n, len(cf)-lo))
+		par.ForEach(workers, hi-lo, func(wk, i int) {
+			s.errs[i] = s.finishObject(wk, cf[lo+i])
+		})
+		for _, err := range s.errs[:hi-lo] {
+			if err != nil {
+				return s.fail(err)
+			}
+		}
+		s.stageDone = hi
+		if hi == len(cf) {
+			s.stage, s.stageDone = StageReport, 0
+		}
+	case StageReport:
+		res.Report = s.finEval.ReevaluateInto(&s.finRep, &s.finalP, s.changedF, workers)
+		s.attachView(res)
+		s.ready = true
+		s.stage, s.prevMapped = StageDone, nil
+		return res, nil
+	case StageDone:
+		if !s.ready {
+			return nil, fmt.Errorf("core: Resolve without a preceding successful Solve")
+		}
+		return res, nil
+	}
+	return nil, nil
+}
+
+// fail ends the re-solve in progress with err.
+func (s *Solver) fail(err error) (*Result, error) {
+	s.stage, s.prevMapped = StageDone, nil
+	return nil, err
+}
+
+// remap is the re-solve's global stage: the deletion totals and the
+// mapped-object count, then Step 3, which re-runs globally because its
+// budgets couple all mapped objects, and the final refresh set: the
+// changed objects plus every mapped object whose Step-3 output actually
+// moved.
+func (s *Solver) remap() error {
+	res := &s.res
+	numObjects := s.w.NumObjects()
 	res.DeletionStats = deletion.Stats{}
 	if !s.opts.SkipDeletion {
 		res.DeletionStats = s.sumDeletionStats()
@@ -319,10 +458,6 @@ func (s *Solver) Resolve(changed []int) (*Result, error) {
 			res.MappedObjects++
 		}
 	}
-
-	// Step 3 re-runs globally (its budgets couple all mapped objects), then
-	// the final refresh set is the changed objects plus every mapped object
-	// whose Step-3 output actually moved.
 	res.MappingTrace = nil
 	s.mapped = nil
 	if res.MappedObjects > 0 {
@@ -331,43 +466,31 @@ func (s *Solver) Resolve(changed []int) (*Result, error) {
 		a.Reset()
 		mapped, trace, err := s.runMapping(a)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		res.MappingTrace = trace
 		s.mapped = mapped
 	}
 	cf := s.changedF[:0]
-	for _, x := range list {
+	for _, x := range s.changed {
 		s.seenFinal[x] = true
 		cf = append(cf, x)
 	}
-	if s.mapped != nil && prevMapped != nil {
+	if prev := s.prevMapped; s.mapped != nil && prev != nil {
 		for x := 0; x < numObjects; x++ {
 			if s.seenFinal[x] || s.leafOnly[x] {
 				continue
 			}
-			if !copyListsEqual(prevMapped.Copies[x], s.mapped.Copies[x]) {
+			if !copyListsEqual(prev.Copies[x], s.mapped.Copies[x]) {
 				cf = append(cf, x)
 			}
 		}
 	}
 	s.changedF = cf
-	for _, x := range list {
+	for _, x := range s.changed {
 		s.seenFinal[x] = false
 	}
-
-	par.ForEach(workers, len(cf), func(wk, i int) {
-		s.errs[i] = s.finishObject(wk, cf[i])
-	})
-	for _, err := range s.errs[:len(cf)] {
-		if err != nil {
-			return nil, err
-		}
-	}
-	res.Report = s.finEval.ReevaluateInto(&s.finRep, &s.finalP, cf, workers)
-	s.attachView(res)
-	s.ready = true
-	return res, nil
+	return nil
 }
 
 // stageA runs Steps 1+2 for one object: one scan of its row yields the

@@ -145,6 +145,85 @@ func TestResolveBitIdenticalToFreshSolve(t *testing.T) {
 	}
 }
 
+// A re-solve stepped in ranges of any size is Resolve: each round cuts
+// the per-object stages at random sizes (1 object at a time included),
+// checks the stage order and the counts Stage reports, and must land on
+// the fresh Solve of the mutated workload. A Solve in the middle of a
+// stepped re-solve abandons it and re-arms the solver.
+func TestStepBitIdenticalToResolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for _, inst := range zoo(rng) {
+		for _, workers := range []int{1, 2} {
+			opts := DefaultOptions()
+			opts.Parallelism = workers
+			s, err := NewSolver(inst.tr, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := workload.Uniform(rand.New(rand.NewSource(901)), inst.tr, 12, workload.DefaultGen)
+			if _, err := s.Solve(w); err != nil {
+				t.Fatalf("%s: initial solve: %v", inst.name, err)
+			}
+			mrng := rand.New(rand.NewSource(int64(17 + workers)))
+			for round := 0; round < 6; round++ {
+				changed := mutate(mrng, inst.tr, w, 1+round%4)
+				if err := s.BeginResolve(changed); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.BeginResolve(changed); err == nil {
+					t.Fatal("a second BeginResolve while one is in progress should fail")
+				}
+				var got *Result
+				last := StageObjects
+				for got == nil {
+					st, left := s.Stage()
+					if st < last || st == StageDone || left < 1 {
+						t.Fatalf("%s round %d: stage %v with %d left after %v", inst.name, round, st, left, last)
+					}
+					last = st
+					n := 1 + mrng.Intn(left)
+					if res, err := s.Step(n); err != nil {
+						t.Fatal(err)
+					} else if res != nil {
+						got = res
+					} else if st2, left2 := s.Stage(); st2 == st && left2 != left-n {
+						t.Fatalf("%s round %d: %v left %d after %d of %d", inst.name, round, st, left2, n, left)
+					}
+				}
+				if st, left := s.Stage(); st != StageDone || left != 0 || last != StageReport {
+					t.Fatalf("%s round %d: ended at %v with %d left, last stage %v", inst.name, round, st, left, last)
+				}
+				want, err := Solve(inst.tr, w, opts)
+				if err != nil {
+					t.Fatalf("%s round %d: fresh solve: %v", inst.name, round, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s round %d (Parallelism=%d): stepped re-solve differs from fresh Solve", inst.name, round, workers)
+				}
+			}
+			// Abandon a re-solve half way: Solve re-arms, Resolve goes on.
+			changed := mutate(mrng, inst.tr, w, 2)
+			if err := s.BeginResolve(changed); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Step(1); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Solve(w); err != nil {
+				t.Fatal(err)
+			}
+			changed = mutate(mrng, inst.tr, w, 1)
+			got, err := s.Resolve(changed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, _ := Solve(inst.tr, w, opts); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: Resolve after an abandoned re-solve differs from fresh Solve", inst.name)
+			}
+		}
+	}
+}
+
 // The ablation options reroute whole stages (skip-deletion feeds Step 1
 // straight to mapping with AllowOverload, reassign rebuilds the final
 // assignment); Resolve must stay bit-identical under each of them.

@@ -1027,7 +1027,7 @@ type OfflineTracker struct {
 // NewOfflineTracker creates a tracker for numObjects objects on t, over a
 // frequency table of its own.
 func NewOfflineTracker(t *tree.Tree, numObjects int) *OfflineTracker {
-	return NewOfflineTrackerWith(t, workload.New(numObjects, t.Len()), nil)
+	return NewOfflineTrackerWith(t, workload.New(numObjects, t.Len()), NewSinceFold(numObjects, t.Len(), 1))
 }
 
 // NewOfflineTrackerWith creates a tracker that records into w, starting
@@ -1044,7 +1044,14 @@ func NewOfflineTrackerWith(t *tree.Tree, w *workload.W, since *SinceFold) *Offli
 		panic(fmt.Sprintf("dynamic: tracker workload built for %d nodes, tree has %d", w.NumNodes(), t.Len()))
 	}
 	if since == nil {
+		// Nothing recorded since the fold: each row as w holds it is its
+		// last-fold row.
 		since = NewSinceFold(w.NumObjects(), t.Len(), 1)
+		for x := range w.NumObjects() {
+			if hasCount(w.Row(x)) {
+				since.MarkFolded(x)
+			}
+		}
 	}
 	if since.NumObjects() != w.NumObjects() || since.NumNodes() != t.Len() {
 		panic(fmt.Sprintf("dynamic: since-fold state for %d×%d, tracker workload is %d×%d",

@@ -18,6 +18,11 @@ import (
 // the table's size: a tracker whose objects are never folded saves no
 // count at all, only the bits.
 //
+// An object whose last-fold row is zero — one never folded while it held
+// a count — is marked so: its last-fold row is then known without
+// rebuilding it (LastFold returns nil), and a touch saves no count for it,
+// since every count it holds came after its last fold.
+//
 // An object that saves more counts in one window than fit in a row of the
 // table (a saved count takes 24 B, a row's cell 16 B) keeps its row as of
 // its last fold instead, from its next fold on, as the dense last-fold
@@ -40,11 +45,14 @@ type SinceFold struct {
 	// saved is the shard's saved counts, one slab reused from its start
 	// once no cell is touched, linked per object from objs. Recording
 	// allocates only when a window saves more than the slab holds.
-	saved  []savedCount
-	objs   []objSince
-	prev   [][]workload.Access // per owned object: its last-fold row, or nil
-	cells  int                 // touched cells
-	counts int                 // saved counts
+	saved []savedCount
+	objs  []objSince
+	prev  [][]workload.Access // per owned object: its last-fold row, or nil
+	// folded marks, per owned object, that its last-fold row holds a
+	// count; while it is false the row is zero.
+	folded []bool
+	cells  int // touched cells
+	counts int // saved counts
 }
 
 // objSince is one owned object's entry point into the slab, kept in one
@@ -81,6 +89,7 @@ func NewSinceFold(numObjects, numNodes, stride int) *SinceFold {
 	s.bits = make([]uint64, owned*s.words)
 	s.objs = make([]objSince, owned)
 	s.prev = make([][]workload.Access, owned)
+	s.folded = make([]bool, owned)
 	return s
 }
 
@@ -140,16 +149,27 @@ func ones(words []uint64) int {
 	return n
 }
 
+// MarkFolded records that object x's last-fold row holds a count, as for
+// an object folded while it held one; an object not so marked has a zero
+// last-fold row. Forget marks the objects it folds, and a state rebuilt
+// from an image (or from a table recorded elsewhere) marks each object
+// whose last-fold row has a nonzero cell, before anything is touched.
+func (s *SinceFold) MarkFolded(x int) { s.folded[s.local(x)] = true }
+
 // LastFold returns object x's recorded counts as of its last fold, given
-// cur, x's row of the table the tracker records into: cur itself when x
-// touched no cell since the fold, its last-fold row when it keeps one, and
-// otherwise buf, which must have the table's width, holding cur with each
-// touched cell's count replaced by the count saved at its first touch (zero
-// when none was saved). A cell's count since the fold is cur's less the
-// result's. The result is read-only, and valid until the state or buf
-// changes.
+// cur, x's row of the table the tracker records into: nil when that row
+// is zero (x was never marked folded), so that every count in cur came
+// after it; cur itself when x touched no cell since the fold; its
+// last-fold row when it keeps one; and otherwise buf, which must have the
+// table's width, holding cur with each touched cell's count replaced by
+// the count saved at its first touch (zero when none was saved). A cell's
+// count since the fold is cur's less the result's. The result is
+// read-only, and valid until the state or buf changes.
 func (s *SinceFold) LastFold(x int, cur, buf []workload.Access) []workload.Access {
 	li := s.local(x)
+	if !s.folded[li] {
+		return nil
+	}
 	if p := s.prev[li]; p != nil {
 		return p
 	}
@@ -191,13 +211,17 @@ func (s *SinceFold) LastFold(x int, cur, buf []workload.Access) []workload.Acces
 }
 
 // Forget drops the since-fold state of the objects in xs, which were just
-// folded, given the table w the tracker records into: an object that
-// keeps a last-fold row copies its recorded row in, and one that saved
-// more counts this window than fit in a row starts keeping one. Once no
-// cell is touched, the slab is reused from its start.
+// folded, given the table w the tracker records into: an object whose
+// folded row holds a count is marked folded, an object that keeps a
+// last-fold row copies its recorded row in, and one that saved more
+// counts this window than fit in a row starts keeping one. Once no cell
+// is touched, the slab is reused from its start.
 func (s *SinceFold) Forget(xs []int, w *workload.W) {
 	for _, x := range xs {
 		li := s.local(x)
+		if !s.folded[li] && hasCount(w.Row(x)) {
+			s.folded[li] = true
+		}
 		row := s.bits[li*s.words : (li+1)*s.words]
 		s.cells -= ones(row)
 		clear(row)
@@ -225,16 +249,27 @@ func (s *SinceFold) Forget(xs []int, w *workload.W) {
 	}
 }
 
+// hasCount reports whether row holds a nonzero cell.
+func hasCount(row []workload.Access) bool {
+	for _, a := range row {
+		if a != (workload.Access{}) {
+			return true
+		}
+	}
+	return false
+}
+
 // Remap returns the state carried onto a tree of numNodes nodes through
 // node, which maps each of s's nodes to its new ID or to tree.None when
 // it is removed: a surviving cell stays touched, with its saved count,
-// a last-fold row is carried cell by cell, and a removed node's cells are
-// dropped with its counts.
+// a last-fold row is carried cell by cell, a removed node's cells are
+// dropped with its counts, and the folded marks are kept.
 func (s *SinceFold) Remap(numNodes int, node []tree.NodeID) *SinceFold {
 	if len(node) != s.nodes {
 		panic(fmt.Sprintf("dynamic: node map for %d nodes, state has %d", len(node), s.nodes))
 	}
 	ns := NewSinceFold(s.objects, numNodes, s.stride)
+	copy(ns.folded, s.folded)
 	for li, p := range s.prev {
 		if p != nil {
 			np := make([]workload.Access, numNodes)
@@ -270,6 +305,7 @@ func (s *SinceFold) Clone() *SinceFold {
 	c.bits = append([]uint64(nil), s.bits...)
 	c.saved = append([]savedCount(nil), s.saved...)
 	c.objs = append([]objSince(nil), s.objs...)
+	c.folded = append([]bool(nil), s.folded...)
 	c.prev = make([][]workload.Access, len(s.prev))
 	for li, p := range s.prev {
 		if p != nil {

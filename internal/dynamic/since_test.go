@@ -11,16 +11,22 @@ import (
 )
 
 // sinceRef checks every object's row as of its last fold against the
-// dense reference prev, exactly; its bitmap, which must mark exactly the
-// cells where cur and prev differ; and that there is exactly one saved
-// count per touched cell whose last-fold count is nonzero.
+// dense reference prev, exactly (nil, an object never folded with a
+// count, standing for a zero row); its bitmap, which must mark exactly
+// the cells where cur and prev differ; and that there is exactly one
+// saved count per touched cell whose last-fold count is nonzero.
 func sinceRef(t *testing.T, ctx string, states []*SinceFold, cur, prev *workload.W) {
 	t.Helper()
 	buf := make([]workload.Access, cur.NumNodes())
+	zero := make([]workload.Access, cur.NumNodes())
 	var touched, saved, stTouched, stSaved int
 	for x := 0; x < cur.NumObjects(); x++ {
 		s := states[x%len(states)]
-		if last := s.LastFold(x, cur.Row(x), buf); !slices.Equal(last, prev.Row(x)) {
+		last := s.LastFold(x, cur.Row(x), buf)
+		if last == nil {
+			last = zero
+		}
+		if !slices.Equal(last, prev.Row(x)) {
 			t.Fatalf("%s: object %d: row as of the last fold %v, want %v", ctx, x, last, prev.Row(x))
 		}
 		li := s.local(x)
@@ -145,5 +151,50 @@ func TestSinceFoldMatchesDenseReference(t *testing.T) {
 	}
 	if dense == 0 {
 		t.Fatal("no object keeps a last-fold row: the traces no longer exercise that form")
+	}
+}
+
+// An object whose last-fold row is zero is known without a rebuild:
+// LastFold returns nil for it and touches save no count for it, until a
+// fold of a row that holds a count marks it; a fold of a zero row (an
+// object queued with no traffic) leaves it unmarked. MarkFolded marks an
+// object as a decoded image does, and Remap and Clone carry the marks.
+func TestSinceFoldZeroLastFold(t *testing.T) {
+	tr := tree.SCICluster(2, 3, 16, 8)
+	const objects = 6
+	w := workload.New(objects, tr.Len())
+	s := NewSinceFold(objects, tr.Len(), 2)
+	ot := NewOfflineTrackerWith(tr, w, s)
+	buf := make([]workload.Access, tr.Len())
+	leaves := tr.Leaves()
+	ot.RecordBatch([]Request{{Object: 0, Node: leaves[0]}, {Object: 0, Node: leaves[1], Write: true}})
+	if last := s.LastFold(0, w.Row(0), buf); last != nil {
+		t.Fatalf("never folded: LastFold %v, want nil", last)
+	}
+	if _, saved := s.Cells(); saved != 0 {
+		t.Fatalf("%d counts saved for an object never folded", saved)
+	}
+	s.Forget([]int{0, 2}, w) // object 2 has no traffic: its folded row is zero
+	if s.LastFold(0, w.Row(0), buf) == nil || s.LastFold(2, w.Row(2), buf) != nil {
+		t.Fatal("Forget marked the wrong objects")
+	}
+	ot.RecordBatch([]Request{{Object: 0, Node: leaves[0]}})
+	if last := s.LastFold(0, w.Row(0), buf); last[leaves[0]] != (workload.Access{Reads: 1}) {
+		t.Fatalf("after the fold: last-fold count %+v at the folded cell, want 1 read", last[leaves[0]])
+	}
+	s.MarkFolded(4)
+	if last := s.LastFold(4, w.Row(4), buf); last == nil || !slices.Equal(last, w.Row(4)) {
+		t.Fatalf("MarkFolded: LastFold %v, want the untouched row", last)
+	}
+	node := make([]tree.NodeID, tr.Len())
+	for v := range node {
+		node[v] = tree.NodeID(v)
+	}
+	for name, c := range map[string]*SinceFold{"remap": s.Remap(tr.Len(), node), "clone": s.Clone()} {
+		for _, x := range []int{0, 2, 4} {
+			if (c.LastFold(x, w.Row(x), buf) == nil) != (s.LastFold(x, w.Row(x), buf) == nil) {
+				t.Fatalf("%s: object %d's mark not carried", name, x)
+			}
+		}
 	}
 }

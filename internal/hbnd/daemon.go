@@ -7,15 +7,19 @@
 // The one structural decision everything else leans on: batches are
 // applied one at a time under applyMu, each on the connection goroutine
 // that read it (parallelism lives inside Cluster.Ingest, not across
-// batches), and every epoch pass runs inline on the Ingest call that
-// crosses it. The apply sequence number and the tail append are taken
-// under the same lock, so the tail log's order is the lock order: every
-// applied batch has a place in one total order, and every epoch pass a
-// fixed place in it. That is what makes restart and handoff
-// bit-identical: snapshot + ordered tail replay reproduces exactly the
-// serving state of the uninterrupted process (the
-// serve.TestSnapshotRestoreIdentity contract). Concurrent applies would
-// be faster on paper and unreplayable in practice.
+// batches), and every epoch pass runs on the Ingest calls of the batches
+// that cross it: it starts on the crossing batch and, unless that batch
+// is long enough to run it whole, is spread over the next few applies
+// and adopted on a fixed one of them. The apply sequence number and the
+// tail append are taken under the same lock, so the tail log's order is
+// the lock order: every applied batch has a place in one total order,
+// and every epoch pass and its adoption a fixed place in it. That is
+// what makes restart and handoff bit-identical: snapshot + ordered tail
+// replay reproduces exactly the serving state of the uninterrupted
+// process (the serve.TestSnapshotRestoreIdentity contract), a pass in
+// flight at the cut included, since the image records it and the
+// restored cluster adopts it on the same replayed batch. Concurrent
+// applies would be faster on paper and unreplayable in practice.
 //
 // Admission is an atomic count of admitted batches still waiting for
 // applyMu; a batch arriving with QueueCap already waiting is shed. The

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"hbn/internal/serve"
+	"hbn/internal/snapshot"
 	"hbn/internal/topo"
 	"hbn/internal/tree"
 	"hbn/internal/wire"
@@ -311,6 +312,66 @@ func TestDaemonRestartFromSnapshotAndTail(t *testing.T) {
 	// with an empty tail.
 	d3 := startDaemon(t, cfg)
 	compareClusters(t, "after drained restart", d3.Cluster(), ref)
+	if _, err := d3.Drain(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// pendingCalls reads the snapshot at path and returns the calls its
+// pending-pass record has left until adoption (0: no pass in flight).
+func pendingCalls(t *testing.T, path string) int {
+	t.Helper()
+	st, err := snapshot.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Pending.Calls
+}
+
+// An epoch pass spread over several batches survives a restart in the
+// middle: with 32-event batches each pass runs over several applies, the
+// snapshot is cut two applies into one, and the tail the restart replays
+// ends two applies into another. The restarted daemon adopts both on the
+// applies the uninterrupted reference does, and stays identical through
+// the suffix and a drained restart.
+func TestDaemonRestartMidPass(t *testing.T) {
+	cfg := testConfig(t)
+	d := startDaemon(t, cfg)
+	ref := refCluster(t)
+	defer ref.Close()
+
+	trace := testTrace(4000)
+	cl := dialTest(t, d.Addr())
+	// The pass folded at 900 requests starts on the 29th batch (928).
+	ingestBoth(t, cl, ref, trace[:960], 32)
+	if _, err := cl.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if pendingCalls(t, cfg.SnapshotPath) == 0 {
+		t.Fatal("the snapshot records no pass in flight")
+	}
+	// The one folded at 1800 starts on the 57th (1824).
+	ingestBoth(t, cl, ref, trace[960:1856], 32)
+	if err := d.Close(); err != nil { // abrupt: no final snapshot
+		t.Fatal(err)
+	}
+
+	d2 := startDaemon(t, cfg)
+	compareClusters(t, "after restart", d2.Cluster(), ref)
+	cl2 := dialTest(t, d2.Addr())
+	ingestBoth(t, cl2, ref, trace[1856:2752], 32)
+	compareClusters(t, "after restart suffix", d2.Cluster(), ref)
+	if _, err := d2.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if pendingCalls(t, cfg.SnapshotPath) == 0 {
+		t.Fatal("the drain snapshot records no pass in flight")
+	}
+	d3 := startDaemon(t, cfg)
+	compareClusters(t, "after drained restart", d3.Cluster(), ref)
+	cl3 := dialTest(t, d3.Addr())
+	ingestBoth(t, cl3, ref, trace[2752:], 32)
+	compareClusters(t, "after drained restart suffix", d3.Cluster(), ref)
 	if _, err := d3.Drain(); err != nil {
 		t.Fatal(err)
 	}

@@ -61,6 +61,54 @@ func TestHandoffBitIdentity(t *testing.T) {
 	compareClusters(t, "standby restarted", s2.Cluster(), ref)
 }
 
+// Live handoff in the middle of an epoch pass spread over several
+// batches: the cut records the pass in flight, and the promoted standby
+// adopts it on the batch the uninterrupted reference does.
+func TestHandoffMidPass(t *testing.T) {
+	primaryCfg := testConfig(t)
+	primary := startDaemon(t, primaryCfg)
+	defer primary.Close()
+	standbyCfg := testConfig(t)
+	standbyCfg.Standby = true
+	standby := startDaemon(t, standbyCfg)
+	defer standby.Close()
+	ref := refCluster(t)
+	defer ref.Close()
+
+	trace := testTrace(3000)
+	cl := dialTest(t, primary.Addr())
+	// The pass folded at 1800 requests starts on the 57th batch (1824).
+	ingestBoth(t, cl, ref, trace[:1856], 32)
+
+	hcl, err := wire.Dial(primary.Addr(), wire.ClientOptions{Seed: 5, Timeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hcl.Close()
+	if err := hcl.Handoff(standby.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	left := pendingCalls(t, primaryCfg.SnapshotPath)
+	if left == 0 {
+		t.Fatal("the handoff cut records no pass in flight")
+	}
+	compareClusters(t, "after handoff", standby.Cluster(), ref)
+
+	scl := dialTest(t, standby.Addr())
+	epochs := ref.Stats().Epochs
+	for i, lo := 1, 1856; lo < len(trace); i, lo = i+1, lo+32 {
+		ingestBoth(t, scl, ref, trace[lo:min(lo+32, len(trace))], 32)
+		got, want := standby.Cluster().Stats().Epochs, ref.Stats().Epochs
+		if got != want {
+			t.Fatalf("batch %d after the handoff: standby at %d passes, reference at %d", i, got, want)
+		}
+		if i <= left && (got > epochs) != (i == left) {
+			t.Fatalf("batch %d after the handoff: %d passes adopted since, want the pass in flight adopted on batch %d", i, got-epochs, left)
+		}
+	}
+	compareClusters(t, "after suffix on standby", standby.Cluster(), ref)
+}
+
 // Handoff with a non-trivial tail: traffic lands between the cut and the
 // drain (while the image streams), so the standby replays real tail
 // frames — the ledger fingerprint still verifies and identity holds.

@@ -13,8 +13,15 @@ type Registry struct {
 	// retries) that have no per-shard attribution.
 	Global Block
 
-	IngestBatch   Histogram // Cluster.Ingest call latency
-	EpochPass     Histogram // epoch re-solve duration
+	IngestBatch Histogram // Cluster.Ingest serving time, before any epoch work
+	// EpochPass is the duration of one epoch pass: one observation per
+	// adopted pass (and reconfiguration), the sum of its slices when it
+	// was spread over several Ingest calls.
+	EpochPass Histogram
+	// EpochStall is the epoch work one Ingest call ran — a slice of a
+	// pass, or a whole inline pass — observed once per call that ran any.
+	// It is the stall a pass adds to the call's latency.
+	EpochStall    Histogram
 	ReconfigStall Histogram // per-shard ingest stall during reconfiguration
 	SnapshotCut   Histogram // snapshot cut stall (ingest paused)
 	Handoff       Histogram // live handoff phase durations
@@ -55,6 +62,7 @@ func (r *Registry) Hists() []NamedHist {
 	return []NamedHist{
 		{"ingest_batch", &r.IngestBatch},
 		{"epoch_pass", &r.EpochPass},
+		{"epoch_stall", &r.EpochStall},
 		{"reconfig_stall", &r.ReconfigStall},
 		{"snapshot_cut", &r.SnapshotCut},
 		{"handoff", &r.Handoff},

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
 	"hbn/internal/snapshot"
 	"hbn/internal/tree"
@@ -102,6 +103,11 @@ func timelessImage(c *Cluster) []byte {
 //     so every solver row holds all 64 processors.
 //   - ingest-drift-273: the ingest-drift traffic on SCICluster(16, 16, 32,
 //     16), 273 nodes, where a pass that sweeps |V| per object pays most.
+//   - ingest-drift-sliced: the ingest-drift case served as the bench
+//     serves it, with the cadence on: each iteration times the Ingest
+//     calls of one epoch, among them the passCalls calls its pass is
+//     spread over, and max-slice-ms/op reports the largest of those
+//     calls, serving included.
 func BenchmarkEpochPass(b *testing.B) {
 	const objects = 1024
 	drift := func(tr *tree.Tree, n int) []workload.TraceEvent {
@@ -130,6 +136,48 @@ func BenchmarkEpochPass(b *testing.B) {
 			benchEpochPass(b, bc.tr, objects, bc.epoch, bc.gen(bc.tr, bc.passes*bc.epoch))
 		})
 	}
+	b.Run("ingest-drift-sliced", func(b *testing.B) {
+		tr := tree.SCICluster(8, 8, 32, 16)
+		benchSlicedPass(b, tr, objects, 20000, drift(tr, 20*20000+3*20000/4))
+	})
+}
+
+// benchSlicedPass serves trace in 1024-event batches with a pass every
+// epoch requests, starting a quarter epoch before a boundary so that
+// each iteration's epoch of calls holds one whole pass, and reports the
+// largest call that ran pass work. The trace is 3/4 of an epoch longer
+// than a whole number of epochs, so each iteration's events lie within
+// it.
+func benchSlicedPass(b *testing.B, tr *tree.Tree, objects, epoch int, trace []workload.TraceEvent) {
+	const batch = 1024
+	c, err := NewCluster(tr, objects, Options{Shards: 2, Threshold: 8, EpochRequests: int64(epoch)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	next := 0
+	var worst, slowest time.Duration
+	serve := func(n int) {
+		for lo := next; lo < next+n; lo += batch {
+			t0 := time.Now()
+			busy := c.inFlight.Load()
+			if _, err := c.Ingest(trace[lo:min(lo+batch, next+n)]); err != nil {
+				b.Fatal(err)
+			}
+			if d := time.Since(t0); (busy || c.inFlight.Load()) && d > slowest {
+				slowest = d
+			}
+		}
+		next = (next + n) % len(trace)
+	}
+	serve(epoch + 3*epoch/4) // the first pass, a full Solve, and 3/4 of an epoch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		slowest = 0
+		serve(epoch)
+		worst += slowest
+	}
+	b.ReportMetric(float64(worst)/1e6/float64(b.N), "max-slice-ms/op")
 }
 
 func benchEpochPass(b *testing.B, tr *tree.Tree, objects, epoch int, trace []workload.TraceEvent) {

@@ -119,6 +119,11 @@ func (c *Cluster) Reconfigure(d topo.Diff) (ReconfigStats, error) {
 	if c.closed.Load() {
 		return rs, ErrClosed
 	}
+	// An epoch pass in flight is adopted first, on the old tree it was
+	// solved for.
+	if err := c.finishPassLocked(); err != nil {
+		return rs, err
+	}
 	start := time.Now()
 
 	// Plan with ingestion running: the drift fold and migration solve see

@@ -31,6 +31,17 @@
 // cluster tracks phase shifts at epoch granularity instead of one
 // threshold-crossing at a time.
 //
+// A pass is spread over the next few Ingest calls: the call that crosses
+// the boundary folds the drift and starts the re-solve, later calls step
+// it through the solver's stages (core.Solver.Step), and the last adopts
+// (see passSlices). The crossing call fixes what the pass folds, and the
+// adoption comes a fixed number of calls later, so a cluster fed the
+// same batches makes the same decisions whatever the timing; the shards
+// serve with the online strategy meanwhile. A batch long next to the re-solve
+// cadence runs its pass whole (see inlinePass), and so do ResolveNow and
+// Reconfigure. A snapshot records a pass in flight, and a restored
+// cluster adopts it on the same call.
+//
 // Cost accounting: request service and threshold-driven copy movement are
 // charged to the per-edge loads exactly as in dynamic.Strategy. Adoption
 // movement (the bulk transfers that install a new placement) is booked
@@ -135,6 +146,29 @@ const minFanOutShare = 512
 // structural events.
 const flightRecorderSize = 1024
 
+// passSlices is the number of slices an epoch pass is cut into, unless it
+// runs inline (see inlinePass), and passSpacing the calls from one slice
+// to the next: a pass spans passCalls Ingest calls. The call that crosses
+// the boundary folds and runs the first half of Steps 1–2; the slice
+// passSpacing calls later runs the rest of them and Step 3; the next the
+// per-object finish and the re-evaluation; and the last adopts
+// (slicePassLocked). With the stage costs of one pass on the bench shape,
+// no slice runs more than about two fifths of the pass.
+//
+// The spacing is for callers that wait on one another. Where calls are
+// serialized, as the daemon's applies are, a client whose call ran a
+// slice, or waited behind one, sends its next request at once; with the
+// slices three calls apart, that request, and the other client's call
+// queued behind the slice, find a call with no pass work ahead of them.
+// On consecutive calls, the daemon's snapshot requests waited behind a
+// second slice in over half the cases. DESIGN.md has both measurements,
+// under "Spreading each epoch pass over the next Ingest calls".
+const (
+	passSlices  = 4
+	passSpacing = 3
+	passCalls   = (passSlices-1)*passSpacing + 1
+)
+
 // validate rejects option values that would silently change serving
 // semantics if coerced. Shards <= 0 meaning 1 and Parallelism <= 0 meaning
 // GOMAXPROCS stay as documented defaults — those are stated semantics, not
@@ -175,14 +209,15 @@ const (
 type Stats struct {
 	Requests    int64 // requests served
 	ServiceCost int64 // total service cost (sum of Serve costs)
-	Epochs      int64 // epoch passes completed (reconfigures included)
+	Epochs      int64 // epoch passes adopted (reconfigures included)
 	DriftEpochs int64 // epoch passes fired by the drift-magnitude trigger
 	Reconfigs   int64 // topology reconfigurations completed
 	Drifted     int64 // objects re-solved, summed over passes
 	AdoptMoved  int64 // adoption movement distance, summed (incl. migration)
-	// ResolveTime sums the wall time of every epoch pass — drift fold,
-	// solve, adoption and max-edge fold, not the solver call alone (see
-	// EpochStat.ResolveNs) — plus each reconfiguration's elapsed time.
+	// ResolveTime sums the wall time of every adopted epoch pass — drift
+	// fold, solve, adoption and max-edge fold, not the solver call alone,
+	// over all the calls it was spread over (see EpochStat.ResolveNs) —
+	// plus each reconfiguration's elapsed time.
 	ResolveTime time.Duration
 	// DroppedLoad / DroppedServiceLoad accumulate the per-reconfigure
 	// ReconfigStats ledger across the cluster's lifetime, closing the
@@ -360,10 +395,23 @@ type Cluster struct {
 	last       [][]workload.Access // per worker of the pass: a row as of the object's last fold
 	drifted    []bool              // per object: drained by this fold (sorts the list)
 	drift      []objDrift          // per object: the drift measured by the last fold
+	zero       []workload.Access   // a zero row of the tree's width: a last fold LastFold reports as nil
 	stats      Stats
 	epochLog   []EpochStat
 	snapSeq    uint64           // monotone snapshot sequence number (see Snapshot)
 	snapEnc    snapshot.Encoder // remembers the last image's fragment sizes, not its bytes
+	// pass is the epoch pass in flight, and callNs the pass work the
+	// current call has run (worked: any); inFlight mirrors pass.calls > 0
+	// for Ingest's check outside epochMu.
+	pass     epochPass
+	callNs   int64
+	worked   bool
+	inFlight atomic.Bool
+	// passHook, when set (tests only, before the first call), sees each
+	// piece of pass work: the index of the call in its pass, the stage
+	// ("fold", "solve", a core.Stage's name or "adopt") and the objects
+	// it ran on (1 for a global solver stage).
+	passHook func(call int, stage string, objects int)
 
 	served  atomic.Int64
 	closed  atomic.Bool
@@ -464,6 +512,7 @@ func newCluster(t *tree.Tree, numObjects int, opts Options, telemetry bool, tabs
 		opts:       opts,
 		numObjects: numObjects,
 		shards:     make([]*shard, opts.Shards),
+		fold:       make([]shardFold, opts.Shards),
 		solver:     solver,
 		freq:       tabs.freq,
 		w:          tabs.w,
@@ -510,32 +559,75 @@ func (c *Cluster) dynOpts() dynamic.Options {
 // minFanOutShare events and one after another on the calling goroutine
 // otherwise; the choice changes only timing, because shards share no
 // state. Concurrent Ingest calls are safe (shards serialize internally).
+//
 // If the batch crosses an epoch boundary (or a drift check that clears
-// DriftThreshold), this call runs the epoch pass before returning. While a
-// staged reconfiguration is in flight the inline pass is skipped — the
-// roll itself ends with a full re-solve and adoption, and blocking a
-// serving batch behind the whole roll would defeat its stall bound; the
-// drift is picked up at the next crossing.
+// DriftThreshold), this call starts an epoch pass, and the pass is spread
+// over passCalls calls: this one folds the drift and starts the solve,
+// every passSpacing-th call after it runs a slice of the rest, and the
+// last adopts the solved placement and logs the pass. What a pass folds and solves is fixed by
+// the call that starts it, so spreading it changes only when its
+// placement is adopted, and that is a fixed number of calls later, never
+// a point that depends on timing. A pass whose batch is long next to the
+// re-solve cadence runs whole on the call that starts it (see
+// inlinePass). While a staged reconfiguration is in flight pass work is
+// skipped — the roll itself ends with a full re-solve and adoption, and
+// blocking a serving batch behind the whole roll would defeat its stall
+// bound; the drift is picked up at the next crossing.
 func (c *Cluster) Ingest(batch []Request) (int64, error) {
 	total, crossed, driftCheck, err := c.serveGated(batch)
-	if err != nil || (!crossed && !driftCheck) {
+	if err != nil || (!crossed && !driftCheck && !c.inFlight.Load()) {
 		return total, err
 	}
 	if !c.reconfiguring.Load() {
 		// Outside the gate: the pass serializes on epochMu alone, so a
 		// reconfiguration quiescing the gate never waits on this batch's
 		// epoch work (and vice versa — no lock-order cycle).
-		if crossed {
-			// A cadence pass folds all drift anyway, so a coinciding drift
-			// check is subsumed.
-			if err := c.resolveEpoch(TriggerCadence); err != nil {
-				return total, err
-			}
-		} else if err := c.maybeDriftEpoch(); err != nil {
-			return total, err
-		}
+		err = c.epochWork(len(batch), crossed, driftCheck)
 	}
-	return total, nil
+	return total, err
+}
+
+// epochWork is the pass work of one Ingest call of n events, observed as
+// one EpochStall sample when there was any: the next slice of the pass in
+// flight, or a new pass started at a crossing (a cadence pass folds all
+// drift anyway, so a coinciding drift check is subsumed) or at a drift
+// check that clears DriftThreshold, each completing the pass in flight
+// first. A closed cluster runs none.
+func (c *Cluster) epochWork(n int, crossed, driftCheck bool) error {
+	c.epochMu.Lock()
+	defer c.epochMu.Unlock()
+	if c.closed.Load() {
+		return nil
+	}
+	c.callNs, c.worked = 0, false
+	var err error
+	switch {
+	case crossed:
+		err = c.resolveEpochLocked(TriggerCadence, c.inlinePass(n))
+	case driftCheck:
+		err = c.driftEpochLocked(c.inlinePass(n))
+	case c.pass.calls > 0:
+		err = c.slicePassLocked()
+	}
+	if c.worked && c.obs != nil {
+		c.obs.EpochStall.Observe(c.callNs)
+	}
+	return err
+}
+
+// inlinePass reports whether a pass started by a call of n events runs
+// whole on that call: when passCalls calls of n events would take more
+// than the shortest re-solve cadence (EpochRequests, and
+// DriftCheckRequests while the drift trigger is armed), or there is no
+// cadence. Long batches thus keep the inline pass, and a sliced pass
+// adopts before the next crossing whenever the batches keep their size;
+// one that does not is completed by it.
+func (c *Cluster) inlinePass(n int) bool {
+	cadence := c.opts.EpochRequests
+	if d := c.opts.DriftCheckRequests; c.opts.DriftThreshold > 0 && d > 0 && (cadence == 0 || d < cadence) {
+		cadence = d
+	}
+	return cadence == 0 || passCalls*int64(n) > cadence
 }
 
 // serveGated validates, partitions and serves one batch under the ingest
@@ -591,34 +683,29 @@ func (c *Cluster) serveGated(batch []Request) (total int64, crossed, driftCheck 
 }
 
 // ResolveNow forces an epoch pass synchronously (used by benchmarks to
-// flush at trace end, and by tests).
+// flush at trace end, and by tests): the pass in flight, if any, is
+// completed first, and the new one runs whole.
 func (c *Cluster) ResolveNow() error {
 	if c.closed.Load() {
 		return ErrClosed
 	}
-	return c.resolveEpoch(TriggerManual)
-}
-
-// resolveEpoch is the epoch pass: drain per-shard drift, fold the drifted
-// rows into the solver workload, Solve/Resolve, and push the fresh copy
-// sets back into the shards.
-func (c *Cluster) resolveEpoch(trigger string) error {
 	c.epochMu.Lock()
 	defer c.epochMu.Unlock()
-	return c.resolveEpochLocked(trigger)
+	return c.resolveEpochLocked(TriggerManual, true)
 }
 
-// maybeDriftEpoch measures the drift magnitude and runs an epoch pass only
-// when it clears DriftThreshold — the drift-triggered path of Ingest. Like
-// resolveEpoch it serializes on epochMu alone and must be called outside
-// the ingest gate.
-func (c *Cluster) maybeDriftEpoch() error {
-	c.epochMu.Lock()
-	defer c.epochMu.Unlock()
+// driftEpochLocked is the drift-triggered path of Ingest (caller holds
+// epochMu): it completes the pass in flight, measures the drift
+// magnitude, and starts a pass only when the magnitude clears
+// DriftThreshold.
+func (c *Cluster) driftEpochLocked(inline bool) error {
+	if err := c.finishPassLocked(); err != nil {
+		return err
+	}
 	if c.driftMagnitudeLocked() < c.opts.DriftThreshold {
 		return nil
 	}
-	return c.resolveEpochLocked(TriggerDrift)
+	return c.resolveEpochLocked(TriggerDrift, inline)
 }
 
 // shardFold is one shard's scratch of the epoch pass: the objects drained
@@ -659,7 +746,7 @@ func (c *Cluster) driftMagnitudeLocked() float64 {
 		sh.mu.Lock()
 		for _, x := range sh.tracker.Drifted() {
 			row := c.freq.Row(x)
-			dTot, d := objectDrift(row, sh.tracker.Since().LastFold(x, row, buf), leaves)
+			dTot, d := objectDrift(row, c.lastFold(sh, x, row, buf), leaves)
 			num, den = addDrift(num, den, dTot, d)
 		}
 		sh.mu.Unlock()
@@ -667,16 +754,28 @@ func (c *Cluster) driftMagnitudeLocked() float64 {
 	return driftMean(num, den)
 }
 
-// lastRows returns c.last with at least n rows of the tree's width
-// (caller holds epochMu).
+// lastRows returns c.last with at least n rows of the tree's width, and
+// sizes c.zero to it (caller holds epochMu).
 func (c *Cluster) lastRows(n int) [][]workload.Access {
 	if len(c.last) < n || len(c.last[0]) != c.t.Len() {
 		c.last = make([][]workload.Access, max(n, len(c.last)))
 		for i := range c.last {
 			c.last[i] = make([]workload.Access, c.t.Len())
 		}
+		c.zero = make([]workload.Access, c.t.Len())
 	}
 	return c.last
+}
+
+// lastFold is object x's row as of its last fold, given its recorded row
+// and a scratch row of the tree's width (see dynamic.SinceFold.LastFold),
+// with c.zero for the zero row of an object never folded with a count
+// (caller holds epochMu and sh.mu, and has sized the rows by lastRows).
+func (c *Cluster) lastFold(sh *shard, x int, row, buf []workload.Access) []workload.Access {
+	if last := sh.tracker.Since().LastFold(x, row, buf); last != nil {
+		return last
+	}
+	return c.zero
 }
 
 // addDrift folds one object's drift into the request-weighted sums of the
@@ -768,9 +867,6 @@ func objectDrift(row, last []workload.Access, leaves []tree.NodeID) (dTot int64,
 // average. Objects with no new traffic keep their rows, which preserves
 // the incremental Resolve contract.
 func (c *Cluster) collectDriftLocked() ([]int, float64) {
-	if len(c.fold) != len(c.shards) {
-		c.fold = make([]shardFold, len(c.shards))
-	}
 	if len(c.drifted) != c.numObjects {
 		c.drifted = make([]bool, c.numObjects)
 		c.drift = make([]objDrift, c.numObjects)
@@ -817,7 +913,7 @@ func (c *Cluster) foldObject(worker, i int) {
 	x := c.changedBuf[i]
 	leaves := c.t.Leaves()
 	row := c.freq.Row(x)
-	last := c.shards[x%len(c.shards)].tracker.Since().LastFold(x, row, c.last[worker])
+	last := c.lastFold(c.shards[x%len(c.shards)], x, row, c.last[worker])
 	dTot, d := objectDrift(row, last, leaves)
 	c.drift[x] = objDrift{dTot, d}
 	solved := c.w.Row(x)
@@ -834,43 +930,190 @@ func (c *Cluster) foldObject(worker, i int) {
 	}
 }
 
-func (c *Cluster) resolveEpochLocked(trigger string) error {
-	start := time.Now()
+// epochPass is the epoch pass in flight (guarded by epochMu): folded on
+// the call that started it, solved over the calls after it and adopted
+// on its last (see passSlices).
+type epochPass struct {
+	// calls counts the calls of the pass so far, the one that started it
+	// included; 0 means no pass is in flight.
+	calls int
+	// res is the solved placement, once the solver has finished.
+	res *core.Result
+	// rec holds the EpochStat fields the fold fixed: Requests, Drifted,
+	// Trigger and DriftMagnitude.
+	rec EpochStat
+	// ns is the wall time of the pass's slices so far.
+	ns int64
+}
+
+// resolveEpochLocked is the epoch pass (caller holds epochMu): it
+// completes the pass in flight, then folds the drift into the solver
+// workload and starts a new pass, which runs whole when inline is set and
+// is otherwise left to the next calls.
+func (c *Cluster) resolveEpochLocked(trigger string, inline bool) error {
+	if err := c.finishPassLocked(); err != nil {
+		return err
+	}
+	if err := c.startPassLocked(trigger); err != nil || !inline {
+		return err
+	}
+	return c.finishPassLocked()
+}
+
+// startPassLocked runs the first call's share of a pass: the fold, and
+// the first half of Steps 1–2 (the first pass, with no solver armed yet,
+// runs its whole Solve here). A fold that finds nothing drifted on an
+// armed solver starts no pass.
+func (c *Cluster) startPassLocked(trigger string) error {
+	t0 := time.Now()
 	startReqs := c.served.Load() // snapshot: ingestion continues during the pass
 
 	// The drift magnitude is measured by the fold itself, before it
-	// forgets the counts since the last fold — this is the drift the pass is reacting to,
-	// recorded for every pass so cadence and drift-triggered epochs are
-	// comparable in the log.
+	// forgets the counts since the last fold — this is the drift the pass
+	// is reacting to, recorded for every pass so cadence and
+	// drift-triggered epochs are comparable in the log.
 	changed, driftMag := c.collectDriftLocked()
-
 	if len(changed) == 0 && c.solved {
 		return nil
 	}
-	var (
-		res *core.Result
-		err error
-	)
-	if !c.solved {
-		res, err = c.solver.Solve(c.w)
+	c.pass = epochPass{calls: 1, rec: EpochStat{
+		Requests:       startReqs,
+		Drifted:        len(changed),
+		Trigger:        trigger,
+		DriftMagnitude: driftMag,
+	}}
+	c.inFlight.Store(true)
+	c.hook("fold", len(changed))
+	var err error
+	if c.solved {
+		err = c.solver.BeginResolve(changed)
+	}
+	if !c.solved || err != nil {
+		// The first pass, or a change list the solver refused: a full
+		// Solve, which is always valid.
+		err = c.solveLocked()
 	} else {
-		res, err = c.solver.Resolve(changed)
-		if err != nil {
-			// After a failed Resolve the solver state is unspecified; a
-			// full Solve re-arms it.
-			res, err = c.solver.Solve(c.w)
+		_, left := c.solver.Stage()
+		err = c.stepLocked((left + 1) / 2)
+	}
+	return c.sliceDone(t0, err)
+}
+
+// slicePassLocked runs the next call's share of the pass in flight: on
+// every passSpacing-th call a slice — the second slice finishes Steps
+// 1–2 and runs Step 3, the ones after it finish the solve, and the last
+// adopts — and nothing on the calls between. A pass whose solve is done
+// (the first pass, a restored one, one that fell back to a full Solve)
+// has nothing to run until its adoption.
+func (c *Cluster) slicePassLocked() error {
+	c.pass.calls++
+	if c.pass.calls == passCalls {
+		return c.adoptLocked(time.Now())
+	}
+	if (c.pass.calls-1)%passSpacing != 0 || c.pass.res != nil {
+		return nil
+	}
+	t0 := time.Now()
+	target := core.StageDone
+	if c.pass.calls-1 == passSpacing {
+		target = core.StageFinish
+	}
+	return c.sliceDone(t0, c.solveUntilLocked(target))
+}
+
+// finishPassLocked runs every remaining slice of the pass in flight, if
+// any, adopting it now.
+func (c *Cluster) finishPassLocked() error {
+	for c.pass.calls > 0 {
+		if err := c.slicePassLocked(); err != nil {
+			return err
 		}
 	}
+	return nil
+}
+
+// sliceDone books the slice that started at t0 to the pass and to the
+// call, and drops the pass when the slice failed.
+func (c *Cluster) sliceDone(t0 time.Time, err error) error {
+	d := time.Since(t0).Nanoseconds()
+	c.pass.ns += d
+	c.callNs += d
+	c.worked = true
 	if err != nil {
+		c.dropPassLocked()
+	}
+	return err
+}
+
+// dropPassLocked forgets the pass in flight without adopting it.
+func (c *Cluster) dropPassLocked() {
+	c.pass = epochPass{}
+	c.inFlight.Store(false)
+}
+
+// hook reports a piece of pass work to passHook.
+func (c *Cluster) hook(stage string, objects int) {
+	if c.passHook != nil {
+		c.passHook(c.pass.calls-1, stage, objects)
+	}
+}
+
+// solveLocked solves the pass's workload from scratch: the first pass,
+// and the fallback after a failed re-solve.
+func (c *Cluster) solveLocked() error {
+	c.hook("solve", c.numObjects)
+	res, err := c.solver.Solve(c.w)
+	if err != nil {
+		c.solved = false
 		return fmt.Errorf("serve: epoch re-solve: %w", err)
 	}
 	c.solved = true
+	c.pass.res = res
+	return nil
+}
 
-	// Adoption: every object with demand moves to its freshly solved
-	// placement. Unchanged objects whose dynamic state drifted (writes
-	// contract copy sets) are re-warmed too; identical sets are no-ops.
-	// Shards adopt in parallel, each under its own lock into its own
-	// strategy; integer movement totals sum exactly in any order.
+// stepLocked runs n objects (or the whole of a global stage) of the
+// pass's re-solve; a failed step falls back to a full Solve.
+func (c *Cluster) stepLocked(n int) error {
+	st, left := c.solver.Stage()
+	c.hook(st.String(), min(n, left))
+	res, err := c.solver.Step(n)
+	if err != nil {
+		return c.solveLocked()
+	}
+	if res != nil {
+		c.pass.res = res
+	}
+	return nil
+}
+
+// solveUntilLocked steps the pass's re-solve until the solver reaches
+// stage target, or until it is solved when target is core.StageDone.
+func (c *Cluster) solveUntilLocked(target core.Stage) error {
+	for c.pass.res == nil {
+		st, left := c.solver.Stage()
+		if st >= target && st != core.StageDone {
+			return nil
+		}
+		if err := c.stepLocked(left); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// adoptLocked is the last call's share of the pass in flight, started at
+// t0: every object with demand moves to its freshly solved placement, and
+// the pass is logged. Unchanged objects whose dynamic state drifted
+// (writes contract copy sets) are re-warmed too; identical sets are
+// no-ops. Shards adopt in parallel, each under its own lock into its own
+// strategy; integer movement totals sum exactly in any order.
+func (c *Cluster) adoptLocked(t0 time.Time) error {
+	if err := c.solveUntilLocked(core.StageDone); err != nil {
+		return c.sliceDone(t0, err)
+	}
+	res := c.pass.res
+	c.hook("adopt", c.numObjects)
 	par.ForEach(c.opts.Parallelism, len(c.shards), func(_, si int) {
 		c.adoptShard(si, res)
 	})
@@ -878,33 +1121,30 @@ func (c *Cluster) resolveEpochLocked(trigger string) error {
 	for i := range c.fold {
 		moved += c.fold[i].moved
 	}
+	rec := c.pass.rec
+	rec.Moved = moved
+	rec.StaticCongestion = res.Report.Congestion.Float()
+	rec.MaxEdgeLoad = c.maxEdgeLoadLocked()
+	c.sliceDone(t0, nil)
+	rec.ResolveNs = c.pass.ns
+	c.dropPassLocked()
 
-	elapsed := time.Since(start)
 	c.stats.Epochs++
-	if trigger == TriggerDrift {
+	rec.Epoch = c.stats.Epochs
+	if rec.Trigger == TriggerDrift {
 		c.stats.DriftEpochs++
 	}
-	c.stats.Drifted += int64(len(changed))
+	c.stats.Drifted += int64(rec.Drifted)
 	c.stats.AdoptMoved += moved
-	c.stats.ResolveTime += elapsed
-	c.epochLog = append(c.epochLog, EpochStat{
-		Epoch:            c.stats.Epochs,
-		Requests:         startReqs,
-		Drifted:          len(changed),
-		Moved:            moved,
-		StaticCongestion: res.Report.Congestion.Float(),
-		MaxEdgeLoad:      c.maxEdgeLoadLocked(),
-		ResolveNs:        elapsed.Nanoseconds(),
-		Trigger:          trigger,
-		DriftMagnitude:   driftMag,
-	})
+	c.stats.ResolveTime += time.Duration(rec.ResolveNs)
+	c.epochLog = append(c.epochLog, rec)
 	if o := c.obs; o != nil {
-		o.EpochPass.Observe(elapsed.Nanoseconds())
-		o.Flight.Record(obs.EvEpoch, -1, triggerCode(trigger), int64(len(changed)), moved)
-		if trigger == TriggerDrift {
+		o.EpochPass.Observe(rec.ResolveNs)
+		o.Flight.Record(obs.EvEpoch, -1, triggerCode(rec.Trigger), int64(rec.Drifted), moved)
+		if rec.Trigger == TriggerDrift {
 			o.Global.Add(obs.SlotDriftFires, 1)
 			o.Flight.Record(obs.EvDrift, -1,
-				int64(driftMag*1000), int64(c.opts.DriftThreshold*1000), 0)
+				int64(rec.DriftMagnitude*1000), int64(c.opts.DriftThreshold*1000), 0)
 		}
 	}
 	return nil
@@ -945,12 +1185,17 @@ func triggerCode(trigger string) int64 {
 }
 
 // Close marks the cluster closed: Ingest, ResolveNow and Reconfigure then
-// fail with ErrClosed, while accessors and Snapshot stay usable. Every
-// epoch pass runs on the call that triggered it, so there is nothing to
-// stop or drain and Close always returns nil; the error result keeps
-// Cluster an io.Closer.
+// fail with ErrClosed, while accessors and Snapshot stay usable. An epoch
+// pass in flight is dropped without adopting it: no call is left to
+// adopt on, and a snapshot cut before Close carries it (see Snapshot).
+// Every epoch pass runs on Ingest calls, so there is nothing to stop or
+// drain and Close always returns nil; the error result keeps Cluster an
+// io.Closer.
 func (c *Cluster) Close() error {
 	c.closed.Store(true)
+	c.epochMu.Lock()
+	c.dropPassLocked()
+	c.epochMu.Unlock()
 	return nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"hbn/internal/dynamic"
 	"hbn/internal/topo"
 	"hbn/internal/tree"
 	"hbn/internal/workload"
@@ -65,6 +66,15 @@ func queued(c *Cluster) []int {
 	return xs
 }
 
+// lastOrZero is s.LastFold with a fresh zero row for the nil it returns
+// for an object never folded with a count.
+func lastOrZero(s *dynamic.SinceFold, x int, row, buf []workload.Access) []workload.Access {
+	if last := s.LastFold(x, row, buf); last != nil {
+		return last
+	}
+	return make([]workload.Access, len(row))
+}
+
 // checkSince requires every object's row as of its last fold, as its
 // shard's tracker keeps it, to equal prev's, and the measured drift
 // magnitude to equal the dense oracle's bit for bit.
@@ -72,7 +82,7 @@ func checkSince(t *testing.T, ctx string, c *Cluster, prev *workload.W) {
 	t.Helper()
 	buf := make([]workload.Access, c.t.Len())
 	for x := 0; x < c.numObjects; x++ {
-		last := c.shards[x%len(c.shards)].tracker.Since().LastFold(x, c.freq.Row(x), buf)
+		last := lastOrZero(c.shards[x%len(c.shards)].tracker.Since(), x, c.freq.Row(x), buf)
 		for v, a := range last {
 			if want := prev.Row(x)[v]; a != want {
 				t.Fatalf("%s: object %d node %d: count as of the last fold %+v, want %+v", ctx, x, v, a, want)
@@ -180,7 +190,8 @@ func TestSinceFoldMatchesDenseOracle(t *testing.T) {
 // shards, threshold 8), checked after every 1,024-event batch: the saved
 // counts never exceed the distinct touched cells whose last-fold count is
 // nonzero; a cluster that never folds (write storm, no passes) saves none;
-// and a batch whose pass folded every queued object leaves no state.
+// and a batch whose call folded every queued object (the call that starts
+// a pass, seen through the pass hook) leaves no state.
 func TestSinceFoldStateBounds(t *testing.T) {
 	tr := tree.SCICluster(8, 8, 32, 16)
 	const objects = 1024
@@ -199,12 +210,13 @@ func TestSinceFoldStateBounds(t *testing.T) {
 		}
 		buf := make([]workload.Access, tr.Len())
 		var passes, peak, touchedPeak int
+		var passed bool
+		c.passHook = func(_ int, stage string, _ int) { passed = passed || stage == "fold" }
 		for lo := 0; lo < len(tc.trace); lo += 1024 {
-			epochs := c.Stats().Epochs
+			passed = false
 			if _, err := c.Ingest(tc.trace[lo:min(lo+1024, len(tc.trace))]); err != nil {
 				t.Fatal(err)
 			}
-			passed := c.Stats().Epochs > epochs
 			if passed {
 				passes++
 			}
@@ -214,7 +226,7 @@ func TestSinceFoldStateBounds(t *testing.T) {
 				nonzero := 0
 				for x := si; x < objects; x += len(c.shards) {
 					row := c.freq.Row(x)
-					for v, l := range s.LastFold(x, row, buf) {
+					for v, l := range lastOrZero(s, x, row, buf) {
 						// A touched cell's count moved since the fold.
 						if l != row[v] && l != (workload.Access{}) {
 							nonzero++

@@ -57,6 +57,12 @@ type RestoreInfo struct {
 // to path (see package snapshot for the file format and durability
 // protocol; the previous generation is retained at path+".prev").
 //
+// An epoch pass in flight is not completed: the image records it (the
+// calls left until its adoption and what its fold fixed), and a cluster
+// restored from the image adopts it on the same call the source does.
+// Completing it here would adopt at a point set by when the snapshot was
+// taken rather than by the request sequence.
+//
 // The consistent cut is taken under the ingest gate — the same quiesce
 // barrier reconfiguration commits use — and is one pass over live state:
 // the image is encoded straight from the cluster's tables, load accounts
@@ -147,6 +153,7 @@ func (c *Cluster) encodeLocked() *snapshot.Image {
 		DroppedLoad:        c.stats.DroppedLoad,
 		DroppedServiceLoad: c.stats.DroppedServiceLoad,
 		EpochLog:           c.epochLog,
+		Pending:            c.pendingLocked(),
 		SolverW:            c.w,
 		TrackerW:           c.freq,
 
@@ -171,6 +178,22 @@ func (c *Cluster) encodeLocked() *snapshot.Image {
 		sh.mu.Unlock()
 	}
 	return img
+}
+
+// pendingLocked is the image's record of the pass in flight, if any
+// (caller holds epochMu).
+func (c *Cluster) pendingLocked() snapshot.PendingPass {
+	p := &c.pass
+	if p.calls == 0 {
+		return snapshot.PendingPass{}
+	}
+	return snapshot.PendingPass{
+		Calls:          passCalls - p.calls,
+		Requests:       p.rec.Requests,
+		Drifted:        p.rec.Drifted,
+		Trigger:        p.rec.Trigger,
+		DriftMagnitude: p.rec.DriftMagnitude,
+	}
 }
 
 // Restore recovers a warm cluster from the snapshot at path, walking the
@@ -350,16 +373,33 @@ func (c *Cluster) installState(st *snapshot.State) error {
 		}
 	}
 	c.epochLog = st.EpochLog
+	if p := st.Pending; p.Calls >= passCalls || (p.Calls > 0 && p.Drifted > st.NumObjects) {
+		return fmt.Errorf("%w: pending pass adopts in %d calls, re-solving %d objects", snapshot.ErrCorrupt, p.Calls, p.Drifted)
+	}
 	if st.Solved {
 		// Re-arm the incremental pipeline: a fresh Solve over the restored
 		// frequency view puts the solver in exactly the state from which
 		// Resolve produces the same placements as the source cluster (the
-		// Resolve ≡ fresh-Solve equivalence). The result is discarded — the
-		// restored copy sets already ARE the adopted placement.
-		if _, err := c.solver.Solve(c.w); err != nil {
+		// Resolve ≡ fresh-Solve equivalence). The restored copy sets
+		// already ARE the adopted placement, so the result is discarded —
+		// unless a pass is pending: its fold is in the restored view, and
+		// by the same equivalence the Solve is the placement the source's
+		// re-solve produces, which the restored cluster adopts on the same
+		// call as the source.
+		res, err := c.solver.Solve(c.w)
+		if err != nil {
 			return fmt.Errorf("%w: re-arming solver: %v", snapshot.ErrCorrupt, err)
 		}
 		c.solved = true
+		if p := st.Pending; p.Calls > 0 {
+			c.pass = epochPass{calls: passCalls - p.Calls, res: res, rec: EpochStat{
+				Requests:       p.Requests,
+				Drifted:        p.Drifted,
+				Trigger:        p.Trigger,
+				DriftMagnitude: p.DriftMagnitude,
+			}}
+			c.inFlight.Store(true)
+		}
 	}
 	return nil
 }

@@ -118,9 +118,32 @@ func TestRestoreAllocatesNoDroppedTable(t *testing.T) {
 // BenchmarkSnapshot times warm Snapshot calls on the ingest-drift shape
 // and reports where the time goes: the cut (which holds the ingest gate
 // and includes the encode), the encode alone, and the write (temp file,
-// fsync, rename), in ms per call, and the image size.
+// fsync, rename), in ms per call, and the image size. The cases:
+//
+//   - ingest-drift: driftShapeCluster, cut mid-epoch after 20 passes.
+//   - never-folded: the same shape under the ingest-write-storm traffic
+//     with no passes, so no object was ever folded and every last-fold
+//     row is zero.
 func BenchmarkSnapshot(b *testing.B) {
-	c := driftShapeCluster(b)
+	b.Run("ingest-drift", func(b *testing.B) { benchSnapshot(b, driftShapeCluster(b)) })
+	b.Run("never-folded", func(b *testing.B) {
+		tr := tree.SCICluster(8, 8, 32, 16)
+		const objects, batch = 1024, 1024
+		trace := workload.WriteStorm(rand.New(rand.NewSource(1)), tr, objects, 410*batch, 4, 0.05)
+		c, err := NewCluster(tr, objects, Options{Shards: 2, Threshold: 8})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for lo := 0; lo < len(trace); lo += batch {
+			if _, err := c.Ingest(trace[lo : lo+batch]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		benchSnapshot(b, c)
+	})
+}
+
+func benchSnapshot(b *testing.B, c *Cluster) {
 	path := filepath.Join(b.TempDir(), "snap.hbn")
 	if _, err := c.Snapshot(path); err != nil {
 		b.Fatal(err)

@@ -46,6 +46,7 @@ func (c *Cluster) captureLocked() *snapshot.State {
 		DroppedLoad:        c.stats.DroppedLoad,
 		DroppedServiceLoad: c.stats.DroppedServiceLoad,
 		EpochLog:           slices.Clone(c.epochLog),
+		Pending:            c.pendingLocked(),
 		SolverW:            c.w.Clone(),
 		TrackerW:           c.freq.Clone(),
 

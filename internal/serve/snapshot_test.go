@@ -12,6 +12,7 @@ import (
 
 	"hbn/internal/snapshot"
 	"hbn/internal/topo"
+	"hbn/internal/tree"
 	"hbn/internal/workload"
 )
 
@@ -58,55 +59,71 @@ func compareClusters(t *testing.T, label string, a, b *Cluster, numObjects int, 
 // shard counts {1, 4, 64}: the restored cluster equals the source at the
 // cut point (stats, aggregate loads, adopted placements — times included,
 // they travel in the image), and serving the same trace suffix on both
-// keeps them bit-identical through further epoch passes.
+// keeps them bit-identical through further epoch passes. The mid-pass
+// cases serve 40-event batches, so each pass is spread over passCalls
+// calls, and cut two calls into one: the image records the pass in
+// flight, and the restored cluster adopts it on the source's call.
 func TestSnapshotRestoreIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for _, tc := range testTrees(rng) {
 		for _, shards := range []int{1, 4, 64} {
-			t.Run(fmt.Sprintf("%s/shards=%d", tc.name, shards), func(t *testing.T) {
-				const objects = 48
-				trace := workload.DriftingZipf(rand.New(rand.NewSource(7)), tc.tr, objects, 6000, 4, 1.0, 0.07)
-				cut := 4000
-				c, err := NewCluster(tc.tr, objects, Options{
-					Shards: shards, EpochRequests: 900, Threshold: 3,
-				})
-				if err != nil {
-					t.Fatal(err)
+			for _, mid := range []bool{false, true} {
+				name := fmt.Sprintf("%s/shards=%d", tc.name, shards)
+				batch, cut := 256, 4000
+				if mid {
+					// The pass folded at 3600 requests starts on the 90th
+					// call; the cut follows its second.
+					name, batch, cut = name+"/mid-pass", 40, 3640
 				}
-				ingestAll(t, c, trace[:cut], 256)
-
-				path := filepath.Join(t.TempDir(), "snap.hbn")
-				ss, err := c.Snapshot(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ss.Seq != 1 || ss.Bytes <= 0 {
-					t.Fatalf("bad snapshot stats: %+v", ss)
-				}
-
-				r, info, err := Restore(path, RestoreOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if info.Fallback || info.Seq != 1 {
-					t.Fatalf("bad restore info: %+v", info)
-				}
-				compareClusters(t, "at cut", c, r, objects, false)
-
-				// Same suffix on both: epoch passes, adoption decisions and
-				// threshold dynamics must all line up exactly.
-				ingestAll(t, c, trace[cut:], 256)
-				ingestAll(t, r, trace[cut:], 256)
-				if err := c.ResolveNow(); err != nil {
-					t.Fatal(err)
-				}
-				if err := r.ResolveNow(); err != nil {
-					t.Fatal(err)
-				}
-				compareClusters(t, "after suffix", c, r, objects, true)
-			})
+				t.Run(name, func(t *testing.T) { checkRestoreIdentity(t, tc.tr, shards, batch, cut, mid) })
+			}
 		}
 	}
+}
+
+func checkRestoreIdentity(t *testing.T, tr *tree.Tree, shards, batch, cut int, mid bool) {
+	const objects = 48
+	trace := workload.DriftingZipf(rand.New(rand.NewSource(7)), tr, objects, 6000, 4, 1.0, 0.07)
+	c, err := NewCluster(tr, objects, Options{
+		Shards: shards, EpochRequests: 900, Threshold: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestAll(t, c, trace[:cut], batch)
+
+	path := filepath.Join(t.TempDir(), "snap.hbn")
+	ss, err := c.Snapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ss.Seq != 1 || ss.Bytes <= 0 {
+		t.Fatalf("bad snapshot stats: %+v", ss)
+	}
+
+	r, info, err := Restore(path, RestoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Fallback || info.Seq != 1 {
+		t.Fatalf("bad restore info: %+v", info)
+	}
+	if got := r.inFlight.Load(); got != mid {
+		t.Fatalf("restored cluster has a pass in flight: %v, want %v", got, mid)
+	}
+	compareClusters(t, "at cut", c, r, objects, false)
+
+	// Same suffix on both: epoch passes, adoption decisions and
+	// threshold dynamics must all line up exactly.
+	ingestAll(t, c, trace[cut:], batch)
+	ingestAll(t, r, trace[cut:], batch)
+	if err := c.ResolveNow(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.ResolveNow(); err != nil {
+		t.Fatal(err)
+	}
+	compareClusters(t, "after suffix", c, r, objects, true)
 }
 
 // A snapshot of the restored cluster is byte-identical to a fresh

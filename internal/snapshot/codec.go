@@ -16,9 +16,10 @@ import (
 // Header layout: magic(8) + version(4) + bodyLen(8); trailer: crc(4).
 const (
 	magic = "HBNSNAP1"
-	// version is the layout Encode writes; Decode also reads version2
-	// (both are described in the package comment).
-	version    = 3
+	// version is the layout Encode writes; Decode also reads version3
+	// and version2 (all three are described in the package comment).
+	version    = 4
+	version3   = 3
 	version2   = 2
 	headerSize = len(magic) + 4 + 8
 	crcSize    = 4
@@ -75,14 +76,15 @@ type part struct {
 // encode writes objects [lo, hi) of st: for each object its SolverW row,
 // its TrackerW row as of its last fold, its TrackerW row less that into
 // its shard's section, and its record. A last-fold row with no cell is
-// not read a second time.
+// not read a second time, and one its since-fold state knows is zero (an
+// object never folded with a count) is not built or read at all.
 func (p *part) encode(st *State, lo, hi int, object func(x int, scratch *dynamic.ObjectState) *dynamic.ObjectState) {
 	shards := len(st.ShardStates)
 	for x := lo; x < hi; x++ {
 		p.row(secSolver, x, st.SolverW.Row(x), nil)
 		cur := st.TrackerW.Row(x)
 		last := st.ShardStates[x%shards].Since.LastFold(x, cur, p.last)
-		if p.row(secPrev, x, last, nil) == 0 {
+		if last != nil && p.row(secPrev, x, last, nil) == 0 {
 			last = nil
 		}
 		p.row(secShard+x%shards, x, cur, last)
@@ -325,6 +327,14 @@ func (en *Encoder) Encode(st *State, workers int, object func(x int, scratch *dy
 		e.byte(encodeTrigger(r.Trigger))
 		e.f64(r.DriftMagnitude)
 	}
+	pp := &st.Pending
+	e.uvarint(uint64(pp.Calls))
+	if pp.Calls > 0 {
+		e.varint(pp.Requests)
+		e.uvarint(uint64(pp.Drifted))
+		e.byte(encodeTrigger(pp.Trigger))
+		e.f64(pp.DriftMagnitude)
+	}
 
 	for i := range st.ShardStates {
 		ss := &st.ShardStates[i]
@@ -534,21 +544,25 @@ func (d *dec) cell(w *workload.W) (x int, v tree.NodeID, a workload.Access) {
 	return x, v, workload.Access{Reads: int64(r), Writes: int64(wr)}
 }
 
-// rows reads a section part.row wrote into w.
-func (d *dec) rows(w *workload.W) {
+// rows reads a section part.row wrote into w, and when has is non-nil
+// marks in it each object with a cell.
+func (d *dec) rows(w *workload.W, has []bool) {
 	n := d.count(len(d.b), "workload cell")
 	for i := 0; i < n && d.err == nil; i++ {
 		if x, v, a := d.cell(w); d.err == nil {
 			w.Set(x, v, a)
+			if has != nil {
+				has[x] = true
+			}
 		}
 	}
 }
 
 // since reads shard first's section (of step shards) into w, which holds
 // the counts as of each object's last fold, and touches in s every cell
-// whose count moved since: a v3 section holds the counts since the fold,
-// which it adds to w's (a sum past the int64 range is corrupt), and a v2
-// one the recorded counts, which replace w's and must not fall below
+// whose count moved since: a v3 or v4 section holds the counts since the
+// fold, which it adds to w's (a sum past the int64 range is corrupt), and
+// a v2 one the recorded counts, which replace w's and must not fall below
 // them. The cells must lie in the rows x ≡ first (mod step) and ascend in
 // (object, node): no writer produces another order or a foreign row, and
 // accepting one would make a re-encode differ from its input. It returns
@@ -594,6 +608,43 @@ func (d *dec) since(w *workload.W, s *dynamic.SinceFold, first, step int, v2 boo
 	return matched
 }
 
+// validMagnitude reports whether m can be a drift magnitude: a mean L1
+// distance of normalized frequency vectors, bounded by 2 (small float
+// slack for summation order).
+func validMagnitude(m float64) bool {
+	return !math.IsNaN(m) && m >= 0 && m <= 2.0000001
+}
+
+// pending reads a v4 image's pending-pass record, which follows the epoch
+// log. A pending pass adopts a solved placement, so it needs the solved
+// flag, and its fold happened at or before the cut.
+func (d *dec) pending(st *State) PendingPass {
+	var p PendingPass
+	p.Calls = int(d.val(math.MaxInt32, "pending pass calls"))
+	if p.Calls == 0 || d.err != nil {
+		return p
+	}
+	if !st.Solved {
+		d.fail("pending pass without a solved placement")
+	}
+	p.Requests = d.nonneg("pending pass requests")
+	if d.err == nil && p.Requests > st.Served {
+		d.fail("pending pass folded at %d requests, after the cut at %d", p.Requests, st.Served)
+	}
+	p.Drifted = int(d.val(int64(st.NumObjects), "pending pass drift"))
+	tb := d.byte()
+	if trig, ok := decodeTrigger(tb); ok {
+		p.Trigger = trig
+	} else if d.err == nil {
+		d.fail("pending pass: unknown trigger %#x", tb)
+	}
+	p.DriftMagnitude = d.f64()
+	if d.err == nil && !validMagnitude(p.DriftMagnitude) {
+		d.fail("pending pass: drift magnitude %v out of range", p.DriftMagnitude)
+	}
+	return p
+}
+
 func (d *dec) loads(n int, what string) []int64 {
 	if d.err != nil {
 		return nil
@@ -608,8 +659,8 @@ func (d *dec) loads(n int, what string) []int64 {
 	return out
 }
 
-// Decode parses and verifies a complete snapshot image, of version 3 or
-// 2. All failures wrap ErrCorrupt, and Decode never panics. Every count is
+// Decode parses and verifies a complete snapshot image, of version 4, 3
+// or 2. All failures wrap ErrCorrupt, and Decode never panics. Every count is
 // capped by the bytes that remain before it is trusted; the allocations
 // that can outgrow the input are the two dense frequency tables, objects
 // × nodes × 16 B each, with objects at most the body's length and objects
@@ -634,7 +685,7 @@ func unframe(data []byte) (uint32, []byte, error) {
 	}
 	off := len(magic)
 	ver := binary.LittleEndian.Uint32(data[off:])
-	if ver != version && ver != version2 {
+	if ver != version && ver != version3 && ver != version2 {
 		return 0, nil, corrupt("unsupported version %d", ver)
 	}
 	bodyLen := binary.LittleEndian.Uint64(data[off+4:])
@@ -737,11 +788,13 @@ func decodeBody(body []byte, ver uint32, v2Tables func(x int, nearest []tree.Nod
 
 	st.SolverW = workload.New(numObjects, nodes)
 	st.TrackerW = workload.New(numObjects, nodes)
-	d.rows(st.SolverW)
+	d.rows(st.SolverW, nil)
 	// The last-fold section goes into TrackerW, to which each shard's
-	// section then adds the counts since the fold (v3) or whose counts it
-	// replaces with the recorded ones (v2).
-	d.rows(st.TrackerW)
+	// section then adds the counts since the fold (v3 and v4) or whose
+	// counts it replaces with the recorded ones (v2). The objects with a
+	// last-fold cell are marked folded in their shard's since-fold state.
+	folded := make([]bool, numObjects)
+	d.rows(st.TrackerW, folded)
 	prevCells := 0
 	for x := 0; v2 && d.err == nil && x < numObjects; x++ {
 		for _, a := range st.TrackerW.Row(x) {
@@ -770,15 +823,16 @@ func decodeBody(body []byte, ver uint32, v2Tables func(x int, nearest []tree.Nod
 				d.fail("epoch %d: unknown trigger %#x", i, tb)
 			}
 			r.DriftMagnitude = d.f64()
-			// The magnitude is a mean L1 distance of normalized frequency
-			// vectors, bounded by 2 (small float slack for summation order).
-			if d.err == nil && (math.IsNaN(r.DriftMagnitude) || r.DriftMagnitude < 0 || r.DriftMagnitude > 2.0000001) {
+			if d.err == nil && !validMagnitude(r.DriftMagnitude) {
 				d.fail("epoch %d: drift magnitude %v out of range", i, r.DriftMagnitude)
 			}
 			if d.err != nil {
 				break
 			}
 		}
+	}
+	if ver == version && d.err == nil {
+		st.Pending = d.pending(st)
 	}
 
 	if d.err == nil {
@@ -799,6 +853,11 @@ func decodeBody(body []byte, ver uint32, v2Tables func(x int, nearest []tree.Nod
 				break
 			}
 			ss.Since = dynamic.NewSinceFold(numObjects, nodes, nshards)
+			for x := i; x < numObjects; x += nshards {
+				if folded[x] {
+					ss.Since.MarkFolded(x)
+				}
+			}
 			prevCells -= d.since(st.TrackerW, ss.Since, i, nshards, v2)
 			nd := d.count(numObjects, "drift queue")
 			if d.err != nil {
@@ -813,8 +872,8 @@ func decodeBody(body []byte, ver uint32, v2Tables func(x int, nearest []tree.Nod
 			}
 		}
 	}
-	// A v3 image cannot hold a last-fold count above its recorded count
-	// (the difference is unsigned on the wire); a v2 one can, and serving
+	// A v3 or v4 image cannot hold a last-fold count above its recorded
+	// count (the difference is unsigned on the wire); a v2 one can, and serving
 	// it would fold a negative frequency. Each shard section checked its
 	// own cells; a nonzero last-fold cell with no recorded cell at all
 	// (a recorded count of 0) is one the sections did not match.

@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// FuzzSnapshotDecode feeds the decoder real snapshot images of both
-// versions plus truncations, bit-flips and junk. The contract under
+// FuzzSnapshotDecode feeds the decoder real snapshot images of every
+// version plus truncations, bit-flips and junk. The contract under
 // attack: corrupt input is rejected with ErrCorrupt (never a panic, and no
 // allocation beyond the bound the package comment states — hostile length
 // prefixes and counts are capped before they are trusted), and anything
@@ -37,6 +37,10 @@ func FuzzSnapshotDecode(f *testing.F) {
 	// its frequencies up to 6, the widths the one-scan table writer closes
 	// gaps for.
 	f.Add(readGolden(f, "dense-v3.snap"))
+	// v4 images: the plain one, and one cut while an epoch pass was in
+	// flight, whose pending-pass record follows the epoch log.
+	f.Add(readGolden(f, "mkstate3-v4.snap"))
+	f.Add(readGolden(f, "pending-v4.snap"))
 	// A tracker cell in a section whose shard does not own its object,
 	// which Decode rejects.
 	f.Add(withForeignTrackerCell(f, img))

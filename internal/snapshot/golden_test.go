@@ -81,22 +81,35 @@ func mkDenseState() *State {
 	}, pw)
 }
 
-// The v3 goldens pin the writer: Encode must reproduce them byte for
-// byte, and they must decode and re-encode unchanged. The v2 goldens were
-// written by the v2 writer and pin the reader: mkstate3.snap decodes and
-// re-encodes as mkState(3)'s v3 image, and dense.snap, whose 150
-// last-fold cells stand above its 5 tracker cells (no cluster writes that), is
-// corrupt.
+// mkPendingState is mkState(3) cut while an epoch pass is in flight: its
+// fold ran at 1400 requests and it adopts two calls after the cut.
+func mkPendingState() *State {
+	st := mkState(3)
+	st.Pending = PendingPass{Calls: 2, Requests: 1400, Drifted: 3, Trigger: "drift", DriftMagnitude: 0.75}
+	return st
+}
+
+// The v4 goldens pin the writer: Encode must reproduce them byte for
+// byte, and they must decode and re-encode unchanged. The older goldens
+// pin the reader. The v3 ones were written by the v3 writer, which had no
+// pending-pass record: each decodes to the state it was encoded from and
+// re-encodes as its v4 image. The v2 ones were written by the v2 writer:
+// mkstate3.snap decodes and re-encodes as mkState(3)'s v4 image, and
+// dense.snap, whose 150 last-fold cells stand above its 5 tracker cells
+// (no cluster writes that), is corrupt.
 func TestEncodeGolden(t *testing.T) {
 	for _, tc := range []struct {
-		file string
-		st   *State
-		v2   bool
+		file   string
+		st     *State
+		writer bool // the file is Encode's image of st
 	}{
+		{"mkstate3-v4.snap", mkState(3), true},
+		{"dense-v4.snap", mkDenseState(), true},
+		{"pending-v4.snap", mkPendingState(), true},
 		{"mkstate3-v3.snap", mkState(3), false},
 		{"dense-v3.snap", mkDenseState(), false},
-		{"mkstate3.snap", mkState(3), true},
-		{"dense.snap", nil, true},
+		{"mkstate3.snap", mkState(3), false},
+		{"dense.snap", nil, false},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			img := readGolden(t, tc.file)
@@ -111,11 +124,11 @@ func TestEncodeGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := Encode(tc.st)
-			if !tc.v2 && !bytes.Equal(want, img) {
+			if tc.writer && !bytes.Equal(want, img) {
 				t.Fatalf("Encode differs from the golden: %d vs %d bytes", len(want), len(img))
 			}
 			if !bytes.Equal(Encode(st), want) {
-				t.Fatal("decoded golden does not re-encode as the v3 image of its state")
+				t.Fatal("decoded golden does not re-encode as the v4 image of its state")
 			}
 		})
 	}
@@ -132,8 +145,9 @@ func TestEncoderWorkerCountsMatchGolden(t *testing.T) {
 		file string
 		st   *State
 	}{
-		{"mkstate3-v3.snap", mkState(3)},
-		{"dense-v3.snap", mkDenseState()},
+		{"mkstate3-v4.snap", mkState(3)},
+		{"dense-v4.snap", mkDenseState()},
+		{"pending-v4.snap", mkPendingState()},
 	} {
 		want := readGolden(t, tc.file)
 		object := func(x int, _ *dynamic.ObjectState) *dynamic.ObjectState { return &tc.st.Objects[x] }

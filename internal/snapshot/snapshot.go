@@ -9,24 +9,28 @@
 // A snapshot file is
 //
 //	magic   8 bytes  "HBNSNAP1"
-//	version u32 LE   3 (Encode writes only 3; Decode reads 3 and 2, and
-//	                 rejects every other version with ErrCorrupt)
+//	version u32 LE   4 (Encode writes only 4; Decode reads 4, 3 and 2,
+//	                 and rejects every other version with ErrCorrupt)
 //	bodyLen u64 LE   length of body in bytes
 //	body    bodyLen  varint-packed sections (see codec.go)
 //	crc     u32 LE   CRC-32 (IEEE) of body
 //
 // The body stores each fact once: the options and counters, the tree,
 // the solver's frequency view (SolverW), the recorded counts as of each
-// object's last fold (TrackerW less the counts since) and the epoch log;
-// per shard its load accounts, the counts its objects recorded since
-// their last fold (on the cells its ShardState.Since holds touched, in
-// ascending order) and its drift queue; per object a presence byte, the
-// copy list in list order, the live read counters and the write streak.
-// Nearest tables, anchors and modes are derived from the copy list on
-// restore (dynamic.RestoreObject). Version 2 images still decode: their
-// cumulative tracker counts must not fall below the last-fold counts, and
-// their tables, anchors, mode bits, decay-shift slot and flag bit 0 are
-// checked and dropped, so one re-encodes as v3.
+// object's last fold (TrackerW less the counts since), the epoch log and
+// the pending-pass record (State.Pending: a calls-left count, and when it
+// is nonzero the fold's request count, drift count, trigger and drift
+// magnitude); per shard its load accounts, the counts its objects
+// recorded since their last fold (on the cells its ShardState.Since holds
+// touched, in ascending order) and its drift queue; per object a presence
+// byte, the copy list in list order, the live read counters and the
+// write streak. Nearest tables, anchors and modes are derived from the
+// copy list on restore (dynamic.RestoreObject). Version 3 images are
+// version 4 without the pending-pass record, and decode with none.
+// Version 2 images still decode: their cumulative tracker counts must not
+// fall below the last-fold counts, and their tables, anchors, mode bits,
+// decay-shift slot and flag bit 0 are checked and dropped, so one
+// re-encodes as v4.
 //
 // Torn writes are detected by the length prefix (the file is shorter than
 // the header promises), bit flips by the checksum, and hostile or
@@ -153,7 +157,7 @@ type State struct {
 	DriftCheckRequests int64
 
 	// Epoch machinery at the cut.
-	Solved             bool // a placement was adopted (restore's first pass arms the solver)
+	Solved             bool // the solver is armed: restore re-arms it with a Solve of SolverW
 	Served             int64
 	Epochs             int64
 	DriftEpochs        int64
@@ -164,7 +168,11 @@ type State struct {
 	DroppedLoad        int64
 	DroppedServiceLoad int64
 	EpochLog           []EpochRec
-	SolverW            *workload.W // the solver's folded frequency view
+	// Pending is the epoch pass folded before the cut and not yet adopted
+	// (Calls 0: none). Its placement is not in the image: it is the solve
+	// of SolverW, which restore re-arms the solver with.
+	Pending PendingPass
+	SolverW *workload.W // the solver's folded frequency view
 	// TrackerW is the observed-frequency table every shard records into.
 	// Shard i records only the objects it owns (x ≡ i mod the shard
 	// count), and the image stores the counts its objects recorded since
@@ -188,7 +196,7 @@ type State struct {
 type EpochRec struct {
 	// Epoch numbers passes from 1.
 	Epoch int64
-	// Requests is the total served when the pass started.
+	// Requests is the total served when the pass started, at its fold.
 	Requests int64
 	// Drifted is the number of objects re-solved in this pass.
 	Drifted int
@@ -203,8 +211,10 @@ type EpochRec struct {
 	// MaxEdgeLoad is the cluster's served max edge load after adoption.
 	MaxEdgeLoad int64
 	// ResolveNs is the wall time of the whole pass: the drift fold, the
-	// Solve/Resolve call, adoption and the max-edge-load fold (despite the
-	// name, not the solver call alone).
+	// Solve/Resolve, adoption and the max-edge-load fold (despite the name,
+	// not the solver call alone), summed over the Ingest calls the pass was
+	// spread over. For a pass restored in flight it counts the calls after
+	// the restore.
 	ResolveNs int64
 	// Trigger records what fired the pass: "cadence" (EpochRequests),
 	// "drift" (the drift-magnitude trigger), or "manual" (ResolveNow and
@@ -214,6 +224,22 @@ type EpochRec struct {
 	// request-weighted mean L1 distance described at
 	// serve.Options.DriftThreshold), regardless of what triggered it; 0
 	// when no traffic has drifted since the last adoption.
+	DriftMagnitude float64
+}
+
+// PendingPass records an epoch pass whose fold happened before the cut and
+// whose adoption comes after it: the serving layer spreads a pass over
+// several Ingest calls and adopts on the last (serve.Cluster.Ingest), so a
+// restored cluster must adopt on the same call the source would have.
+type PendingPass struct {
+	// Calls is the number of Ingest calls left until the adoption,
+	// counting the adopting call; 0 means no pass is pending.
+	Calls int
+	// Requests, Drifted, Trigger and DriftMagnitude are the EpochRec
+	// fields the fold fixed; the adoption fills in the rest.
+	Requests       int64
+	Drifted        int
+	Trigger        string
 	DriftMagnitude float64
 }
 

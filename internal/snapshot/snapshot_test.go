@@ -83,7 +83,8 @@ func mkState(seq uint64) *State {
 }
 
 // withPrev sets st's since-fold states from prev, TrackerW's rows as of
-// each object's last fold, as a cluster's shards keep them: a cell whose
+// each object's last fold, as a cluster's shards keep them: an object
+// whose prev row holds a count is marked folded, and a cell whose
 // recorded count differs from prev's was touched since, with prev's count
 // saved.
 func withPrev(st *State, prev *workload.W) *State {
@@ -92,6 +93,9 @@ func withPrev(st *State, prev *workload.W) *State {
 		st.ShardStates[i].Since = dynamic.NewSinceFold(st.NumObjects, st.Tree.Len(), n)
 	}
 	for x := 0; x < st.NumObjects; x++ {
+		if slices.ContainsFunc(prev.Row(x), func(a workload.Access) bool { return a != (workload.Access{}) }) {
+			st.ShardStates[x%n].Since.MarkFolded(x)
+		}
 		for v, a := range st.TrackerW.Row(x) {
 			if p := prev.At(x, tree.NodeID(v)); p != a {
 				st.ShardStates[x%n].Since.Touch(x, tree.NodeID(v), p)
@@ -427,6 +431,46 @@ func TestDecodeRejectsEveryBitFlip(t *testing.T) {
 				t.Fatalf("flip byte %d bit %d: got %v, want ErrCorrupt", i, bit, err)
 			}
 		}
+	}
+}
+
+// A pending-pass record is checked like the epoch log: a pass pending on
+// a state with no solved placement, folded after the cut, re-solving more
+// objects than the state has, or with an unknown trigger or an
+// out-of-range magnitude is corrupt, and a record a v4 writer wrote
+// round-trips.
+func TestDecodePendingPass(t *testing.T) {
+	st, err := Decode(Encode(mkPendingState()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Pending != mkPendingState().Pending {
+		t.Fatalf("pending pass %+v, want %+v", st.Pending, mkPendingState().Pending)
+	}
+	for name, edit := range map[string]func(*State){
+		"unsolved":        func(st *State) { st.Solved = false },
+		"after the cut":   func(st *State) { st.Pending.Requests = st.Served + 1 },
+		"too many drifts": func(st *State) { st.Pending.Drifted = st.NumObjects + 1 },
+		"magnitude":       func(st *State) { st.Pending.DriftMagnitude = 2.5 },
+	} {
+		st := mkPendingState()
+		edit(st)
+		if _, err := Decode(Encode(st)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
+		}
+	}
+	img := Encode(mkPendingState())
+	body := bytes.Clone(img[headerSize : len(img)-crcSize])
+	// The record ends with the trigger byte and the 8-byte magnitude,
+	// before the shard sections; "drift" is code 1.
+	rec := append(binary.AppendVarint([]byte{2}, 1400), 3, 1) // calls, requests, drifted, trigger
+	at := bytes.Index(body, rec)
+	if at < 0 || bytes.Count(body, rec) != 1 {
+		t.Fatal("pending-pass record not found once in the image")
+	}
+	body[at+len(rec)-1] = 9
+	if _, err := Decode(reframe(version, body)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("unknown trigger: got %v, want ErrCorrupt", err)
 	}
 }
 
