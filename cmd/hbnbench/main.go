@@ -11,8 +11,6 @@
 //	hbnbench -experiment all -json      # machine-readable, for BENCH_*.json
 //	hbnbench -experiment none -ratio    # competitive ratio vs the clairvoyant static optimum
 //	hbnbench -experiment none -ratio -ratioguard BENCH_pr8.json  # fail on >10% ratio regression
-//	hbnbench -experiment none -daemon 127.0.0.1:7070    # drive a live hbnd daemon over the wire, verify its ledger
-//	hbnbench -experiment none -daemon ... -devents 0    # stats + ledger check only (post-restart verification)
 //	hbnbench ... -cpuprofile cpu.pprof  # attach pprof evidence to perf PRs
 package main
 
@@ -41,13 +39,12 @@ type jsonResult struct {
 }
 
 type jsonOutput struct {
-	Timestamp  string           `json:"timestamp"`
-	Seed       int64            `json:"seed"`
-	Quick      bool             `json:"quick"`
-	GoMaxProcs int              `json:"gomaxprocs"`
-	Results    []jsonResult     `json:"results"`
-	Ratio      []jsonRatio      `json:"ratio,omitempty"`
-	Daemon     *jsonDaemonBench `json:"daemon,omitempty"`
+	Timestamp  string       `json:"timestamp"`
+	Seed       int64        `json:"seed"`
+	Quick      bool         `json:"quick"`
+	GoMaxProcs int          `json:"gomaxprocs"`
+	Results    []jsonResult `json:"results"`
+	Ratio      []jsonRatio  `json:"ratio,omitempty"`
 }
 
 func main() {
@@ -59,14 +56,6 @@ func main() {
 		seed       = flag.Int64("seed", 2000, "base random seed")
 		ratioB     = flag.Bool("ratio", false, "run the competitive-ratio benchmark (online congestion over the clairvoyant static optimum, pre-PR-8 flat strategy vs bandwidth-aware budgets with drift-triggered epochs)")
 		ratioGuard = flag.String("ratioguard", "", "baseline BENCH json to compare -ratio post_ratio values against; exit nonzero if any scenario regresses by more than 10% (implies -ratio)")
-		daemonAddr = flag.String("daemon", "", "address of a running hbnd daemon: drive it over the wire and verify the conservation ledger externally (see cmd/hbnd)")
-		dClients   = flag.Int("dclients", 4, "-daemon: concurrent load clients")
-		dBatch     = flag.Int("dbatch", 64, "-daemon: events per batch")
-		dEvents    = flag.Int64("devents", 10_000, "-daemon: total offered events across all clients; 0 reads stats and checks the ledger without sending traffic (the restart-verify invocation)")
-		dBudget    = flag.Duration("dbudget", 0, "-daemon: per-batch deadline budget (0 = none)")
-		dSwitches  = flag.Int("dswitches", 4, "-daemon: the daemon's -switches value (leaf IDs are derived from its topology)")
-		dProcs     = flag.Int("dprocs", 4, "-daemon: the daemon's -procs value")
-		dObjects   = flag.Int("dobjects", 1024, "-daemon: the daemon's -objects value")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile (post-GC) to this file at exit")
 	)
@@ -123,27 +112,6 @@ func main() {
 			fatal(err)
 		}
 	}
-	var daemonRes *jsonDaemonBench
-	if *daemonAddr != "" {
-		var err error
-		daemonRes, err = runDaemonBench(daemonBenchOptions{
-			Addr:     *daemonAddr,
-			Clients:  *dClients,
-			Batch:    *dBatch,
-			Events:   *dEvents,
-			Budget:   *dBudget,
-			Seed:     *seed,
-			Switches: *dSwitches,
-			Procs:    *dProcs,
-			Objects:  *dObjects,
-		})
-		if err != nil {
-			if daemonRes != nil && !*jsonOut {
-				printDaemonBench(daemonRes)
-			}
-			fatal(err)
-		}
-	}
 
 	// The measured work is done: flush profiles before emitting output so
 	// the profile covers exactly the benchmark/experiment bodies.
@@ -175,7 +143,6 @@ func main() {
 			GoMaxProcs: runtime.GOMAXPROCS(0),
 			Results:    timed,
 			Ratio:      ratios,
-			Daemon:     daemonRes,
 		}); err != nil {
 			fatal(err)
 		}
@@ -192,9 +159,6 @@ func main() {
 		}
 		if len(ratios) > 0 {
 			printRatioBench(ratios)
-		}
-		if daemonRes != nil {
-			printDaemonBench(daemonRes)
 		}
 	}
 	if *ratioGuard != "" {

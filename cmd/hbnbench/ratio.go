@@ -116,6 +116,9 @@ func ratioRun(t, scoreT *tree.Tree, objects int, opts serve.Options,
 	return congestionOf(scoreT, c.EdgeLoad()), c.Stats(), epochP99, nil
 }
 
+// nsToMS converts a nanosecond histogram value to milliseconds.
+func nsToMS(ns int64) float64 { return float64(ns) / 1e6 }
+
 // runRatioBench runs every scenario through the pre-PR-8 and the
 // bandwidth-aware configurations and scores both against the static
 // optimum, on the four phase-shifting trace scenarios at a fixed scale

@@ -177,9 +177,11 @@
 // workers, reads each table row once, and the immutable tree's encoding
 // is computed once per tree. The ingest stall is bounded by that pass,
 // not by the disk, and the image's bytes do not depend on the worker
-// count. The image stores each fact once (copy lists, not the nearest
-// tables rebuilt from them on restore; counts since the last fold, not
-// the recorded table twice), and v3 and v2 images still restore. An
+// count. A snapshot called while a reconfiguration is in flight waits
+// for it to commit and captures the new tree. The image stores each fact
+// once (copy lists, not the nearest tables rebuilt from them on restore;
+// counts since the last fold, not the recorded table twice), and v3 and
+// v2 images still restore. An
 // epoch pass in flight at the cut is recorded, not completed, and the
 // restored cluster adopts it on the same Ingest call. A cluster holds
 // two dense frequency tables, the recorded counts and the solver's aged
@@ -312,6 +314,8 @@ const None = tree.None
 var (
 	// ErrReconfigInProgress: another reconfiguration already holds the
 	// cluster's flag; the attempt failed fast and nothing was queued.
+	// Cluster.Snapshot never returns it: a snapshot waits for the
+	// reconfiguration in flight to commit.
 	ErrReconfigInProgress = serve.ErrReconfigInProgress
 	// TopologyDiff validation sentinels (degenerate diffs).
 	ErrRemoveRoot        = topo.ErrRemoveRoot

@@ -32,7 +32,7 @@
 //
 // Restart restores the newest usable snapshot and replays every frame of
 // the tail log on top of it: the image does not record which frames it
-// holds. The tail is truncated only after SnapshotWait returns (in
+// holds. The tail is truncated only after Snapshot returns (in
 // snapshotNow, Drain and the handoff cut), so a kill after a snapshot's
 // final rename and before that truncate restarts from the new image and
 // replays frames the image already holds. Those batches are applied
@@ -376,7 +376,7 @@ func (d *Daemon) Drain() (serve.SnapshotStats, error) {
 	if d.standby.Load() {
 		return ss, nil
 	}
-	ss, err := d.cl.SnapshotWait(d.cfg.SnapshotPath, 10, 5*time.Millisecond)
+	ss, err := d.cl.Snapshot(d.cfg.SnapshotPath)
 	if err != nil {
 		return ss, fmt.Errorf("hbnd: final snapshot: %w", err)
 	}
@@ -441,7 +441,7 @@ func (d *Daemon) snapshotNow() (*wire.SnapshotResult, error) {
 	d.applyMu.Lock()
 	defer d.applyMu.Unlock()
 	paused := time.Now()
-	ss, err := d.cl.SnapshotWait(d.cfg.SnapshotPath, 10, 5*time.Millisecond)
+	ss, err := d.cl.Snapshot(d.cfg.SnapshotPath)
 	if err != nil {
 		return nil, err
 	}
@@ -467,7 +467,7 @@ func (d *Daemon) reconfigure(req *wire.ReconfigRequest) (*wire.ReconfigResult, e
 	if err != nil {
 		return nil, err
 	}
-	if _, err := d.cl.SnapshotWait(d.cfg.SnapshotPath, 10, 5*time.Millisecond); err != nil {
+	if _, err := d.cl.Snapshot(d.cfg.SnapshotPath); err != nil {
 		return nil, fmt.Errorf("post-reconfigure snapshot: %w", err)
 	}
 	if err := d.tail.Truncate(); err != nil {

@@ -61,7 +61,7 @@ func (d *Daemon) handoffTo(addr string) error {
 	// Phase 1: consistent cut at a batch boundary.
 	tCut := time.Now()
 	d.applyMu.Lock()
-	_, err := d.cl.SnapshotWait(d.cfg.SnapshotPath, 10, 5*time.Millisecond)
+	_, err := d.cl.Snapshot(d.cfg.SnapshotPath)
 	if err == nil {
 		err = d.tail.Truncate()
 	}

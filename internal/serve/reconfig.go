@@ -18,7 +18,8 @@ import (
 // second topology change behind it would stack diffs whose IDs refer to
 // a tree that no longer exists by the time the second one runs. Callers
 // retry after the first call returns, diffing against the then-current
-// tree.
+// tree. A snapshot never returns it: Snapshot waits for the
+// reconfiguration to commit.
 var ErrReconfigInProgress = errors.New("serve: reconfiguration already in progress")
 
 // ReconfigStats summarizes one completed Reconfigure call.

@@ -422,11 +422,14 @@ type Cluster struct {
 	// it (each shard's obsb block).
 	obs *obs.Registry
 
-	// reconfiguring serializes Reconfigure (and Snapshot) calls: a second
-	// call arriving while one is in flight fails fast with
-	// ErrReconfigInProgress instead of queueing behind epochMu (which a
-	// reconfiguration holds for its whole duration).
+	// reconfiguring serializes Reconfigure calls: a second call arriving
+	// while one is in flight fails fast with ErrReconfigInProgress instead
+	// of queueing behind epochMu (which a reconfiguration holds for its
+	// whole duration).
 	reconfiguring atomic.Bool
+	// snapMu serializes snapshots across cut and write: the write commits
+	// through snapEnc, which remembers the last image it committed.
+	snapMu sync.Mutex
 	// roll is the reconfiguration in flight, nil otherwise.
 	// Written only inside quiesce (the full ingest gate); read under the
 	// gate's read side.

@@ -69,13 +69,17 @@ type RestoreInfo struct {
 // and copy sets, with nothing cloned, over contiguous object ranges on up
 // to Parallelism workers (the bytes do not depend on how many). Concurrent
 // Ingest calls therefore stall for the in-memory encode, never for the
-// disk write; the measured windows come back in SnapshotStats. Snapshot
-// serializes with topology changes through the same flag as Reconfigure: a
-// call while a reconfiguration (or another snapshot) is in flight fails
-// fast with ErrReconfigInProgress, because mid-roll the shards straddle
-// two ID spaces and no consistent single-tree image exists. A closed
+// disk write; the measured windows come back in SnapshotStats. Serving,
+// epoch passes and reconfigurations go on while the image is written.
+//
+// Snapshot waits rather than fails: a call while a reconfiguration is in
+// flight blocks until it commits (mid-roll the shards straddle two ID
+// spaces and no consistent single-tree image exists) and then captures
+// the new tree, and snapshots run one at a time, cut and write. A closed
 // cluster can still be snapshotted (its state is frozen — the natural
-// last step of a shutdown-for-handoff).
+// last step of a shutdown-for-handoff). Calling Snapshot from a
+// reconfiguration's own goroutine (a test hook inside the roll)
+// deadlocks, as calling it from a SaveOptions.BeforeWrite hook does.
 func (c *Cluster) Snapshot(path string) (SnapshotStats, error) {
 	return c.SnapshotWith(path, snapshot.SaveOptions{})
 }
@@ -87,12 +91,11 @@ func (c *Cluster) Snapshot(path string) (SnapshotStats, error) {
 // commit did not.
 func (c *Cluster) SnapshotWith(path string, opts snapshot.SaveOptions) (SnapshotStats, error) {
 	var ss SnapshotStats
-	if !c.reconfiguring.CompareAndSwap(false, true) {
-		return ss, ErrReconfigInProgress
-	}
-	defer c.reconfiguring.Store(false)
+	c.snapMu.Lock()
+	defer c.snapMu.Unlock()
 	start := time.Now()
 
+	// epochMu waits out a reconfiguration, which holds it throughout.
 	c.epochMu.Lock()
 	// The sequence number advances per attempt, committed or not: a torn
 	// generation must never be confused with the one it failed to replace.
@@ -121,8 +124,8 @@ func (c *Cluster) SnapshotWith(path string, opts snapshot.SaveOptions) (Snapshot
 }
 
 // encodeLocked encodes the cluster's snapshot image (caller holds
-// epochMu and the full ingest gate, and excludes reconfigurations, so the
-// shard locks below are uncontended formality). The State it encodes
+// epochMu, which excludes reconfigurations, and the full ingest gate, so
+// the shard locks below are uncontended formality). The State it encodes
 // references the live solver and frequency tables, load accounts and
 // drift queues, and the encoder's workers export each object into their
 // range's scratch state as they reach it, reading the strategies
@@ -414,34 +417,6 @@ func checkDims(w *workload.W, objects, nodes int, what string) error {
 		return fmt.Errorf("%w: %s is %dx%d, want %dx%d", snapshot.ErrCorrupt, what, w.NumObjects(), w.NumNodes(), objects, nodes)
 	}
 	return nil
-}
-
-// SnapshotWait is Snapshot with bounded retry around the
-// ErrReconfigInProgress collision: a snapshot landing while a
-// reconfiguration (or another snapshot) holds the flag retries up to
-// attempts times, doubling backoff between tries, instead of failing
-// fast. Every other error — including a write failure — returns
-// immediately. This is the drain-path form: a daemon shutting down wants
-// "a snapshot, once the roll in flight finishes", not a hard failure
-// that loses the final image. attempts <= 0 means one attempt (plain
-// Snapshot); backoff <= 0 retries immediately.
-func (c *Cluster) SnapshotWait(path string, attempts int, backoff time.Duration) (SnapshotStats, error) {
-	if attempts <= 0 {
-		attempts = 1
-	}
-	var ss SnapshotStats
-	var err error
-	for i := 0; i < attempts; i++ {
-		ss, err = c.Snapshot(path)
-		if !errors.Is(err, ErrReconfigInProgress) {
-			return ss, err
-		}
-		if i < attempts-1 && backoff > 0 {
-			time.Sleep(backoff)
-			backoff *= 2
-		}
-	}
-	return ss, err
 }
 
 // SnapshotSeq returns the sequence number of the most recent Snapshot

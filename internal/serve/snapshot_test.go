@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -218,52 +219,160 @@ func TestSnapshotStall(t *testing.T) {
 	}
 }
 
-// Snapshot and reconfiguration exclude each other through the same
-// fail-fast flag: a snapshot attempted mid-roll and a reconfiguration
-// attempted mid-snapshot both return ErrReconfigInProgress.
+// Snapshot and reconfiguration exclude each other without failing: a
+// snapshot called while a roll is frozen mid-swap waits for the commit and
+// captures the new tree, and a reconfiguration called while a snapshot is
+// being written runs, while the file gets the image cut before it.
 func TestSnapshotReconfigMutualExclusion(t *testing.T) {
 	tr := testTrees(rand.New(rand.NewSource(3)))[3].tr
 	const objects = 32
 	trace := workload.DriftingZipf(rand.New(rand.NewSource(5)), tr, objects, 2000, 2, 1.0, 0.05)
+	leaves := tr.Leaves()
+	diff := topo.Diff{Remove: []tree.NodeID{leaves[len(leaves)-1]}}
 	dir := t.TempDir()
-
-	t.Run("snapshot during roll", func(t *testing.T) {
+	served := func(t *testing.T) *Cluster {
 		c, err := NewCluster(tr, objects, Options{Shards: 4, EpochRequests: 500, Threshold: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ingestAll(t, c, trace, 256)
-		var rollErr error
+		return c
+	}
+
+	t.Run("snapshot during roll", func(t *testing.T) {
+		c := served(t)
+		entered, release := make(chan struct{}), make(chan struct{})
 		c.rollHook = func(migrated int) {
 			if migrated == 1 {
-				_, rollErr = c.Snapshot(filepath.Join(dir, "mid.hbn"))
+				close(entered)
+				<-release
 			}
 		}
-		if _, err := c.Reconfigure(topo.Diff{}); err != nil {
+		rolled := make(chan error, 1)
+		go func() {
+			_, err := c.Reconfigure(diff)
+			rolled <- err
+		}()
+		<-entered
+		path := filepath.Join(dir, "mid.hbn")
+		snapped := make(chan error, 1)
+		go func() {
+			_, err := c.Snapshot(path)
+			snapped <- err
+		}()
+		select {
+		case err := <-snapped:
+			close(release)
+			t.Fatalf("snapshot returned mid-roll (err %v); want it to wait for the commit", err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		close(release)
+		if err := <-rolled; err != nil {
 			t.Fatal(err)
 		}
-		if !errors.Is(rollErr, ErrReconfigInProgress) {
-			t.Fatalf("snapshot mid-roll: got %v, want ErrReconfigInProgress", rollErr)
+		if err := <-snapped; err != nil {
+			t.Fatal(err)
 		}
+		r, _, err := Restore(path, RestoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := r.Tree().Len(), c.Tree().Len(); got != want || want == tr.Len() {
+			t.Fatalf("image holds a %d-node tree; want the post-roll %d nodes (pre-roll %d)", got, want, tr.Len())
+		}
+		compareClusters(t, "post-roll image", c, r, objects, false)
 	})
 
 	t.Run("reconfigure during snapshot", func(t *testing.T) {
-		c, err := NewCluster(tr, objects, Options{Shards: 4, EpochRequests: 500, Threshold: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ingestAll(t, c, trace, 256)
+		c, twin := served(t), served(t)
 		var recErr error
-		_, err = c.SnapshotWith(filepath.Join(dir, "snap.hbn"), snapshot.SaveOptions{
-			BeforeWrite: func() { _, recErr = c.Reconfigure(topo.Diff{}) },
+		path := filepath.Join(dir, "snap.hbn")
+		_, err := c.SnapshotWith(path, snapshot.SaveOptions{
+			BeforeWrite: func() { _, recErr = c.Reconfigure(diff) },
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !errors.Is(recErr, ErrReconfigInProgress) {
-			t.Fatalf("reconfigure mid-snapshot: got %v, want ErrReconfigInProgress", recErr)
+		if recErr != nil {
+			t.Fatalf("reconfigure mid-snapshot: %v", recErr)
+		}
+		if c.Stats().Reconfigs != 1 || c.Tree().Len() == tr.Len() {
+			t.Fatalf("reconfigure mid-snapshot did not apply: %d reconfigurations, %d nodes", c.Stats().Reconfigs, c.Tree().Len())
+		}
+		r, _, err := Restore(path, RestoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareClusters(t, "pre-reconfiguration image", twin, r, objects, true)
+	})
+}
+
+// Snapshots taken from several goroutines while another ingests all
+// succeed, one at a time, cut and write, so the file holds the newest.
+func TestConcurrentSnapshots(t *testing.T) {
+	tr := testTrees(rand.New(rand.NewSource(3)))[3].tr
+	const objects, writers, each = 32, 4, 5
+	trace := workload.DriftingZipf(rand.New(rand.NewSource(5)), tr, objects, 4000, 2, 1.0, 0.05)
+	c, err := NewCluster(tr, objects, Options{Shards: 4, EpochRequests: 500, Threshold: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "state.hbn")
+	var wg sync.WaitGroup
+	for range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range each {
+				if _, err := c.Snapshot(path); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	ingestAll(t, c, trace, 100)
+	wg.Wait()
+	r, _, err := Restore(path, RestoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.SnapshotSeq(); got != writers*each {
+		t.Fatalf("file holds snapshot %d of %d", got, writers*each)
+	}
+}
+
+// An Ingest call made while a snapshot is being written runs its pass work
+// as it would with no snapshot: a batch that crosses the epoch boundary
+// from the BeforeWrite hook runs the pass it runs outside a snapshot (200
+// events against a cadence of 1,000, so the pass runs whole on the call).
+func TestEpochPassDuringSnapshotWrite(t *testing.T) {
+	tr := testTrees(rand.New(rand.NewSource(3)))[3].tr
+	const objects = 32
+	trace := workload.DriftingZipf(rand.New(rand.NewSource(5)), tr, objects, 1100, 2, 1.0, 0.05)
+	serve := func(t *testing.T, crossing func(c *Cluster, ingest func())) *Cluster {
+		c, err := NewCluster(tr, objects, Options{Shards: 4, EpochRequests: 1000, Threshold: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ingestAll(t, c, trace[:900], 300)
+		var ingestErr error
+		crossing(c, func() { _, ingestErr = c.Ingest(trace[900:]) })
+		if ingestErr != nil {
+			t.Fatal(ingestErr)
+		}
+		return c
+	}
+	plain := serve(t, func(_ *Cluster, ingest func()) { ingest() })
+	if got := plain.Stats().Epochs; got != 1 {
+		t.Fatalf("crossing batch without a snapshot: %d epochs, want 1", got)
+	}
+	during := serve(t, func(c *Cluster, ingest func()) {
+		if _, err := c.SnapshotWith(filepath.Join(t.TempDir(), "snap.hbn"), snapshot.SaveOptions{BeforeWrite: ingest}); err != nil {
+			t.Fatal(err)
 		}
 	})
+	compareClusters(t, "crossing batch during the snapshot write", plain, during, objects, true)
 }
 
 // Restore walks the generation ladder: a damaged primary falls back to

@@ -194,14 +194,12 @@ func WriteStorm(rng *rand.Rand, t *tree.Tree, numObjects, n, storms int, calmWri
 	return events
 }
 
-// The three churn scenarios below pair with the topology-reconfiguration
+// The two churn scenarios below pair with the topology-reconfiguration
 // subsystem (internal/topo): each one generates the traffic side of a
-// planned topology event — a leaf failure, a capacity scale-out, a
-// bandwidth brownout — so the serving benchmarks can drive a cluster
-// through Reconfigure mid-trace with traffic whose shape matches the
-// event. They emit node IDs of ONE tree each (Failover and Brownout the
-// pre-diff tree, ScaleOut the post-diff tree); callers serving across the
-// diff remap the other side's events through topo.Remap.
+// planned topology event — a leaf failure, a bandwidth brownout — so a
+// cluster can be driven through Reconfigure mid-trace with traffic whose
+// shape matches the event. They emit node IDs of the pre-diff tree;
+// callers serving across the diff remap later events through topo.Remap.
 
 // Failover generates home-biased traffic for a planned failure of the
 // given leaves at trace position failAt: every object reads and writes
@@ -252,138 +250,6 @@ func Failover(rng *rand.Rand, t *tree.Tree, numObjects, n int, failed []tree.Nod
 		}
 		if i >= failAt && isFailed[node] {
 			node = replacement[node]
-		}
-		events = append(events, TraceEvent{Object: x, Node: node, Write: rng.Float64() < writeFrac})
-	}
-	return events
-}
-
-// CascadeFailover generates home-biased traffic for a SEQUENCE of
-// failure waves — the compound version of Failover. Wave k (of W) fails
-// the leaves waves[k] at trace position (k+1)·n/(W+1), with earlier
-// waves' failures persisting: traffic addressed to any leaf failed so far
-// re-homes to the next leaf in leaf order that is still alive in the
-// CURRENT wave — so a replacement chosen in one wave can itself fail in
-// the next and the traffic hops again, exactly the cascading-failover
-// pattern that distinguishes compound churn from one clean failure. Every
-// object's home set is drawn from all leaves up front (so each wave
-// orphans some locality). At least one leaf must survive all waves.
-func CascadeFailover(rng *rand.Rand, t *tree.Tree, numObjects, n int, waves [][]tree.NodeID, writeFrac float64) []TraceEvent {
-	checkTrace(t, numObjects, n)
-	leaves := t.Leaves()
-	failed := make(map[tree.NodeID]bool)
-	// replacements[k] maps each leaf failed by waves 0..k to its serving
-	// survivor as of wave k.
-	replacements := make([]map[tree.NodeID]tree.NodeID, len(waves))
-	for k, wave := range waves {
-		for _, v := range wave {
-			if !t.IsLeaf(v) {
-				panic(fmt.Sprintf("workload: CascadeFailover: node %d is not a leaf", v))
-			}
-			failed[v] = true
-		}
-		if len(failed) >= len(leaves) {
-			panic("workload: CascadeFailover: no leaf survives the cascade")
-		}
-		repl := make(map[tree.NodeID]tree.NodeID, len(failed))
-		for i, v := range leaves {
-			if !failed[v] {
-				continue
-			}
-			for j := 1; j < len(leaves); j++ {
-				if r := leaves[(i+j)%len(leaves)]; !failed[r] {
-					repl[v] = r
-					break
-				}
-			}
-		}
-		replacements[k] = repl
-	}
-	homes := make([][]tree.NodeID, numObjects)
-	for x := range homes {
-		homes[x] = sampleLeaves(rng, leaves, 1+rng.Intn(min(4, len(leaves))), nil)
-	}
-	const homeBias = 0.9
-	events := make([]TraceEvent, 0, n)
-	for i := 0; i < n; i++ {
-		// Wave k is live from position (k+1)·n/(W+1); before the first
-		// boundary no failures have happened.
-		wave := -1
-		if n > 0 {
-			wave = i*(len(waves)+1)/n - 1
-		}
-		x := rng.Intn(numObjects)
-		node := leaves[rng.Intn(len(leaves))]
-		if rng.Float64() < homeBias {
-			node = homes[x][rng.Intn(len(homes[x]))]
-		}
-		if wave >= 0 {
-			if r, ok := replacements[min(wave, len(waves)-1)][node]; ok {
-				node = r
-			}
-		}
-		events = append(events, TraceEvent{Object: x, Node: node, Write: rng.Float64() < writeFrac})
-	}
-	return events
-}
-
-// ScaleOut generates traffic for capacity joining at trace position
-// joinAt: t is the POST-join tree, joining its freshly added leaves.
-// Before joinAt every request originates from the pre-existing leaves
-// (each object home-biased among them); from joinAt on, a share of
-// traffic that ramps linearly from 0 to half of all requests moves onto
-// the joining leaves (each object favoring one of them), modelling users
-// migrating onto the new processors. The pre-join prefix therefore maps
-// 1:1 onto the pre-diff tree through the reconfiguration remap.
-func ScaleOut(rng *rand.Rand, t *tree.Tree, numObjects, n int, joining []tree.NodeID, joinAt int, writeFrac float64) []TraceEvent {
-	checkTrace(t, numObjects, n)
-	if joinAt < 0 || joinAt > n {
-		panic(fmt.Sprintf("workload: ScaleOut position %d outside trace [0,%d]", joinAt, n))
-	}
-	isJoining := make(map[tree.NodeID]bool, len(joining))
-	for _, v := range joining {
-		if !t.IsLeaf(v) {
-			panic(fmt.Sprintf("workload: ScaleOut: node %d is not a leaf", v))
-		}
-		isJoining[v] = true
-	}
-	if len(isJoining) == 0 {
-		panic("workload: ScaleOut: no joining leaves")
-	}
-	var base []tree.NodeID
-	for _, v := range t.Leaves() {
-		if !isJoining[v] {
-			base = append(base, v)
-		}
-	}
-	if len(base) == 0 {
-		panic("workload: ScaleOut: no pre-existing leaves")
-	}
-	joined := make([]tree.NodeID, 0, len(isJoining))
-	for _, v := range t.Leaves() {
-		if isJoining[v] {
-			joined = append(joined, v)
-		}
-	}
-	homes := make([][]tree.NodeID, numObjects)
-	affinity := make([]tree.NodeID, numObjects)
-	for x := range homes {
-		homes[x] = sampleLeaves(rng, base, 1+rng.Intn(min(4, len(base))), nil)
-		affinity[x] = joined[rng.Intn(len(joined))]
-	}
-	const homeBias = 0.9
-	events := make([]TraceEvent, 0, n)
-	for i := 0; i < n; i++ {
-		x := rng.Intn(numObjects)
-		node := base[rng.Intn(len(base))]
-		if rng.Float64() < homeBias {
-			node = homes[x][rng.Intn(len(homes[x]))]
-		}
-		if i >= joinAt && n > joinAt {
-			ramp := 0.5 * float64(i-joinAt) / float64(n-joinAt)
-			if rng.Float64() < ramp {
-				node = affinity[x]
-			}
 		}
 		events = append(events, TraceEvent{Object: x, Node: node, Write: rng.Float64() < writeFrac})
 	}

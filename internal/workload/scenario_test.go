@@ -41,20 +41,8 @@ var churnGens = []struct {
 		leaves := t.Leaves()
 		return Failover(rng, t, o, n, leaves[len(leaves)-2:], n/2, 0.08)
 	}},
-	{"scale-out", func(rng *rand.Rand, t *tree.Tree, o, n int) []TraceEvent {
-		leaves := t.Leaves()
-		return ScaleOut(rng, t, o, n, leaves[len(leaves)-3:], n/2, 0.08)
-	}},
 	{"brownout", func(rng *rand.Rand, t *tree.Tree, o, n int) []TraceEvent {
 		return Brownout(rng, t, o, n, t.Leaves()[:4], 0.7, 0.08)
-	}},
-	{"cascade-failover", func(rng *rand.Rand, t *tree.Tree, o, n int) []TraceEvent {
-		leaves := t.Leaves()
-		waves := [][]tree.NodeID{
-			leaves[len(leaves)-2:],
-			leaves[len(leaves)-4 : len(leaves)-2],
-		}
-		return CascadeFailover(rng, t, o, n, waves, 0.08)
 	}},
 }
 
@@ -188,8 +176,8 @@ func absf(x float64) float64 {
 }
 
 // The churn semantics hold exactly: no failed leaf issues a request at or
-// after the failover position, and no joining leaf issues one before the
-// join position (the prefix must map 1:1 onto the pre-diff tree).
+// after the failover position, and a brownout concentrates traffic in its
+// region.
 func TestChurnScenarioBoundaries(t *testing.T) {
 	tr := scenarioTree()
 	leaves := tr.Leaves()
@@ -214,22 +202,6 @@ func TestChurnScenarioBoundaries(t *testing.T) {
 		t.Fatal("failover: doomed leaves carried no pre-failure traffic; nothing to orphan")
 	}
 
-	joining := leaves[:2]
-	isJoining := map[tree.NodeID]bool{joining[0]: true, joining[1]: true}
-	trace = ScaleOut(rand.New(rand.NewSource(4)), tr, objects, n, joining, n/2, 0.1)
-	sawJoinedLate := false
-	for i, ev := range trace {
-		if i < n/2 && isJoining[ev.Node] {
-			t.Fatalf("scale-out: joining leaf %d requested at position %d", ev.Node, i)
-		}
-		if i >= n/2 && isJoining[ev.Node] {
-			sawJoinedLate = true
-		}
-	}
-	if !sawJoinedLate {
-		t.Fatal("scale-out: joining leaves never absorbed traffic")
-	}
-
 	region := leaves[:6]
 	inRegion := map[tree.NodeID]bool{}
 	for _, v := range region {
@@ -244,52 +216,5 @@ func TestChurnScenarioBoundaries(t *testing.T) {
 	}
 	if frac := float64(hits) / float64(n); frac < 0.6 {
 		t.Fatalf("brownout: region carries only %.2f of traffic, want concentration", frac)
-	}
-}
-
-// CascadeFailover's compound semantics hold exactly: once wave k's
-// boundary passes, no leaf failed by waves 0..k issues another request —
-// including a leaf that served as wave k-1's replacement before failing
-// itself (the hop-again case that distinguishes a cascade from repeated
-// clean failovers).
-func TestCascadeFailoverBoundaries(t *testing.T) {
-	tr := scenarioTree()
-	leaves := tr.Leaves()
-	const objects, n = 10, 9000
-
-	// Wave 1 fails exactly the leaf that is wave 0's replacement (the next
-	// surviving leaf in leaf order), forcing re-homed traffic to hop again.
-	first := leaves[len(leaves)-4]
-	second := leaves[len(leaves)-3]
-	waves := [][]tree.NodeID{{first}, {second}}
-	trace := CascadeFailover(rand.New(rand.NewSource(9)), tr, objects, n, waves, 0.1)
-	if len(trace) != n {
-		t.Fatalf("trace length %d, want %d", len(trace), n)
-	}
-
-	// Boundary of wave k is position (k+1)*n/(len(waves)+1).
-	b0, b1 := n/3, 2*n/3
-	secondBeforeB1, secondAfterB0 := 0, 0
-	for i, ev := range trace {
-		if i >= b0 && ev.Node == first {
-			t.Fatalf("wave-0 leaf %d requested at position %d (boundary %d)", first, i, b0)
-		}
-		if i >= b1 && ev.Node == second {
-			t.Fatalf("wave-1 leaf %d requested at position %d (boundary %d)", second, i, b1)
-		}
-		if i < b1 && ev.Node == second {
-			secondBeforeB1++
-		}
-		if i >= b0 && i < b1 && ev.Node == second {
-			secondAfterB0++
-		}
-	}
-	if secondBeforeB1 == 0 {
-		t.Fatal("wave-1 leaf carried no traffic before its own failure")
-	}
-	// Between the two boundaries the wave-1 leaf absorbs the wave-0 leaf's
-	// re-homed traffic on top of its own, so it must still be active there.
-	if secondAfterB0 == 0 {
-		t.Fatal("wave-0 replacement absorbed no traffic between the boundaries")
 	}
 }
